@@ -34,7 +34,6 @@ from .features import (
     compute_rel_error,
     derive_sensitivity,
     fit_scaler,
-    inverse_transform,
     label_engagement_from_performance,
     transform,
 )

@@ -36,18 +36,21 @@ from .data import (
 )
 from .errors import ConfigError, NonConvergenceWarning, TimeshiftError
 from .evaluation import (
+    BaselineComparison,
     Thresholds,
+    balanced_indices,
+    baseline_rows,
     classify_direction,
     classify_actual_magnitude,
     classify_predicted_magnitude,
     confusion_2x2,
     loocv,
     magnitude_confusion,
-    metrics,
     undersample,
 )
 from .explain import (
     aggregate_shap,
+    shap_matrix,
     shap_values,
     waterfall_payload,
     write_scatter_csv,
@@ -69,7 +72,7 @@ from .logistic import (
     predict_proba,
     save_model,
 )
-from .simulator import SimParams, arousal_baseline, attention_baseline, generate_trials
+from .simulator import SimParams, generate_trials
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ def _manifest(config: RunConfig, **extra) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     output = _require_path(config, "output")
     trials = generate_trials(
         config.sim,
@@ -229,7 +232,7 @@ def cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_extract(config: RunConfig) -> int:
+def cmd_extract(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = _require_path(config, "input")
     output = _require_path(config, "output")
     pairs = pair_consecutive(load_trials(input_path))
@@ -242,24 +245,12 @@ def cmd_extract(config: RunConfig) -> int:
     return 0
 
 
-def _undersample_rows(labels: list[Direction], seed: int) -> list[int]:
-    """Balanced row indices, mirroring evaluation.undersample on raw rows."""
-    dec = [i for i, lab in enumerate(labels) if lab == Direction.DECREASE]
-    inc = [i for i, lab in enumerate(labels) if lab == Direction.INCREASE]
-    if not dec or not inc:
-        raise ConfigError("training data must contain both classes")
-    minority, majority = sorted([dec, inc], key=len)
-    rng = np.random.default_rng(seed)
-    kept = rng.choice(len(majority), size=len(minority), replace=False)
-    return sorted(minority + [majority[i] for i in kept])
-
-
-def cmd_train(config: RunConfig) -> int:
+def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = _require_path(config, "input")
     output = _require_path(config, "output")
     features, labels = load_feature_csv(input_path)
     rows = (
-        _undersample_rows(labels, config.seed)
+        balanced_indices(labels, config.seed)
         if config.undersample
         else list(range(len(labels)))
     )
@@ -282,7 +273,7 @@ def cmd_train(config: RunConfig) -> int:
     return 0 if model.converged else 3
 
 
-def cmd_evaluate(config: RunConfig) -> int:
+def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = _require_path(config, "input")
     output = _require_path(config, "output")
     dataset = Dataset(
@@ -307,12 +298,6 @@ def cmd_evaluate(config: RunConfig) -> int:
         )
 
     actual = dataset.labels()
-    attention_predictions = [
-        attention_baseline(s.prev.engagement, s.next.engagement) for s in dataset.samples
-    ]
-    arousal_predictions = [
-        arousal_baseline(s.prev.engagement, s.next.engagement) for s in dataset.samples
-    ]
     confusion, five_cells = magnitude_confusion(
         result.outcomes, dataset.deltas(), config.thresholds
     )
@@ -366,18 +351,7 @@ def cmd_evaluate(config: RunConfig) -> int:
             name: {"count": count, "share_of_predicted": share}
             for name, (count, share) in five_cells.cells.items()
         },
-        "baselines": [
-            {
-                "model_name": name,
-                "precision": m.precision,
-                "recall": m.recall,
-                "accuracy": m.accuracy,
-            }
-            for name, m in (
-                ("attention", metrics(attention_predictions, actual)),
-                ("arousal", metrics(arousal_predictions, actual)),
-            )
-        ],
+        "baselines": BaselineComparison(rows=baseline_rows(dataset)).as_dicts(),
         "nonconverged_folds": nonconverged,
         "per_sample_csv": per_sample_path.name,
     }
@@ -385,7 +359,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     return 3 if nonconverged else 0
 
 
-def cmd_predict(config: RunConfig) -> int:
+def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
     model = load_model(_require_path(config, "model"))
     features, labels = load_feature_csv(_require_path(config, "features"))
     output = _require_path(config, "output")
@@ -413,7 +387,8 @@ def cmd_predict(config: RunConfig) -> int:
     return 0
 
 
-def cmd_explain(config: RunConfig, row: int = 0) -> int:
+def cmd_explain(config: RunConfig, args: argparse.Namespace) -> int:
+    row = args.row
     model = load_model(_require_path(config, "model"))
     features, _ = load_feature_csv(_require_path(config, "features"))
     if not 0 <= row < len(features):
@@ -422,10 +397,10 @@ def cmd_explain(config: RunConfig, row: int = 0) -> int:
     output_dir.mkdir(parents=True, exist_ok=True)
     X = feature_matrix(features)
     Z = transform(X, model.scaler)
-    attributions = [shap_values(model, Z[i]) for i in range(len(features))]
+    _, phi, _ = shap_matrix(model, Z)
 
-    write_scatter_csv(attributions, X, Z, output_dir / "shap_scatter.csv")
-    summaries = aggregate_shap(attributions, raw_features=None)
+    write_scatter_csv(phi, X, Z, output_dir / "shap_scatter.csv")
+    summaries = aggregate_shap(phi)
     _write_json(
         output_dir / "shap_aggregate.json",
         _manifest(
@@ -444,7 +419,11 @@ def cmd_explain(config: RunConfig, row: int = 0) -> int:
     )
     _write_json(
         output_dir / "shap_waterfall.json",
-        {**waterfall_payload(attributions[row], X[row]), **_manifest(config, row=row)},
+        # a one-row call keeps the waterfall logit bit-identical to w @ z
+        {
+            **waterfall_payload(shap_values(model, Z[row]), X[row]),
+            **_manifest(config, row=row),
+        },
     )
     return 0
 
@@ -517,12 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command takes the resolved configuration and the parsed flags.
 _COMMANDS = {
     "simulate": cmd_simulate,
     "extract": cmd_extract,
     "train": cmd_train,
     "evaluate": cmd_evaluate,
     "predict": cmd_predict,
+    "explain": cmd_explain,
 }
 
 
@@ -531,9 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        if args.command == "explain":
-            return cmd_explain(config, row=args.row)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](config, args)
     except TimeshiftError as exc:
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},

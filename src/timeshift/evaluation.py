@@ -24,7 +24,7 @@ from .errors import (
     TooFewSamplesError,
 )
 from .features import build_features, feature_matrix, fit_scaler, transform
-from .logistic import LogisticModel, fit, predict_proba
+from .logistic import LogisticModel, fit, labels_to_array, predict_proba
 from .simulator import arousal_baseline, attention_baseline
 
 # Row/column order of the 3x3 magnitude confusion matrix.
@@ -144,27 +144,35 @@ class FiveCellSummary:
     cells: dict[str, tuple[int, float]]
 
 
-def undersample(dataset: Dataset, seed: int) -> Dataset:
+def balanced_indices(labels: Sequence[Direction], seed: int) -> np.ndarray:
     """
-    Randomly downsample the majority class to exact balance.
+    Ascending row indices that downsample the majority class to exact balance.
 
-    Sampling is uniform without replacement and deterministic per seed; the
-    surviving samples keep their original order.
+    Sampling is uniform without replacement and deterministic per seed; every
+    minority row is kept.
 
     Raises:
-        SingleClassError: dataset has only one direction class.
+        SingleClassError: only one direction class is present.
     """
-    labels = dataset.labels()
-    dec_idx = [i for i, lab in enumerate(labels) if lab == Direction.DECREASE]
-    inc_idx = [i for i, lab in enumerate(labels) if lab == Direction.INCREASE]
-    if not dec_idx or not inc_idx:
+    y = labels_to_array(labels)
+    dec_idx, inc_idx = np.flatnonzero(y == 1.0), np.flatnonzero(y == 0.0)
+    if not len(dec_idx) or not len(inc_idx):
         raise SingleClassError("undersampling requires both classes")
     minority, majority = sorted([dec_idx, inc_idx], key=len)
     rng = np.random.default_rng(seed)
     kept_majority = rng.choice(len(majority), size=len(minority), replace=False)
-    keep = sorted(minority + [majority[i] for i in kept_majority])
+    return np.sort(np.concatenate([minority, majority[kept_majority]]))
+
+
+def undersample(dataset: Dataset, seed: int) -> Dataset:
+    """
+    Randomly downsample the majority class to exact balance (balanced_indices);
+    the surviving samples keep their original order.
+    """
     return Dataset(
-        samples=tuple(dataset.samples[i] for i in keep),
+        samples=tuple(
+            dataset.samples[i] for i in balanced_indices(dataset.labels(), seed)
+        ),
         provenance=dataset.provenance,
         seed=seed,
     )
@@ -258,7 +266,7 @@ def loocv(
         raise TooFewSamplesError(f"LOOCV needs >= 10 samples, got {n}")
     features = [build_features(s, target_s) for s in dataset.samples]
     X = feature_matrix(features)
-    y = np.array([1.0 if lab == Direction.DECREASE else 0.0 for lab in dataset.labels()])
+    y = labels_to_array(dataset.labels())
 
     outcomes = []
     for i in range(n):
@@ -337,9 +345,8 @@ def kfold_cv(
         balanced = undersample(dataset, seed=repeat_seed)
         features = [build_features(s, target_s) for s in balanced.samples]
         X = feature_matrix(features)
-        y = np.array(
-            [1.0 if lab == Direction.DECREASE else 0.0 for lab in balanced.labels()]
-        )
+        labels = balanced.labels()
+        y = labels_to_array(labels)
         folds = _stratified_folds(y, k, np.random.default_rng([seed, repeat, 1]))
         for fold_index, test_idx in enumerate(folds):
             mask = np.ones(len(balanced), dtype=bool)
@@ -349,10 +356,7 @@ def kfold_cv(
             scaler = fit_scaler(X[mask])
             Z_train = transform(X[mask], scaler)
             Z_test = transform(X[test_idx], scaler)
-            actual = [
-                Direction.DECREASE if v == 1.0 else Direction.INCREASE
-                for v in y[test_idx]
-            ]
+            actual = [labels[i] for i in test_idx]
             for c in scores:
                 model = fit(Z_train, y[mask], C=c, seed=seed)
                 predicted = [
@@ -416,9 +420,19 @@ def magnitude_confusion(
     return confusion, summary
 
 
+def baseline_rows(dataset: Dataset) -> tuple[tuple[str, MetricsReport], ...]:
+    """Metric rows of the attention and arousal rules, in that order."""
+    actual = dataset.labels()
+    transitions = [(s.prev.engagement, s.next.engagement) for s in dataset.samples]
+    return tuple(
+        (name, metrics([rule(prev, nxt) for prev, nxt in transitions], actual))
+        for name, rule in (("attention", attention_baseline), ("arousal", arousal_baseline))
+    )
+
+
 @dataclass(frozen=True)
 class BaselineComparison:
-    """Metric rows for the trained model and the two rule-based baselines."""
+    """Metric rows for the trained model and/or the two rule-based baselines."""
 
     rows: tuple[tuple[str, MetricsReport], ...]
 
@@ -445,22 +459,8 @@ def compare_baselines(
     The model's features are standardized with its own scaler. Rows are always
     ordered (model, attention, arousal).
     """
-    actual = dataset.labels()
     X = feature_matrix([build_features(s, target_s) for s in dataset.samples])
     probabilities = np.atleast_1d(predict_proba(model, transform(X, model.scaler)))
     model_predictions = [classify_direction(float(p)) for p in probabilities]
-    attention_predictions = [
-        attention_baseline(s.prev.engagement, s.next.engagement)
-        for s in dataset.samples
-    ]
-    arousal_predictions = [
-        arousal_baseline(s.prev.engagement, s.next.engagement)
-        for s in dataset.samples
-    ]
-    return BaselineComparison(
-        rows=(
-            ("model", metrics(model_predictions, actual)),
-            ("attention", metrics(attention_predictions, actual)),
-            ("arousal", metrics(arousal_predictions, actual)),
-        )
-    )
+    model_row = ("model", metrics(model_predictions, dataset.labels()))
+    return BaselineComparison(rows=(model_row, *baseline_rows(dataset)))

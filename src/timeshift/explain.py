@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,24 +61,16 @@ def shap_values(
     background_means: np.ndarray | Sequence[float] | None = None,
 ) -> ShapAttribution:
     """
-    Exact attribution of one standardized sample against a background.
-
-    background_means are the standardized-space feature means of the reference
-    data; omit them for the all-zeros background of a scaler fit on that data.
+    Exact attribution of one standardized sample against a background: row 0
+    of a one-row shap_matrix call.
     """
-    z = np.asarray(z, dtype=float)
-    bg = (
-        np.zeros(N_FEATURES)
-        if background_means is None
-        else np.asarray(background_means, dtype=float)
+    base, phi, logits = shap_matrix(
+        model, np.reshape(z, (1, N_FEATURES)), background_means
     )
-    w = np.asarray(model.coefficients)
-    phi = w * (z - bg)
-    base = model.intercept + float(w @ bg)
-    logit = model.intercept + float(w @ z)
+    logit = float(logits[0])
     return ShapAttribution(
         base_logit=base,
-        phi=tuple(phi),
+        phi=tuple(phi[0]),
         output_logit=logit,
         output_probability=float(_sigmoid(logit)),
     )
@@ -90,7 +82,10 @@ def shap_matrix(
     background_means: np.ndarray | Sequence[float] | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """
-    Vectorized attributions for an (n, 5) matrix.
+    Exact attributions of an (n, 5) standardized matrix against a background.
+
+    background_means are the standardized-space feature means of the reference
+    data; omit them for the all-zeros background of a scaler fit on that data.
 
     Returns (base_logit, phi matrix of shape (n, 5), output logits of shape (n,)).
     """
@@ -113,52 +108,37 @@ class FeatureShapSummary:
     mean_phi: float
     std_phi: float
     n: int
-    pairs: tuple[tuple[float, float], ...] | None = None  # (raw value, phi)
 
 
 def aggregate_shap(
-    attributions: Sequence[ShapAttribution],
-    group_by: Callable[[int, ShapAttribution], bool] | None = None,
-    raw_features: np.ndarray | None = None,
+    phi: np.ndarray, group: np.ndarray | None = None
 ) -> list[FeatureShapSummary]:
     """
     Per-feature mean and spread of contributions, population- or group-wide.
 
-    group_by receives (sample index, attribution) and selects the sub-group.
-    When raw_features (an (n, 5) matrix aligned with the attributions) is
-    given, each summary carries the (raw value, phi) pairs needed for
-    scatter-style exports.
+    phi is the (n, 5) attribution matrix of shap_matrix; group is an optional
+    boolean mask of length n that selects the sub-group's rows.
 
     Raises:
-        EmptyGroupError: the predicate matched nothing.
+        EmptyGroupError: the mask selects no rows.
         ValueError: no attributions given.
     """
-    if not attributions:
+    phi = np.asarray(phi, dtype=float)
+    if not len(phi):
         raise ValueError("need at least one attribution")
-    selected = [
-        (i, a)
-        for i, a in enumerate(attributions)
-        if group_by is None or group_by(i, a)
-    ]
-    if not selected:
-        raise EmptyGroupError("sub-group predicate matched no samples")
-    phi = np.array([a.phi for _, a in selected])
-    summaries = []
-    for j, name in enumerate(FEATURE_NAMES):
-        pairs = None
-        if raw_features is not None:
-            raw = np.asarray(raw_features, dtype=float)
-            pairs = tuple((float(raw[i, j]), float(a.phi[j])) for i, a in selected)
-        summaries.append(
-            FeatureShapSummary(
-                feature=name,
-                mean_phi=float(phi[:, j].mean()),
-                std_phi=float(phi[:, j].std()),
-                n=len(selected),
-                pairs=pairs,
-            )
+    if group is not None:
+        phi = phi[np.asarray(group, dtype=bool)]
+        if not len(phi):
+            raise EmptyGroupError("sub-group mask selects no samples")
+    return [
+        FeatureShapSummary(
+            feature=name,
+            mean_phi=float(phi[:, j].mean()),
+            std_phi=float(phi[:, j].std()),
+            n=len(phi),
         )
-    return summaries
+        for j, name in enumerate(FEATURE_NAMES)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +222,29 @@ def _column_permutation_drop(
 # ---------------------------------------------------------------------------
 
 def write_scatter_csv(
-    attributions: Sequence[ShapAttribution],
+    phi: np.ndarray,
     raw_features: np.ndarray,
     standardized: np.ndarray,
     path: str | Path,
 ) -> None:
-    """One row per sample per feature: feature, raw and z values, contribution."""
-    raw = np.asarray(raw_features, dtype=float)
-    std = np.asarray(standardized, dtype=float)
+    """
+    One row per sample per feature: feature, raw and z values, contribution.
+
+    phi, raw_features and standardized are aligned (n, 5) matrices; phi is the
+    attribution matrix of shap_matrix. Values are written as plain decimal
+    floats (shortest round-trip repr), converted one sample at a time.
+    """
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "raw_value", "standardized_value", "phi"])
-        for i, attribution in enumerate(attributions):
-            for j, name in enumerate(FEATURE_NAMES):
-                writer.writerow(
-                    [name, repr(raw[i, j]), repr(std[i, j]), repr(attribution.phi[j])]
-                )
+        for raw_row, std_row, phi_row in zip(
+            np.asarray(raw_features, dtype=float),
+            np.asarray(standardized, dtype=float),
+            np.asarray(phi, dtype=float),
+        ):
+            writer.writerows(
+                zip(FEATURE_NAMES, raw_row.tolist(), std_row.tolist(), phi_row.tolist())
+            )
 
 
 def waterfall_payload(

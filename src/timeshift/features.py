@@ -201,12 +201,6 @@ def transform(
     return (x - np.asarray(stats.means)) / np.asarray(stats.std_devs)
 
 
-def inverse_transform(z: np.ndarray | Sequence[float], stats: ScalerStats) -> np.ndarray:
-    """Undo a z-score transform."""
-    z = np.asarray(z, dtype=float)
-    return z * np.asarray(stats.std_devs) + np.asarray(stats.means)
-
-
 def label_engagement_from_performance(
     scene_stats: Mapping[str, float], baseline_scene: str
 ) -> dict[str, EngagementLevel]:

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import Direction
 from .errors import NonConvergenceWarning, SingleClassError, TooFewSamplesError
 from .features import N_FEATURES, ScalerStats, identity_scaler
 
@@ -127,14 +128,13 @@ def predict_proba(model: LogisticModel, z: np.ndarray) -> float | np.ndarray:
     return float(p) if np.ndim(p) == 0 else p
 
 
-def _labels_to_array(y) -> np.ndarray:
-    """Accept 0/1 ints, booleans, or Direction values (DECREASE -> 1)."""
-    from .data import Direction  # local import to avoid cycle at module load
-
-    arr = np.array(
-        [1.0 if v == Direction.DECREASE or v == 1 or v is True else 0.0 for v in y]
-    )
-    return arr
+def labels_to_array(y) -> np.ndarray:
+    """0/1 float labels: 1, True and Direction.DECREASE are the positive class."""
+    arr = np.asarray(y)
+    positive = arr == 1
+    if arr.dtype == object:
+        positive |= arr == Direction.DECREASE
+    return positive.astype(float)
 
 
 def nll_loss(model: LogisticModel, Z: np.ndarray, y) -> float:
@@ -148,7 +148,7 @@ def nll_loss(model: LogisticModel, Z: np.ndarray, y) -> float:
     """
     theta = np.concatenate(([model.intercept], model.coefficients))
     loss, _ = _loss_and_grad(
-        theta, np.asarray(Z, dtype=float), _labels_to_array(y), model.inverse_reg_c
+        theta, np.asarray(Z, dtype=float), labels_to_array(y), model.inverse_reg_c
     )
     return loss
 
@@ -160,7 +160,7 @@ def gradient(model: LogisticModel, Z: np.ndarray, y) -> np.ndarray:
     """
     theta = np.concatenate(([model.intercept], model.coefficients))
     _, grad = _loss_and_grad(
-        theta, np.asarray(Z, dtype=float), _labels_to_array(y), model.inverse_reg_c
+        theta, np.asarray(Z, dtype=float), labels_to_array(y), model.inverse_reg_c
     )
     return grad
 
@@ -222,7 +222,7 @@ def fit(
         TooFewSamplesError: fewer than 6 samples.
     """
     Z = np.asarray(Z, dtype=float)
-    y_arr = _labels_to_array(y)
+    y_arr = labels_to_array(y)
     if Z.ndim != 2 or Z.shape[1] != N_FEATURES:
         raise ValueError(f"expected an (n, {N_FEATURES}) matrix, got shape {Z.shape}")
     if Z.shape[0] != y_arr.shape[0]:
@@ -310,6 +310,8 @@ def model_to_json(model: LogisticModel) -> str:
         "C": model.inverse_reg_c,
         "trained_on": model.trained_on,
         "seed": model.seed,
+        "converged": model.converged,
+        "n_iter": model.n_iter,
     }
     return json.dumps(payload, sort_keys=True)
 
@@ -324,6 +326,8 @@ def model_from_json(text: str) -> LogisticModel:
             std_devs=tuple(payload["scaler"]["stds"]),
         ),
         inverse_reg_c=payload["C"],
+        converged=payload.get("converged", True),
+        n_iter=payload.get("n_iter", 0),
         trained_on=payload.get("trained_on", ""),
         seed=payload.get("seed"),
     )

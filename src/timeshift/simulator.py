@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -301,20 +300,8 @@ def attention_baseline(prev: EngagementLevel, next: EngagementLevel) -> Directio
 
 def arousal_baseline(prev: EngagementLevel, next: EngagementLevel) -> Direction:
     """
-    Arousal rule: more engaging stimuli speed the clock, the exact mirror of
-    the attention rule on strict transitions. Same-level transitions use the
-    same INCREASE tie rule.
+    Arousal rule: more engaging stimuli speed the clock, so it negates the
+    attention rule on strict transitions, i.e. applies it to the reversed
+    transition. Same-level transitions use the same INCREASE tie rule.
     """
-    if next > prev:
-        return Direction.DECREASE
-    if next < prev:
-        return Direction.INCREASE
-    return Direction.INCREASE
-
-
-def save_params(params: SimParams, path: str | Path) -> None:
-    Path(path).write_text(params.to_json() + "\n")
-
-
-def load_params(path: str | Path) -> SimParams:
-    return SimParams.from_json(Path(path).read_text())
+    return attention_baseline(next, prev)

@@ -138,6 +138,15 @@ class TestTrain:
         assert load_model(clone_path) == model
         assert model.seed == 0
 
+    @pytest.mark.parametrize("flags", [[], ["--no-undersample"]])
+    def test_single_class_exits_2(self, tmp_path, capsys, flags):
+        path = self._features_csv(tmp_path)
+        path.write_text(path.read_text().replace(",decrease\n", ",increase\n"))
+        argv = ["train", "--input", str(path), "--output", str(tmp_path / "m.json")]
+        assert main(argv + flags) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SingleClassError"
+
     def test_violating_feature_row_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text(FEATURE_HEADER + "\n0.0,0,0,0,2,increase\n")

@@ -127,41 +127,34 @@ class TestShapValues:
 
 
 class TestAggregateShap:
-    def _attributions(self, n=60, seed=5):
+    def _phi(self, n=60, seed=5):
         rng = np.random.default_rng(seed)
         model = make_model(0.1, rng.normal(size=5))
-        Z = rng.normal(size=(n, 5))
-        return [shap_values(model, Z[i]) for i in range(n)], Z
+        _, phi, _ = shap_matrix(model, rng.normal(size=(n, 5)))
+        return phi
 
     def test_single_attribution_aggregates_to_itself(self):
-        attributions, _ = self._attributions(n=1)
-        summaries = aggregate_shap(attributions)
+        phi = self._phi(n=1)
+        summaries = aggregate_shap(phi)
         for j, summary in enumerate(summaries):
-            assert summary.mean_phi == pytest.approx(attributions[0].phi[j])
+            assert summary.mean_phi == pytest.approx(phi[0, j])
             assert summary.std_phi == 0.0
             assert summary.n == 1
 
     def test_disjoint_groups_recombine(self):
-        attributions, _ = self._attributions(n=50)
-        left = aggregate_shap(attributions, group_by=lambda i, a: i < 20)
-        right = aggregate_shap(attributions, group_by=lambda i, a: i >= 20)
-        population = aggregate_shap(attributions)
+        phi = self._phi(n=50)
+        rows = np.arange(50)
+        left = aggregate_shap(phi, group=rows < 20)
+        right = aggregate_shap(phi, group=rows >= 20)
+        population = aggregate_shap(phi)
         for j in range(5):
             combined = (20 * left[j].mean_phi + 30 * right[j].mean_phi) / 50
             assert combined == pytest.approx(population[j].mean_phi, abs=1e-12)
 
     def test_empty_group_rejected(self):
-        attributions, _ = self._attributions(n=5)
+        phi = self._phi(n=5)
         with pytest.raises(EmptyGroupError):
-            aggregate_shap(attributions, group_by=lambda i, a: False)
-
-    def test_pairs_align_with_raw_values(self):
-        attributions, Z = self._attributions(n=10)
-        summaries = aggregate_shap(attributions, raw_features=Z)
-        assert summaries[0].pairs[3] == (
-            pytest.approx(Z[3, 0]),
-            pytest.approx(attributions[3].phi[0]),
-        )
+            aggregate_shap(phi, group=np.zeros(5, dtype=bool))
 
     def test_long_production_group_dominated_by_rel_error(self):
         # synthetic cohort scored by the pinned model: among samples with
@@ -174,11 +167,9 @@ class TestAggregateShap:
         scaler = fit_scaler(X)
         Z = transform(X, scaler)
         model = pinned_model(scaler)
-        attributions = [shap_values(model, Z[i]) for i in range(len(ds))]
+        _, phi, _ = shap_matrix(model, Z)
         produced = np.array([s.prev.produced_time_s for s in ds.samples])
-        summaries = aggregate_shap(
-            attributions, group_by=lambda i, a: produced[i] > 45.0
-        )
+        summaries = aggregate_shap(phi, group=produced > 45.0)
         by_name = {s.feature: s.mean_phi for s in summaries}
         rel_error_mean = by_name["t1_rel_error"]
         assert rel_error_mean > 0.5
@@ -250,15 +241,23 @@ class TestExports:
         model = make_model(0.1, rng.normal(size=5))
         Z = rng.normal(size=(3, 5))
         X = Z * 10 + 5
-        attributions = [shap_values(model, Z[i]) for i in range(3)]
+        _, phi, _ = shap_matrix(model, Z)
         path = tmp_path / "scatter.csv"
-        write_scatter_csv(attributions, X, Z, path)
+        write_scatter_csv(phi, X, Z, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "feature,raw_value,standardized_value,phi"
         assert len(lines) == 1 + 3 * 5
         first = lines[1].split(",")
         assert first[0] == "t1_rel_error"
-        assert float(first[3]) == pytest.approx(attributions[0].phi[0])
+        assert float(first[3]) == pytest.approx(phi[0, 0])
+        # every numeric cell is a plain decimal float that round-trips exactly
+        for k, line in enumerate(lines[1:]):
+            i, j = divmod(k, 5)
+            name, raw, z, contribution = line.split(",")
+            assert name == FEATURE_NAMES[j]
+            assert [float(raw), float(z), float(contribution)] == [
+                X[i, j], Z[i, j], phi[i, j]
+            ]
 
     def test_waterfall_payload_structure(self):
         attribution = shap_values(pinned_model(), np.zeros(5))

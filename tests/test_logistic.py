@@ -279,11 +279,25 @@ class TestSerialization:
         assert clone.inverse_reg_c == model.inverse_reg_c
         assert clone.trained_on == "unit-test"
         assert clone.seed == 3
+        assert (clone.converged, clone.n_iter) == (True, 0)
+
+        Z = np.random.default_rng(12).normal(size=(30, 5))
+        with pytest.warns(NonConvergenceWarning):
+            stopped = fit(Z, (Z[:, 0] > 0).astype(float), max_iter=1)
+        assert (stopped.converged, stopped.n_iter) == (False, 1)
+        assert model_from_json(model_to_json(stopped)) == stopped
 
     def test_schema_fields(self):
         payload = json.loads(model_to_json(pinned_model()))
-        assert set(payload) == {"intercept", "coefficients", "scaler", "C", "trained_on", "seed"}
+        assert set(payload) == {
+            "intercept", "coefficients", "scaler", "C", "trained_on", "seed",
+            "converged", "n_iter",
+        }
         assert set(payload["scaler"]) == {"means", "stds"}
+        # files written before the diagnostics existed load with the old defaults
+        del payload["converged"], payload["n_iter"]
+        clone = model_from_json(json.dumps(payload))
+        assert (clone.converged, clone.n_iter) == (True, 0)
 
     def test_file_helpers(self, tmp_path):
         path = tmp_path / "model.json"

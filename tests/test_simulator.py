@@ -10,9 +10,7 @@ from timeshift.simulator import (
     attention_baseline,
     generate_dataset,
     generate_trials,
-    load_params,
     participant_rng,
-    save_params,
     simulate_trial,
     update_reference_memory,
 )
@@ -259,8 +257,6 @@ class TestSimParams:
         with pytest.raises(ValueError):
             SimParams(memory_correction_weight=0.6, regression_weight=0.6)
 
-    def test_json_roundtrip(self, tmp_path):
+    def test_json_roundtrip(self):
         params = SimParams(rng_seed=11, weber_fraction=0.2, arousal_gain=0.07)
-        path = tmp_path / "sim.json"
-        save_params(params, path)
-        assert load_params(path) == params
+        assert SimParams.from_json(params.to_json()) == params
