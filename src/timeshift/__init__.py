@@ -27,12 +27,8 @@ from .data import (
 )
 from .features import (
     FEATURE_NAMES,
-    FeatureVector,
     ScalerStats,
     build_features,
-    change_in_engagement,
-    compute_rel_error,
-    derive_sensitivity,
     fit_scaler,
     label_engagement_from_performance,
     transform,

@@ -22,8 +22,6 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import (
     Dataset,
@@ -58,7 +56,6 @@ from .explain import (
 from .features import (
     FEATURE_NAMES,
     build_features,
-    feature_matrix,
     fit_scaler,
     load_feature_csv,
     transform,
@@ -67,7 +64,9 @@ from .features import (
 from .logistic import (
     PINNED_COEFFICIENTS,
     PINNED_INTERCEPT,
+    LogisticModel,
     fit,
+    labels_to_array,
     load_model,
     predict_proba,
     save_model,
@@ -202,6 +201,20 @@ def _manifest(config: RunConfig, **extra) -> dict:
     return {"seed": config.seed, "config_hash": config.config_hash(), **extra}
 
 
+def _report(payload: dict) -> None:
+    """One JSON line on stderr: an error or a warning for the caller to parse."""
+    sys.stderr.write(json.dumps(payload) + "\n")
+
+
+def _load_model(config: RunConfig) -> LogisticModel:
+    """Load --model; a model whose fit did not converge is reported, then used."""
+    model = load_model(_require_path(config, "model"))
+    if not model.converged:
+        message = f"model stopped after {model.n_iter} iterations without converging"
+        _report({"warning": NonConvergenceWarning.__name__, "message": message})
+    return model
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -236,11 +249,11 @@ def cmd_extract(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = _require_path(config, "input")
     output = _require_path(config, "output")
     pairs = pair_consecutive(load_trials(input_path))
-    features = [build_features(p, config.target_interval_s) for p in pairs]
-    write_feature_csv(features, [p.label for p in pairs], output)
+    X = build_features(pairs, config.target_interval_s)
+    write_feature_csv(X, [p.label for p in pairs], output)
     _write_json(
         output.with_suffix(".manifest.json"),
-        _manifest(config, n_samples=len(features), source=input_path.name),
+        _manifest(config, n_samples=len(X), source=input_path.name),
     )
     return 0
 
@@ -248,14 +261,11 @@ def cmd_extract(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = _require_path(config, "input")
     output = _require_path(config, "output")
-    features, labels = load_feature_csv(input_path)
-    rows = (
-        balanced_indices(labels, config.seed)
-        if config.undersample
-        else list(range(len(labels)))
-    )
-    X = feature_matrix([features[i] for i in rows])
-    y = [labels[i] for i in rows]
+    X, labels = load_feature_csv(input_path)
+    y = labels_to_array(labels)
+    if config.undersample:
+        rows = balanced_indices(y, config.seed)
+        X, y = X[rows], y[rows]
     scaler = fit_scaler(X)
     model = fit(
         transform(X, scaler),
@@ -268,7 +278,7 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
     save_model(model, output)
     _write_json(
         output.with_suffix(".manifest.json"),
-        _manifest(config, n_samples=len(rows), converged=model.converged),
+        _manifest(config, n_samples=len(y), converged=model.converged),
     )
     return 0 if model.converged else 3
 
@@ -360,42 +370,40 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
-    model = load_model(_require_path(config, "model"))
-    features, labels = load_feature_csv(_require_path(config, "features"))
+    model = _load_model(config)
+    X, labels = load_feature_csv(_require_path(config, "features"))
     output = _require_path(config, "output")
-    Z = transform(feature_matrix(features), model.scaler)
-    probabilities = np.atleast_1d(predict_proba(model, Z))
+    probabilities = predict_proba(model, transform(X, model.scaler)).tolist()
     with output.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["row", "probability", "direction_pred", "direction_actual", "magnitude_pred"]
         )
-        for i, p in enumerate(probabilities):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(p)),
-                    classify_direction(float(p)).value,
-                    labels[i].value,
-                    classify_predicted_magnitude(float(p), config.thresholds).value,
-                ]
-            )
+        writer.writerows(
+            [
+                i,
+                repr(p),
+                classify_direction(p).value,
+                label.value,
+                classify_predicted_magnitude(p, config.thresholds).value,
+            ]
+            for i, (p, label) in enumerate(zip(probabilities, labels))
+        )
     _write_json(
         output.with_suffix(".manifest.json"),
-        _manifest(config, n_samples=len(features)),
+        _manifest(config, n_samples=len(X)),
     )
     return 0
 
 
 def cmd_explain(config: RunConfig, args: argparse.Namespace) -> int:
     row = args.row
-    model = load_model(_require_path(config, "model"))
-    features, _ = load_feature_csv(_require_path(config, "features"))
-    if not 0 <= row < len(features):
-        raise ConfigError(f"--row {row} out of range for {len(features)} samples")
+    model = _load_model(config)
+    X, _ = load_feature_csv(_require_path(config, "features"))
+    if not 0 <= row < len(X):
+        raise ConfigError(f"--row {row} out of range for {len(X)} samples")
     output_dir = Path(config.paths.get("output_dir", "."))
     output_dir.mkdir(parents=True, exist_ok=True)
-    X = feature_matrix(features)
     Z = transform(X, model.scaler)
     _, phi, _ = shap_matrix(model, Z)
 
@@ -406,15 +414,7 @@ def cmd_explain(config: RunConfig, args: argparse.Namespace) -> int:
         _manifest(
             config,
             background="training_mean (all-zero standardized background)",
-            features=[
-                {
-                    "feature": s.feature,
-                    "mean_phi": s.mean_phi,
-                    "std_phi": s.std_phi,
-                    "n": s.n,
-                }
-                for s in summaries
-            ],
+            features=[dataclasses.asdict(s) for s in summaries],
         ),
     )
     _write_json(
@@ -514,15 +514,10 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args)
         return _COMMANDS[args.command](config, args)
     except TimeshiftError as exc:
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sys.stderr,
-        )
-        sys.stderr.write("\n")
+        _report({"error": type(exc).__name__, "message": str(exc)})
         return 2
     except OSError as exc:
-        json.dump({"error": "OSError", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
+        _report({"error": "OSError", "message": str(exc)})
         return 2
 
 

@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateTrialIndexError,
@@ -198,53 +198,75 @@ class Dataset:
 _BOOL_VALUES = {"true": True, "1": True, "false": False, "0": False}
 
 
-def _parse_bool(text: str, line_num: int, column: str) -> bool:
-    key = text.strip().lower()
-    if key not in _BOOL_VALUES:
-        raise MalformedRowError(line_num, f"{column} must be true/false, got {text!r}")
-    return _BOOL_VALUES[key]
+def _parse_bool(text: str) -> bool:
+    return _BOOL_VALUES[text.strip().lower()]
 
 
-def _parse_row(row: dict, line_num: int) -> TrialRecord:
+def _parse_optional_float(text: str) -> float | None:
+    return float(text) if text.strip() else None
+
+
+# Parsers of the trial CSV columns, in TrialRecord field order.
+_TRIAL_CELLS = tuple(
+    zip(
+        TRIAL_CSV_COLUMNS,
+        (str.strip, int, EngagementLevel.parse, float)
+        + (_parse_bool, _parse_bool, _parse_optional_float),
+    )
+)
+
+
+def _read_csv(path: Path, cells) -> Iterator[tuple[int, list]]:
+    """
+    Stream (line number, [parse(row[column]) for column, parse in cells]) from
+    a UTF-8 CSV whose header names every column of cells.
+
+    Blank lines are skipped, missing trailing cells read as "", and unknown
+    extra columns are ignored with a warning.
+
+    Raises:
+        EmptyFileError: the file has no header or no data rows.
+        MissingColumnError: a required column is absent.
+        MalformedRowError: a cell does not parse (the error names its line and
+            column) or a byte is not UTF-8 (the error names its line).
+    """
+    row = None
     try:
-        produced = float(row["produced_time_s"])
-    except ValueError:
-        raise MalformedRowError(
-            line_num, f"produced_time_s is not a number: {row['produced_time_s']!r}"
-        ) from None
-    try:
-        trial_index = int(row["trial_index"])
-    except ValueError:
-        raise MalformedRowError(
-            line_num, f"trial_index is not an integer: {row['trial_index']!r}"
-        ) from None
-    try:
-        engagement = EngagementLevel.parse(row["engagement_level"])
-    except ValueError as exc:
-        raise MalformedRowError(line_num, str(exc)) from None
-
-    error_text = (row.get("nontiming_task_error") or "").strip()
-    nontiming = float(error_text) if error_text else None
-
-    try:
-        return TrialRecord(
-            participant_id=row["participant_id"].strip(),
-            trial_index=trial_index,
-            engagement=engagement,
-            produced_time_s=produced,
-            reported_lower_than_30=_parse_bool(
-                row["reported_lower_than_30"], line_num, "reported_lower_than_30"
-            ),
-            reported_high_engagement=_parse_bool(
-                row["reported_high_engagement"], line_num, "reported_high_engagement"
-            ),
-            nontiming_task_error=nontiming,
-        )
-    except (NonPositiveTimeError, ValueError) as exc:
-        raise MalformedRowError(line_num, str(exc)) from None
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh, restval="")
+            if reader.fieldnames is None:
+                raise EmptyFileError(f"{path}: file is empty")
+            columns = [column for column, _ in cells]
+            for column in columns:
+                if column not in reader.fieldnames:
+                    raise MissingColumnError(column)
+            extras = [c for c in reader.fieldnames if c not in columns]
+            if extras:
+                logger.warning("%s: ignoring unknown columns %s", path, extras)
+            for row in reader:
+                values = []
+                for column, parse in cells:
+                    try:
+                        values.append(parse(row[column]))
+                    except (KeyError, ValueError):  # KeyError: not a boolean word
+                        raise MalformedRowError(
+                            reader.line_num, f"{column} is not valid: {row[column]!r}"
+                        ) from None
+                yield reader.line_num, values
+    except UnicodeDecodeError:
+        with path.open("rb") as fh:
+            # only a line with an invalid byte decodes differently under the two
+            line_num = next(
+                i
+                for i, line in enumerate(fh, 1)
+                if line.decode("utf-8", "replace") != line.decode("utf-8", "ignore")
+            )
+        raise MalformedRowError(line_num, "not UTF-8 text") from None
+    if row is None:
+        raise EmptyFileError(f"{path}: no data rows")
 
 
-def load_trials(path: str | Path, fmt: str = "csv") -> list[TrialRecord]:
+def load_trials(path: str | Path) -> list[TrialRecord]:
     """
     Load trial records from a CSV file with the canonical header.
 
@@ -254,25 +276,15 @@ def load_trials(path: str | Path, fmt: str = "csv") -> list[TrialRecord]:
     Raises:
         MissingColumnError: a required column is absent.
         EmptyFileError: the file has no data rows.
-        MalformedRowError: a row fails to parse or violates an invariant.
+        MalformedRowError: a row fails to parse, violates an invariant or holds
+            a byte that is not UTF-8.
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported format: {fmt!r}")
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None:
-            raise EmptyFileError(f"{path}: file is empty")
-        for column in TRIAL_CSV_COLUMNS:
-            if column not in header:
-                raise MissingColumnError(column)
-        extras = [c for c in header if c not in TRIAL_CSV_COLUMNS]
-        if extras:
-            logger.warning("%s: ignoring unknown columns %s", path, extras)
-        trials = [_parse_row(row, reader.line_num) for row in reader]
-    if not trials:
-        raise EmptyFileError(f"{path}: no data rows")
+    trials = []
+    for line_num, cells in _read_csv(Path(path), _TRIAL_CELLS):
+        try:
+            trials.append(TrialRecord(*cells))
+        except (NonPositiveTimeError, ValueError) as exc:
+            raise MalformedRowError(line_num, str(exc)) from None
     return trials
 
 
@@ -301,8 +313,9 @@ def pair_consecutive(trials: Sequence[TrialRecord]) -> list[SamplePair]:
     Pair each trial with its immediate successor within every participant.
 
     A participant with n gap-free trials yields n-1 pairs; a gap in trial
-    indices breaks the chain (no pair is emitted across it). Input order of
-    participants is preserved; trials are ordered by index within each.
+    indices breaks the chain (no pair is emitted across it), and one warning
+    per call reports how many gaps there were. Input order of participants is
+    preserved; trials are ordered by index within each.
 
     Raises:
         DuplicateTrialIndexError: a participant repeats a trial index.
@@ -312,6 +325,7 @@ def pair_consecutive(trials: Sequence[TrialRecord]) -> list[SamplePair]:
         by_participant.setdefault(trial.participant_id, []).append(trial)
 
     pairs: list[SamplePair] = []
+    gaps = 0
     for pid, group in by_participant.items():
         seen: set[int] = set()
         for trial in group:
@@ -323,10 +337,7 @@ def pair_consecutive(trials: Sequence[TrialRecord]) -> list[SamplePair]:
             if prev.trial_index + 1 == nxt.trial_index:
                 pairs.append(SamplePair(prev=prev, next=nxt))
             else:
-                logger.warning(
-                    "participant %r: gap between trials %d and %d, no pair emitted",
-                    pid,
-                    prev.trial_index,
-                    nxt.trial_index,
-                )
+                gaps += 1
+    if gaps:
+        logger.warning("%d gaps between trial indices, no pair emitted across them", gaps)
     return pairs

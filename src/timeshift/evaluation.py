@@ -23,7 +23,7 @@ from .errors import (
     SingleClassError,
     TooFewSamplesError,
 )
-from .features import build_features, feature_matrix, fit_scaler, transform
+from .features import build_features, fit_scaler, transform
 from .logistic import LogisticModel, fit, labels_to_array, predict_proba
 from .simulator import arousal_baseline, attention_baseline
 
@@ -264,8 +264,7 @@ def loocv(
     n = len(dataset)
     if n < 10:
         raise TooFewSamplesError(f"LOOCV needs >= 10 samples, got {n}")
-    features = [build_features(s, target_s) for s in dataset.samples]
-    X = feature_matrix(features)
+    X = build_features(dataset.samples, target_s)
     y = labels_to_array(dataset.labels())
 
     outcomes = []
@@ -340,23 +339,23 @@ def kfold_cv(
         raise ValueError("C grid must not be empty")
 
     scores: dict[float, list[float]] = {float(c): [] for c in grid}
+    labels = dataset.labels()
+    X_all = build_features(dataset.samples, target_s)
+    y_all = labels_to_array(labels)
     for repeat in range(repeats):
         repeat_seed = int(np.random.default_rng([seed, repeat]).integers(2**31))
-        balanced = undersample(dataset, seed=repeat_seed)
-        features = [build_features(s, target_s) for s in balanced.samples]
-        X = feature_matrix(features)
-        labels = balanced.labels()
-        y = labels_to_array(labels)
+        rows = balanced_indices(y_all, repeat_seed)
+        X, y = X_all[rows], y_all[rows]
         folds = _stratified_folds(y, k, np.random.default_rng([seed, repeat, 1]))
         for fold_index, test_idx in enumerate(folds):
-            mask = np.ones(len(balanced), dtype=bool)
+            mask = np.ones(len(rows), dtype=bool)
             mask[test_idx] = False
             if y[mask].min() == y[mask].max():
                 raise FoldSingleClassError(fold_index)
             scaler = fit_scaler(X[mask])
             Z_train = transform(X[mask], scaler)
             Z_test = transform(X[test_idx], scaler)
-            actual = [labels[i] for i in test_idx]
+            actual = [labels[i] for i in rows[test_idx]]
             for c in scores:
                 model = fit(Z_train, y[mask], C=c, seed=seed)
                 predicted = [
@@ -459,7 +458,7 @@ def compare_baselines(
     The model's features are standardized with its own scaler. Rows are always
     ordered (model, attention, arousal).
     """
-    X = feature_matrix([build_features(s, target_s) for s in dataset.samples])
+    X = build_features(dataset.samples, target_s)
     probabilities = np.atleast_1d(predict_proba(model, transform(X, model.scaler)))
     model_predictions = [classify_direction(float(p)) for p in probabilities]
     model_row = ("model", metrics(model_predictions, dataset.labels()))

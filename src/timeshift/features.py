@@ -24,13 +24,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import DEFAULT_TARGET_S, Direction, EngagementLevel, SamplePair, TrialRecord
+from .data import DEFAULT_TARGET_S, Direction, EngagementLevel, SamplePair, _read_csv
 from .errors import (
     ConstantColumnError,
-    EmptyFileError,
     FeatureDependencyError,
+    MalformedRowError,
     MissingBaselineError,
-    MissingColumnError,
     NonPositiveTimeError,
     TooFewSamplesError,
 )
@@ -46,49 +45,6 @@ FEATURE_NAMES = (
 N_FEATURES = len(FEATURE_NAMES)
 
 FEATURE_CSV_COLUMNS = FEATURE_NAMES + ("label",)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Raw (unstandardized) values of the five model features for one pair."""
-
-    t1_rel_error: float
-    t1_lower_than_30: int
-    high_visual_sensitivity: int
-    v2_engagement_level: int
-    change_in_engagement_level: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.t1_rel_error) or self.t1_rel_error < -100.0:
-            raise ValueError(f"t1_rel_error out of range: {self.t1_rel_error}")
-        for name in ("t1_lower_than_30", "high_visual_sensitivity"):
-            if getattr(self, name) not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1, got {getattr(self, name)}")
-        for name in ("v2_engagement_level", "change_in_engagement_level"):
-            if getattr(self, name) not in (0, 1, 2):
-                raise ValueError(f"{name} must be 0, 1 or 2, got {getattr(self, name)}")
-        # A same-level transition cannot land on HIGH via "lower", and a
-        # two-level rise cannot land on LOW; the two features are dependent.
-        if self.change_in_engagement_level == 0 and self.v2_engagement_level == 2:
-            raise FeatureDependencyError(
-                "change_in_engagement_level=0 is impossible with v2_engagement_level=2"
-            )
-        if self.change_in_engagement_level == 2 and self.v2_engagement_level == 0:
-            raise FeatureDependencyError(
-                "change_in_engagement_level=2 is impossible with v2_engagement_level=0"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.t1_rel_error,
-                self.t1_lower_than_30,
-                self.high_visual_sensitivity,
-                self.v2_engagement_level,
-                self.change_in_engagement_level,
-            ],
-            dtype=float,
-        )
 
 
 @dataclass(frozen=True)
@@ -113,70 +69,52 @@ def identity_scaler() -> ScalerStats:
     return ScalerStats(means=(0.0,) * N_FEATURES, std_devs=(1.0,) * N_FEATURES)
 
 
-def compute_rel_error(produced_time_s: float, target_s: float = DEFAULT_TARGET_S) -> float:
+def build_features(
+    pairs: Sequence[SamplePair], target_s: float = DEFAULT_TARGET_S
+) -> np.ndarray:
     """
-    Relative production error in percent: (produced - target) / target * 100.
+    The (n, 5) raw feature matrix of n sample pairs, in FEATURE_NAMES order.
+
+    Visual sensitivity is observable only after a LOW-engagement stimulus, so
+    it is 1 only for a previous trial that was LOW and reported as highly
+    engaging. The change in engagement is 0 (down), 1 (same) or 2 (up).
 
     Raises:
-        NonPositiveTimeError: produced time or target is not strictly positive.
+        NonPositiveTimeError: the target interval is not strictly positive.
     """
-    if not math.isfinite(produced_time_s) or produced_time_s <= 0:
-        raise NonPositiveTimeError(f"produced time must be > 0, got {produced_time_s}")
     if not math.isfinite(target_s) or target_s <= 0:
         raise NonPositiveTimeError(f"target interval must be > 0, got {target_s}")
-    return (produced_time_s - target_s) / target_s * 100.0
-
-
-def derive_sensitivity(prev: TrialRecord) -> int:
-    """
-    1 if the participant reported a low-engagement stimulus as highly engaging.
-
-    Only participants whose previous trial showed a LOW-engagement stimulus can
-    be marked sensitive; everyone else defaults to 0 because the discrepancy
-    cannot be observed for them.
-    """
-    sensitive = (
-        prev.engagement == EngagementLevel.LOW and prev.reported_high_engagement
-    )
-    return int(sensitive)
-
-
-def change_in_engagement(prev: EngagementLevel, next: EngagementLevel) -> int:
-    """0 when engagement goes down, 1 when it stays, 2 when it goes up."""
-    if next < prev:
-        return 0
-    if next > prev:
-        return 2
-    return 1
-
-
-def build_features(pair: SamplePair, target_s: float = DEFAULT_TARGET_S) -> FeatureVector:
-    """Compose the five features of a sample pair from its previous/next trials."""
-    return FeatureVector(
-        t1_rel_error=compute_rel_error(pair.prev.produced_time_s, target_s),
-        t1_lower_than_30=int(pair.prev.reported_lower_than_30),
-        high_visual_sensitivity=derive_sensitivity(pair.prev),
-        v2_engagement_level=int(pair.next.engagement),
-        change_in_engagement_level=change_in_engagement(
-            pair.prev.engagement, pair.next.engagement
+    produced, lower, reported_high, prev_level, next_level = np.fromiter(
+        (
+            (
+                p.prev.produced_time_s,
+                p.prev.reported_lower_than_30,
+                p.prev.reported_high_engagement,
+                p.prev.engagement,
+                p.next.engagement,
+            )
+            for p in pairs
         ),
-    )
+        dtype=(float, 5),
+        count=len(pairs),
+    ).T
+    X = np.empty((len(produced), N_FEATURES))
+    X[:, 0] = (produced - target_s) / target_s * 100.0
+    X[:, 1] = lower
+    X[:, 2] = (prev_level == EngagementLevel.LOW) & (reported_high == 1.0)
+    X[:, 3] = next_level
+    X[:, 4] = np.sign(next_level - prev_level) + 1.0
+    return X
 
 
-def feature_matrix(features: Sequence[FeatureVector]) -> np.ndarray:
-    """Stack feature vectors into an (n, 5) float matrix."""
-    return np.array([f.as_array() for f in features], dtype=float)
-
-
-def fit_scaler(features: Sequence[FeatureVector] | np.ndarray) -> ScalerStats:
+def fit_scaler(X: np.ndarray) -> ScalerStats:
     """
-    Fit per-column mean and population standard deviation.
+    Fit per-column mean and population standard deviation of an (n, 5) matrix.
 
     Raises:
         TooFewSamplesError: fewer than two samples.
         ConstantColumnError: a column has zero variance.
     """
-    X = features if isinstance(features, np.ndarray) else feature_matrix(features)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != N_FEATURES:
         raise ValueError(f"expected an (n, {N_FEATURES}) matrix, got shape {X.shape}")
@@ -190,15 +128,10 @@ def fit_scaler(features: Sequence[FeatureVector] | np.ndarray) -> ScalerStats:
     return ScalerStats(means=tuple(means), std_devs=tuple(stds))
 
 
-def transform(
-    features: FeatureVector | np.ndarray | Sequence[float], stats: ScalerStats
-) -> np.ndarray:
-    """z-score features: (x - mean) / std, per column."""
-    if isinstance(features, FeatureVector):
-        x = features.as_array()
-    else:
-        x = np.asarray(features, dtype=float)
-    return (x - np.asarray(stats.means)) / np.asarray(stats.std_devs)
+def transform(X: np.ndarray, stats: ScalerStats) -> np.ndarray:
+    """z-score a 5-vector or an (n, 5) matrix: (x - mean) / std, per column."""
+    X = np.asarray(X, dtype=float)
+    return (X - np.asarray(stats.means)) / np.asarray(stats.std_devs)
 
 
 def label_engagement_from_performance(
@@ -232,56 +165,69 @@ def label_engagement_from_performance(
 # ---------------------------------------------------------------------------
 
 def write_feature_csv(
-    features: Sequence[FeatureVector],
-    labels: Sequence[Direction],
-    path: str | Path,
+    X: np.ndarray, labels: Sequence[Direction], path: str | Path
 ) -> None:
-    """Write the feature matrix with direction labels in the canonical schema."""
-    if len(features) != len(labels):
+    """Write the (n, 5) feature matrix with direction labels in the canonical schema."""
+    if len(X) != len(labels):
         raise ValueError("features and labels differ in length")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    X = np.asarray(X, dtype=float)
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_CSV_COLUMNS)
-        for f, label in zip(features, labels):
-            writer.writerow(
-                [
-                    repr(f.t1_rel_error),
-                    f.t1_lower_than_30,
-                    f.high_visual_sensitivity,
-                    f.v2_engagement_level,
-                    f.change_in_engagement_level,
-                    label.value,
-                ]
+        # csv writes a float as str(), its shortest round-trip repr
+        writer.writerows(
+            zip(
+                X[:, 0].tolist(),
+                *X[:, 1:].T.astype(int).tolist(),
+                (label.value for label in labels),
             )
+        )
 
 
-def load_feature_csv(path: str | Path) -> tuple[list[FeatureVector], list[Direction]]:
+# The coded columns go through int(), so text such as "1.0" is rejected there.
+_FEATURE_CELLS = tuple(
+    zip(FEATURE_CSV_COLUMNS, (float, int, int, int, int, Direction.parse))
+)
+
+
+def load_feature_csv(path: str | Path) -> tuple[np.ndarray, list[Direction]]:
     """
-    Load a feature matrix CSV; the dependency between the engagement features
-    is enforced on every row.
+    Load a feature CSV as the (n, 5) raw feature matrix and its direction labels.
+
+    Raises:
+        EmptyFileError: the file has no header or no data rows.
+        MissingColumnError: a required column is absent.
+        MalformedRowError: a cell does not parse or lies outside its feature's
+            domain; the error names the line and the column.
+        FeatureDependencyError: a row pairs the two engagement features in a
+            way no transition can produce.
     """
-    path = Path(path)
-    features: list[FeatureVector] = []
-    labels: list[Direction] = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyFileError(f"{path}: file is empty")
-        for column in FEATURE_CSV_COLUMNS:
-            if column not in reader.fieldnames:
-                raise MissingColumnError(column)
-        for row in reader:
-            features.append(
-                FeatureVector(
-                    t1_rel_error=float(row["t1_rel_error"]),
-                    t1_lower_than_30=int(row["t1_lower_than_30"]),
-                    high_visual_sensitivity=int(row["high_visual_sensitivity"]),
-                    v2_engagement_level=int(row["v2_engagement_level"]),
-                    change_in_engagement_level=int(row["change_in_engagement_level"]),
-                )
-            )
-            labels.append(Direction.parse(row["label"]))
-    if not features:
-        raise EmptyFileError(f"{path}: no data rows")
-    return features, labels
+    lines, rows, labels = [], [], []
+    for line_num, (*values, label) in _read_csv(Path(path), _FEATURE_CELLS):
+        lines.append(line_num)
+        rows.append(values)
+        labels.append(label)
+    X = np.array(rows, dtype=float)
+    _check_domain(X, lines)
+    return X, labels
+
+
+def _check_domain(X: np.ndarray, lines: Sequence[int]) -> None:
+    """Reject the first cell outside its feature's domain, then impossible level pairs."""
+    in_range = (X >= [-100.0, 0, 0, 0, 0]) & (X <= [np.inf, 1, 1, 2, 2])
+    bad = ~(np.isfinite(X) & in_range)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise MalformedRowError(
+            lines[row], f"{FEATURE_NAMES[col]} is out of range: {X[row, col]:g}"
+        )
+    # A "lower" change cannot land on HIGH and a "higher" one cannot land on
+    # LOW: within the 0/1/2 codes these are exactly the rows where the two
+    # features differ by 2.
+    impossible = np.flatnonzero(np.abs(X[:, 3] - X[:, 4]) == 2)
+    if len(impossible):
+        i = impossible[0]
+        raise FeatureDependencyError(
+            f"line {lines[i]}: change_in_engagement_level={X[i, 4]:.0f} "
+            f"is impossible with v2_engagement_level={X[i, 3]:.0f}"
+        )

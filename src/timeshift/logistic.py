@@ -29,7 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import Direction
-from .errors import NonConvergenceWarning, SingleClassError, TooFewSamplesError
+from .errors import (
+    ConfigError,
+    NonConvergenceWarning,
+    SingleClassError,
+    TooFewSamplesError,
+)
 from .features import N_FEATURES, ScalerStats, identity_scaler
 
 # Pinned reference coefficients, in canonical feature order.
@@ -317,20 +322,24 @@ def model_to_json(model: LogisticModel) -> str:
 
 
 def model_from_json(text: str) -> LogisticModel:
-    payload = json.loads(text)
-    return LogisticModel(
-        intercept=payload["intercept"],
-        coefficients=tuple(payload["coefficients"]),
-        scaler=ScalerStats(
-            means=tuple(payload["scaler"]["means"]),
-            std_devs=tuple(payload["scaler"]["stds"]),
-        ),
-        inverse_reg_c=payload["C"],
-        converged=payload.get("converged", True),
-        n_iter=payload.get("n_iter", 0),
-        trained_on=payload.get("trained_on", ""),
-        seed=payload.get("seed"),
-    )
+    """Parse a saved model; text that is not one raises ConfigError."""
+    try:
+        payload = json.loads(text)
+        return LogisticModel(
+            intercept=payload["intercept"],
+            coefficients=tuple(payload["coefficients"]),
+            scaler=ScalerStats(
+                means=tuple(payload["scaler"]["means"]),
+                std_devs=tuple(payload["scaler"]["stds"]),
+            ),
+            inverse_reg_c=payload["C"],
+            converged=payload.get("converged", True),
+            n_iter=payload.get("n_iter", 0),
+            trained_on=payload.get("trained_on", ""),
+            seed=payload.get("seed"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # a missing key, a wrong type
+        raise ConfigError(f"not a valid model file: {exc!r}") from None
 
 
 def save_model(model: LogisticModel, path: str | Path) -> None:

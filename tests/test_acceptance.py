@@ -30,7 +30,7 @@ from timeshift.evaluation import (
     undersample,
 )
 from timeshift.explain import shap_matrix, shap_values
-from timeshift.features import build_features, feature_matrix, identity_scaler
+from timeshift.features import build_features, identity_scaler
 from timeshift.logistic import (
     LogisticModel,
     fit,
@@ -282,13 +282,15 @@ def test_criterion_8_rel_error_sign_change():
         model = pinned_model()  # scaler head: mean 15, sd 44
 
         def rel_error_contribution(produced_s):
-            features = build_features(
-                SamplePair(
-                    make_trial(produced=produced_s),
-                    make_trial(index=2, engagement=MED, produced=30.0),
-                )
-            )
-            z = (features.t1_rel_error - model.scaler.means[0]) / model.scaler.std_devs[0]
+            rel_error = build_features(
+                [
+                    SamplePair(
+                        make_trial(produced=produced_s),
+                        make_trial(index=2, engagement=MED, produced=30.0),
+                    )
+                ]
+            )[0, 0]
+            z = (rel_error - model.scaler.means[0]) / model.scaler.std_devs[0]
             return model.coefficients[0] * z
 
         assert rel_error_contribution(34.0) < 0.0

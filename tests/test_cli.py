@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from timeshift.cli import main
+from timeshift.errors import NonConvergenceWarning
 from timeshift.features import identity_scaler
-from timeshift.logistic import load_model, pinned_model, save_model
+from timeshift.logistic import fit, load_model, model_to_json, pinned_model, save_model
 
 TRIAL_HEADER = (
     "participant_id,trial_index,engagement_level,produced_time_s,"
@@ -225,6 +228,90 @@ class TestPredictAndExplain:
             ]
         )
         assert code == 2
+
+
+    def test_nonconverged_model_warns_and_keeps_outputs(self, tmp_path, pinned_setup, capsys):
+        _, features = pinned_setup
+        Z = np.random.default_rng(12).normal(size=(30, 5))
+        with pytest.warns(NonConvergenceWarning):
+            stopped = fit(Z, (Z[:, 0] > 0).astype(float), max_iter=1)
+        outputs = {}
+        for converged in (False, True):
+            model_path = tmp_path / f"model_{converged}.json"
+            save_model(dataclasses.replace(stopped, converged=converged), model_path)
+            out = tmp_path / f"out_{converged}"
+            common = ["--model", str(model_path), "--features", str(features)]
+            out.mkdir()
+            assert main(["predict", *common, "--output", str(out / "o.csv")]) == 0
+            assert main(["explain", *common, "--output-dir", str(out / "shap")]) == 0
+            warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+            assert len(warnings) == (0 if converged else 2)  # one per command
+            for warning in warnings:
+                assert warning["warning"] == "NonConvergenceWarning"
+                assert "1 iterations" in warning["message"]
+            outputs[converged] = {
+                p.name: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
+            }
+        assert outputs[False] == outputs[True]
+
+
+def _feature_rows(row):
+    return (FEATURE_HEADER + "\n0.0,0,0,1,1,increase\n" + row + "\n").encode()
+
+
+def _trial_rows(row):
+    return (TRIAL_HEADER + "\np1,1,low,30,false,false,\n" + row + "\n").encode()
+
+
+_MODEL = json.loads(model_to_json(pinned_model()))
+
+# (input kind, file bytes, error name, fragments of the message)
+MALFORMED_INPUTS = {
+    "rel_error_text": ("features", _feature_rows("abc,0,0,1,1,increase"),
+                       "MalformedRowError", ["line 3", "t1_rel_error"]),
+    "rel_error_nan": ("features", _feature_rows("nan,0,0,1,1,increase"),
+                      "MalformedRowError", ["line 3", "t1_rel_error"]),
+    "rel_error_below_-100": ("features", _feature_rows("-150,0,0,1,1,increase"),
+                             "MalformedRowError", ["line 3", "t1_rel_error"]),
+    "flag_2": ("features", _feature_rows("0.0,2,0,1,1,increase"),
+               "MalformedRowError", ["line 3", "t1_lower_than_30"]),
+    "flag_1.0": ("features", _feature_rows("0.0,0,1.0,1,1,increase"),
+                 "MalformedRowError", ["line 3", "high_visual_sensitivity"]),
+    "label_sideways": ("features", _feature_rows("0.0,0,0,1,1,sideways"),
+                       "MalformedRowError", ["line 3", "label"]),
+    "level_pair": ("features", _feature_rows("0.0,0,0,2,0,increase"),
+                   "FeatureDependencyError", ["line 3", "change_in_engagement_level"]),
+    "features_not_utf8": ("features", _feature_rows("0.0,0,0,1,1,X").replace(b"X", b"\xff"),
+                          "MalformedRowError", ["line 3", "UTF-8"]),
+    "nontiming_text": ("trials", _trial_rows("p1,2,low,31,false,false,abc"),
+                       "MalformedRowError", ["line 3", "nontiming_task_error"]),
+    "trials_not_utf8": ("trials", _trial_rows("X,2,low,31,false,false,").replace(b"X", b"\xff"),
+                        "MalformedRowError", ["line 3", "UTF-8"]),
+    "model_missing_key": ("model", json.dumps({k: v for k, v in _MODEL.items() if k != "C"}).encode(),
+                          "ConfigError", ["'C'"]),
+    "model_not_json": ("model", b"{nope", "ConfigError", ["model"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    kind, data, error, fragments = MALFORMED_INPUTS[case]
+    bad = tmp_path / "bad"
+    bad.write_bytes(data)
+    features = tmp_path / "features.csv"
+    features.write_bytes(_feature_rows("2.0,0,0,0,0,decrease"))
+    model = tmp_path / "model.json"
+    save_model(pinned_model(), model)
+    argv = {
+        "features": ["train", "--input", str(bad)],
+        "trials": ["extract", "--input", str(bad)],
+        "model": ["predict", "--model", str(bad), "--features", str(features)],
+    }[kind]
+    assert main([*argv, "--output", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    for fragment in fragments:
+        assert fragment in err["message"]
 
 
 class TestEvaluate:

@@ -151,6 +151,13 @@ class TestPairConsecutive:
         trials = [make_trial(index=1), make_trial(index=3, produced=20)]
         assert pair_consecutive(trials) == []
 
+    def test_gaps_logged_once_with_their_count(self, caplog):
+        trials = [make_trial(pid=pid, index=i) for pid in ("a", "b") for i in (1, 3)]
+        with caplog.at_level("WARNING", logger="timeshift.data"):
+            assert pair_consecutive(trials) == []
+        assert len(caplog.records) == 1
+        assert caplog.records[0].getMessage().startswith("2 gaps")
+
     def test_unsorted_input_is_ordered_per_participant(self):
         trials = [
             make_trial(index=2, produced=35),

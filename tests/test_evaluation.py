@@ -30,7 +30,7 @@ from timeshift.evaluation import (
     metrics,
     undersample,
 )
-from timeshift.features import build_features, feature_matrix, fit_scaler, transform
+from timeshift.features import build_features, fit_scaler, transform
 from timeshift.logistic import fit
 from timeshift.simulator import SimParams, generate_dataset
 from tests.test_data import make_trial
@@ -433,7 +433,7 @@ class TestMagnitudeConfusion:
 
 class TestCompareBaselines:
     def _fit_on(self, ds):
-        X = feature_matrix([build_features(s) for s in ds.samples])
+        X = build_features(ds.samples)
         scaler = fit_scaler(X)
         return fit(transform(X, scaler), ds.labels(), C=12.06, scaler=scaler)
 

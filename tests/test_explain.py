@@ -159,11 +159,11 @@ class TestAggregateShap:
     def test_long_production_group_dominated_by_rel_error(self):
         # synthetic cohort scored by the pinned model: among samples with
         # previous production > 45 s the prior-timing feature dominates
-        from timeshift.features import build_features, feature_matrix, fit_scaler, transform
+        from timeshift.features import build_features, fit_scaler, transform
         from timeshift.simulator import SimParams, generate_dataset
 
         ds = generate_dataset(SimParams(rng_seed=17, sensitivity_prevalence=0.3), 400, 2)
-        X = feature_matrix([build_features(s) for s in ds.samples])
+        X = build_features(ds.samples)
         scaler = fit_scaler(X)
         Z = transform(X, scaler)
         model = pinned_model(scaler)

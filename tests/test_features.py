@@ -8,25 +8,33 @@ from timeshift.errors import (
     ConstantColumnError,
     EmptyFileError,
     FeatureDependencyError,
+    MalformedRowError,
     MissingBaselineError,
     NonPositiveTimeError,
     TooFewSamplesError,
 )
 from timeshift.features import (
+    FEATURE_CSV_COLUMNS,
     FEATURE_NAMES,
-    FeatureVector,
     ScalerStats,
     build_features,
-    change_in_engagement,
-    compute_rel_error,
-    derive_sensitivity,
     fit_scaler,
     label_engagement_from_performance,
     load_feature_csv,
     transform,
     write_feature_csv,
 )
+from timeshift.simulator import SimParams, generate_dataset
 from tests.test_data import make_trial
+
+
+def pair_features(prev, nxt, target_s=30.0):
+    """The feature row of one pair, through the matrix builder."""
+    return build_features([SamplePair(prev, nxt)], target_s)[0]
+
+
+def next_trial(engagement=EngagementLevel.MEDIUM, produced=30.0):
+    return make_trial(index=2, engagement=engagement, produced=produced)
 
 
 class TestRelError:
@@ -34,34 +42,44 @@ class TestRelError:
         "produced,expected", [(30.0, 0.0), (60.0, 100.0), (15.0, -50.0), (12.0, -60.0)]
     )
     def test_values(self, produced, expected):
-        assert compute_rel_error(produced) == pytest.approx(expected)
+        rel_error = pair_features(make_trial(produced=produced), next_trial())[0]
+        assert rel_error == pytest.approx(expected)
 
     def test_non_positive_rejected(self):
         with pytest.raises(NonPositiveTimeError):
-            compute_rel_error(0.0)
+            make_trial(produced=0.0)
+        pair = SamplePair(make_trial(), next_trial())
         with pytest.raises(NonPositiveTimeError):
-            compute_rel_error(30.0, target_s=-1.0)
+            build_features([pair], target_s=-1.0)
 
     def test_custom_target(self):
-        assert compute_rel_error(20.0, target_s=10.0) == pytest.approx(100.0)
+        rel_error = pair_features(make_trial(produced=20.0), next_trial(), target_s=10.0)[0]
+        assert rel_error == pytest.approx(100.0)
+
+
+def sensitivity(engagement, rep_high):
+    return pair_features(make_trial(engagement=engagement, rep_high=rep_high), next_trial())[2]
 
 
 class TestSensitivity:
     def test_low_and_reported_high(self):
-        assert derive_sensitivity(make_trial(engagement=EngagementLevel.LOW, rep_high=True)) == 1
+        assert sensitivity(EngagementLevel.LOW, True) == 1
 
     def test_high_engagement_defaults_to_zero(self):
-        assert derive_sensitivity(make_trial(engagement=EngagementLevel.HIGH, rep_high=True)) == 0
+        assert sensitivity(EngagementLevel.HIGH, True) == 0
 
     def test_low_without_report(self):
-        assert derive_sensitivity(make_trial(engagement=EngagementLevel.LOW, rep_high=False)) == 0
+        assert sensitivity(EngagementLevel.LOW, False) == 0
 
     def test_only_low_can_be_sensitive(self):
         for level in EngagementLevel:
             for reported in (True, False):
-                flag = derive_sensitivity(make_trial(engagement=level, rep_high=reported))
-                if flag == 1:
+                if sensitivity(level, reported) == 1:
                     assert level == EngagementLevel.LOW and reported
+
+
+def change_code(prev, nxt):
+    return pair_features(make_trial(engagement=prev), next_trial(engagement=nxt))[4]
 
 
 class TestChangeInEngagement:
@@ -74,11 +92,16 @@ class TestChangeInEngagement:
         ],
     )
     def test_examples(self, prev, next, expected):
-        assert change_in_engagement(prev, next) == expected
+        assert change_code(prev, next) == expected
 
     def test_all_nine_transitions(self):
-        for prev, nxt in itertools.product(EngagementLevel, repeat=2):
-            code = change_in_engagement(prev, nxt)
+        pairs = [
+            SamplePair(make_trial(engagement=prev), next_trial(engagement=nxt))
+            for prev, nxt in itertools.product(EngagementLevel, repeat=2)
+        ]
+        codes = build_features(pairs)[:, 4]
+        for pair, code in zip(pairs, codes):
+            prev, nxt = pair.prev.engagement, pair.next.engagement
             assert code == (0 if nxt < prev else 2 if nxt > prev else 1)
 
 
@@ -88,54 +111,83 @@ class TestBuildFeatures:
             make_trial(engagement=EngagementLevel.LOW, produced=45, rep_high=True),
             make_trial(index=2, engagement=EngagementLevel.HIGH, produced=50),
         )
-        f = build_features(pair)
-        assert f == FeatureVector(50.0, 0, 1, 2, 2)
+        assert build_features([pair]).tolist() == [[50.0, 0, 1, 2, 2]]
 
     def test_high_to_low(self):
         pair = SamplePair(
             make_trial(engagement=EngagementLevel.HIGH, produced=30, lower=True),
             make_trial(index=2, engagement=EngagementLevel.LOW, produced=20),
         )
-        assert build_features(pair) == FeatureVector(0.0, 1, 0, 0, 0)
+        assert build_features([pair]).tolist() == [[0.0, 1, 0, 0, 0]]
 
     def test_medium_stay(self):
         pair = SamplePair(
             make_trial(engagement=EngagementLevel.MEDIUM, produced=12, lower=True),
             make_trial(index=2, engagement=EngagementLevel.MEDIUM, produced=20),
         )
-        assert build_features(pair) == FeatureVector(-60.0, 1, 0, 1, 1)
+        assert build_features([pair]).tolist() == [[-60.0, 1, 0, 1, 1]]
+
+    def test_matches_per_pair_reference(self):
+        # each column against its scalar per-pair formula, bit for bit
+        params = SimParams(rng_seed=5, sensitivity_prevalence=0.3)
+        ds = generate_dataset(params, 300, 3)
+        expected = []
+        for p in ds.samples:
+            prev, nxt = p.prev.engagement, p.next.engagement
+            expected.append(
+                [
+                    (p.prev.produced_time_s - 25.0) / 25.0 * 100.0,
+                    int(p.prev.reported_lower_than_30),
+                    int(prev == EngagementLevel.LOW and p.prev.reported_high_engagement),
+                    int(nxt),
+                    0 if nxt < prev else 2 if nxt > prev else 1,
+                ]
+            )
+        assert build_features(ds.samples, target_s=25.0).tolist() == expected
+        assert build_features([]).shape == (0, 5)
 
     def test_dependency_holds_for_all_transitions(self):
         # every real engagement transition satisfies the V2/Change constraint
-        for prev, nxt in itertools.product(EngagementLevel, repeat=2):
-            pair = SamplePair(
+        pairs = [
+            SamplePair(
                 make_trial(engagement=prev, produced=28),
                 make_trial(index=2, engagement=nxt, produced=33),
             )
-            f = build_features(pair)
-            if f.change_in_engagement_level == 0:
-                assert f.v2_engagement_level != 2
-            if f.change_in_engagement_level == 2:
-                assert f.v2_engagement_level != 0
+            for prev, nxt in itertools.product(EngagementLevel, repeat=2)
+        ]
+        for v2, change in build_features(pairs)[:, 3:]:
+            if change == 0:
+                assert v2 != 2
+            if change == 2:
+                assert v2 != 0
+
+
+def write_rows(path, *rows):
+    path.write_text("\n".join((",".join(FEATURE_CSV_COLUMNS), *rows)) + "\n")
+    return path
 
 
 class TestFeatureVector:
-    @pytest.mark.parametrize("v2,change", [(2, 0), (0, 2)])
-    def test_dependency_violations_rejected(self, v2, change):
-        with pytest.raises(FeatureDependencyError):
-            FeatureVector(0.0, 0, 0, v2, change)
+    """The domain of one feature row, as the feature CSV loader enforces it."""
 
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            FeatureVector(-150.0, 0, 0, 1, 1)
-        with pytest.raises(ValueError):
-            FeatureVector(0.0, 2, 0, 1, 1)
-        with pytest.raises(ValueError):
-            FeatureVector(0.0, 0, 0, 3, 1)
+    @pytest.mark.parametrize("v2,change", [(2, 0), (0, 2)])
+    def test_dependency_violations_rejected(self, tmp_path, v2, change):
+        path = write_rows(tmp_path / "f.csv", f"0.0,0,0,{v2},{change},increase")
+        with pytest.raises(FeatureDependencyError):
+            load_feature_csv(path)
+
+    def test_domain_checks(self, tmp_path):
+        for row in ("-150.0,0,0,1,1", "0.0,2,0,1,1", "0.0,0,0,3,1"):
+            path = write_rows(tmp_path / "f.csv", f"{row},increase")
+            with pytest.raises(MalformedRowError):
+                load_feature_csv(path)
 
     def test_as_array_order(self):
-        f = FeatureVector(50.0, 1, 0, 2, 2)
-        assert f.as_array().tolist() == [50.0, 1.0, 0.0, 2.0, 2.0]
+        pair = SamplePair(
+            make_trial(engagement=EngagementLevel.LOW, produced=45, lower=True),
+            make_trial(index=2, engagement=EngagementLevel.HIGH, produced=50),
+        )
+        assert build_features([pair]).tolist() == [[50.0, 1.0, 0.0, 2.0, 2.0]]
         assert len(FEATURE_NAMES) == 5
 
 
@@ -228,29 +280,20 @@ class TestEngagementRelabeling:
 
 class TestFeatureCsv:
     def test_roundtrip(self, tmp_path):
-        features = [FeatureVector(50.0, 0, 1, 2, 2), FeatureVector(-60.0, 1, 0, 1, 1)]
+        X = np.array([[50.0, 0, 1, 2, 2], [-60.0, 1, 0, 1, 1]])
         labels = [Direction.DECREASE, Direction.INCREASE]
         path = tmp_path / "features.csv"
-        write_feature_csv(features, labels, path)
-        loaded_features, loaded_labels = load_feature_csv(path)
-        assert loaded_features == features
+        write_feature_csv(X, labels, path)
+        loaded_X, loaded_labels = load_feature_csv(path)
+        assert loaded_X.tolist() == X.tolist()
         assert loaded_labels == labels
 
     def test_dependency_violation_rejected_on_load(self, tmp_path):
-        path = tmp_path / "features.csv"
-        path.write_text(
-            "t1_rel_error,t1_lower_than_30,high_visual_sensitivity,"
-            "v2_engagement_level,change_in_engagement_level,label\n"
-            "0.0,0,0,2,0,increase\n"
-        )
+        path = write_rows(tmp_path / "features.csv", "0.0,0,0,2,0,increase")
         with pytest.raises(FeatureDependencyError):
             load_feature_csv(path)
 
     def test_empty_rejected(self, tmp_path):
-        path = tmp_path / "features.csv"
-        path.write_text(
-            "t1_rel_error,t1_lower_than_30,high_visual_sensitivity,"
-            "v2_engagement_level,change_in_engagement_level,label\n"
-        )
+        path = write_rows(tmp_path / "features.csv")
         with pytest.raises(EmptyFileError):
             load_feature_csv(path)
