@@ -6,9 +6,9 @@ The package covers the full pipeline: trial ingestion and pairing (data),
 feature derivation and z-scoring (features), an attentional-gate simulator
 for synthetic cohorts plus rule-based baselines (simulator), logistic
 regression built from first principles with the pinned reference model
-(logistic), balancing/cross-validation/metrics (evaluation), exact
-linear-logit SHAP attributions and permutation importance (explain), and a
-deterministic CLI (cli).
+(logistic), balancing, leave-one-out cross-validation, metrics and the
+baselines' scores (evaluation), exact linear-logit SHAP attributions
+(explain), and a deterministic CLI (cli).
 """
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ from .features import (
     ScalerStats,
     build_features,
     fit_scaler,
-    label_engagement_from_performance,
     transform,
 )
 from .simulator import (
@@ -62,8 +61,6 @@ from .evaluation import (
     classify_actual_magnitude,
     classify_direction,
     classify_predicted_magnitude,
-    compare_baselines,
-    kfold_cv,
     loocv,
     magnitude_confusion,
     metrics,
@@ -72,7 +69,6 @@ from .evaluation import (
 from .explain import (
     ShapAttribution,
     aggregate_shap,
-    permutation_importance,
     shap_matrix,
     shap_values,
 )

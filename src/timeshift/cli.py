@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .data import (
 )
 from .errors import ConfigError, NonConvergenceWarning, TimeshiftError
 from .evaluation import (
-    BaselineComparison,
     Thresholds,
     balanced_indices,
     baseline_rows,
@@ -76,7 +76,7 @@ from .simulator import SimParams, generate_trials
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration; see README for the JSON layout."""
+    """Resolved run configuration; see README for the JSON layout and value checks."""
 
     seed: int = 0
     target_interval_s: float = 30.0
@@ -88,6 +88,21 @@ class RunConfig:
     sim_engagement_assignment: str | list[EngagementLevel] = "random_uniform_9"
     paths: dict = dataclasses.field(default_factory=dict)
     undersample: bool = True
+
+    def __post_init__(self):
+        # type() rather than isinstance(): JSON true/false must not pass as 1/0
+        for name, value, least in (
+            ("seed", self.seed, 0),
+            ("participants", self.sim_n_participants, 1),
+            ("trials", self.sim_n_trials, 2),
+        ):
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, value in (("target_interval_s", self.target_interval_s), ("C", self.C)):
+            if type(value) not in (int, float) or not math.isfinite(value) or value <= 0:
+                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+        if type(self.undersample) is not bool:
+            raise ConfigError(f"undersample must be a boolean, got {self.undersample!r}")
 
     def config_hash(self) -> str:
         return hashlib.sha256(
@@ -126,6 +141,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file not found: {args.config}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ConfigError("config file must hold a JSON object")
 
     seed = args.seed if args.seed is not None else payload.get("seed", 0)
     target = (
@@ -154,10 +171,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "simulate":
         sim_section.setdefault("rng_seed", seed)
         sim_section.setdefault("target_s", target)
-        if "gate_width_by_engagement" in sim_section:
-            sim_section["gate_width_by_engagement"] = tuple(
-                sim_section["gate_width_by_engagement"]
-            )
         try:
             sim = SimParams(**sim_section)
         except (TypeError, ValueError) as exc:
@@ -361,7 +374,15 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
             name: {"count": count, "share_of_predicted": share}
             for name, (count, share) in five_cells.cells.items()
         },
-        "baselines": BaselineComparison(rows=baseline_rows(dataset)).as_dicts(),
+        "baselines": [
+            {
+                "model_name": name,
+                "precision": row.precision,
+                "recall": row.recall,
+                "accuracy": row.accuracy,
+            }
+            for name, row in baseline_rows(dataset)
+        ],
         "nonconverged_folds": nonconverged,
         "per_sample_csv": per_sample_path.name,
     }

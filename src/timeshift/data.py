@@ -172,11 +172,10 @@ class SamplePair:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered collection of sample pairs with provenance and generation seed."""
+    """Ordered collection of sample pairs with their provenance."""
 
     samples: tuple[SamplePair, ...]
     provenance: Provenance
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))

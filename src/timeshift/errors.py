@@ -59,10 +59,6 @@ class TooFewSamplesError(TimeshiftError):
     """Not enough samples for the requested operation."""
 
 
-class MissingBaselineError(TimeshiftError):
-    """The designated baseline scene is absent from the performance table."""
-
-
 class SingleClassError(TimeshiftError):
     """Both direction classes are required but only one is present."""
 
@@ -77,10 +73,6 @@ class FoldSingleClassError(TimeshiftError):
 
 class LengthMismatchError(TimeshiftError):
     """Two parallel sequences have different lengths."""
-
-
-class EmptyGroupError(TimeshiftError):
-    """A sub-group predicate matched no samples."""
 
 
 class ConfigError(TimeshiftError):

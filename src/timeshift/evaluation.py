@@ -1,6 +1,6 @@
 """
-Class balancing, cross-validation harnesses, direction/magnitude
-classification and metric reports.
+Class balancing, leave-one-out cross-validation, direction/magnitude
+classification, metric reports and the rule-based baselines' metric rows.
 
 Direction is read off the predicted probability of decrease at 0.5; the
 magnitude bands interpret an extreme probability (beyond 0.4/0.6) as a large
@@ -24,7 +24,7 @@ from .errors import (
     TooFewSamplesError,
 )
 from .features import build_features, fit_scaler, transform
-from .logistic import LogisticModel, fit, labels_to_array, predict_proba
+from .logistic import fit, labels_to_array, predict_proba
 from .simulator import arousal_baseline, attention_baseline
 
 # Row/column order of the 3x3 magnitude confusion matrix.
@@ -174,14 +174,11 @@ def undersample(dataset: Dataset, seed: int) -> Dataset:
             dataset.samples[i] for i in balanced_indices(dataset.labels(), seed)
         ),
         provenance=dataset.provenance,
-        seed=seed,
     )
 
 
 def metrics(
-    predictions: Sequence[Direction],
-    actual: Sequence[Direction],
-    positive: Direction = Direction.DECREASE,
+    predictions: Sequence[Direction], actual: Sequence[Direction]
 ) -> MetricsReport:
     """
     Precision, recall, accuracy and f1 with the decrease class as positive.
@@ -199,11 +196,7 @@ def metrics(
         )
     if not predictions:
         raise ValueError("cannot compute metrics on empty input")
-    tp = sum(1 for p, a in zip(predictions, actual) if p == positive and a == positive)
-    fp = sum(1 for p, a in zip(predictions, actual) if p == positive and a != positive)
-    fn = sum(1 for p, a in zip(predictions, actual) if p != positive and a == positive)
-    correct = sum(1 for p, a in zip(predictions, actual) if p == a)
-
+    (tp, fn), (fp, tn) = confusion_2x2(predictions, actual)
     undefined = (tp + fp) == 0
     precision = 0.0 if undefined else tp / (tp + fp)
     recall = 0.0 if (tp + fn) == 0 else tp / (tp + fn)
@@ -211,7 +204,7 @@ def metrics(
     return MetricsReport(
         precision=precision,
         recall=recall,
-        accuracy=correct / len(predictions),
+        accuracy=(tp + tn) / len(predictions),
         f1=f1,
         n=len(predictions),
         undefined_precision=undefined,
@@ -230,16 +223,13 @@ def confusion_2x2(
 
 
 # ---------------------------------------------------------------------------
-# Cross-validation harnesses
+# Leave-one-out cross-validation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LoocvResult:
     outcomes: tuple[PredictionOutcome, ...]
     metrics: MetricsReport
-    sample_ids: tuple[str, ...]
-    seed: int
-    C: float
 
 
 def loocv(
@@ -280,100 +270,11 @@ def loocv(
         outcomes.append(PredictionOutcome.from_probability(float(p), thresholds))
 
     report = metrics([o.direction for o in outcomes], dataset.labels())
-    return LoocvResult(
-        outcomes=tuple(outcomes),
-        metrics=report,
-        sample_ids=tuple(s.sample_id for s in dataset.samples),
-        seed=seed,
-        C=C,
-    )
-
-
-def _stratified_folds(
-    y: np.ndarray, k: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Shuffle within class, deal round-robin; returns k index arrays."""
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in (0.0, 1.0):
-        idx = np.flatnonzero(y == cls)
-        rng.shuffle(idx)
-        for j, sample in enumerate(idx):
-            folds[j % k].append(int(sample))
-    return [np.array(sorted(f), dtype=int) for f in folds]
-
-
-@dataclass(frozen=True)
-class KfoldResult:
-    best_c: float
-    mean_scores: dict[float, float]
-    k: int
-    repeats: int
-    seed: int
-
-
-def kfold_cv(
-    dataset: Dataset,
-    k: int = 5,
-    metric: str = "f1",
-    grid: Sequence[float] = (12.06,),
-    repeats: int = 3,
-    seed: int = 0,
-    target_s: float = 30.0,
-) -> KfoldResult:
-    """
-    Repeated stratified k-fold selection of the inverse regularization C.
-
-    Each repeat re-undersamples the dataset with its own derived seed, splits
-    it into stratified folds, and scores every C in the grid by the mean
-    decrease-class f1 (or accuracy) over the held-out folds. The best C is the
-    argmax of the overall mean, ties going to the smaller C.
-
-    Raises:
-        TooFewSamplesError: fewer samples than folds.
-    """
-    if metric not in ("f1", "accuracy"):
-        raise ValueError(f"unsupported metric: {metric!r}")
-    if len(dataset) < k:
-        raise TooFewSamplesError(f"need at least k={k} samples, got {len(dataset)}")
-    if not grid:
-        raise ValueError("C grid must not be empty")
-
-    scores: dict[float, list[float]] = {float(c): [] for c in grid}
-    labels = dataset.labels()
-    X_all = build_features(dataset.samples, target_s)
-    y_all = labels_to_array(labels)
-    for repeat in range(repeats):
-        repeat_seed = int(np.random.default_rng([seed, repeat]).integers(2**31))
-        rows = balanced_indices(y_all, repeat_seed)
-        X, y = X_all[rows], y_all[rows]
-        folds = _stratified_folds(y, k, np.random.default_rng([seed, repeat, 1]))
-        for fold_index, test_idx in enumerate(folds):
-            mask = np.ones(len(rows), dtype=bool)
-            mask[test_idx] = False
-            if y[mask].min() == y[mask].max():
-                raise FoldSingleClassError(fold_index)
-            scaler = fit_scaler(X[mask])
-            Z_train = transform(X[mask], scaler)
-            Z_test = transform(X[test_idx], scaler)
-            actual = [labels[i] for i in rows[test_idx]]
-            for c in scores:
-                model = fit(Z_train, y[mask], C=c, seed=seed)
-                predicted = [
-                    classify_direction(float(p))
-                    for p in np.atleast_1d(predict_proba(model, Z_test))
-                ]
-                report = metrics(predicted, actual)
-                scores[c].append(report.f1 if metric == "f1" else report.accuracy)
-
-    mean_scores = {c: float(np.mean(vals)) for c, vals in scores.items()}
-    best_c = max(sorted(mean_scores), key=lambda c: (mean_scores[c], -c))
-    return KfoldResult(
-        best_c=best_c, mean_scores=mean_scores, k=k, repeats=repeats, seed=seed
-    )
+    return LoocvResult(outcomes=tuple(outcomes), metrics=report)
 
 
 # ---------------------------------------------------------------------------
-# Magnitude analysis and baseline comparison
+# Magnitude analysis and rule-based baselines
 # ---------------------------------------------------------------------------
 
 def magnitude_confusion(
@@ -427,39 +328,3 @@ def baseline_rows(dataset: Dataset) -> tuple[tuple[str, MetricsReport], ...]:
         (name, metrics([rule(prev, nxt) for prev, nxt in transitions], actual))
         for name, rule in (("attention", attention_baseline), ("arousal", arousal_baseline))
     )
-
-
-@dataclass(frozen=True)
-class BaselineComparison:
-    """Metric rows for the trained model and/or the two rule-based baselines."""
-
-    rows: tuple[tuple[str, MetricsReport], ...]
-
-    def as_dicts(self) -> list[dict]:
-        return [
-            {
-                "model_name": name,
-                "precision": report.precision,
-                "recall": report.recall,
-                "accuracy": report.accuracy,
-            }
-            for name, report in self.rows
-        ]
-
-
-def compare_baselines(
-    dataset: Dataset,
-    model: LogisticModel,
-    target_s: float = 30.0,
-) -> BaselineComparison:
-    """
-    Score the fitted model and both rule-based baselines on identical samples.
-
-    The model's features are standardized with its own scaler. Rows are always
-    ordered (model, attention, arousal).
-    """
-    X = build_features(dataset.samples, target_s)
-    probabilities = np.atleast_1d(predict_proba(model, transform(X, model.scaler)))
-    model_predictions = [classify_direction(float(p)) for p in probabilities]
-    model_row = ("model", metrics(model_predictions, dataset.labels()))
-    return BaselineComparison(rows=(model_row, *baseline_rows(dataset)))

@@ -1,6 +1,6 @@
 """
-Exact per-feature attributions for the linear-logit model, plus permutation
-feature importance.
+Exact per-feature attributions for the linear-logit model, at population
+and individual level, with plot-ready exports.
 
 For a logistic model the logit is linear in the standardized features, so
 with independent features the Shapley value of feature j has the closed form
@@ -27,11 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Direction
-from .errors import EmptyGroupError, TooFewSamplesError
-from .evaluation import classify_direction, metrics
 from .features import FEATURE_NAMES, N_FEATURES
-from .logistic import LogisticModel, _sigmoid, predict_proba
+from .logistic import LogisticModel, _sigmoid
 
 
 @dataclass(frozen=True)
@@ -110,26 +107,17 @@ class FeatureShapSummary:
     n: int
 
 
-def aggregate_shap(
-    phi: np.ndarray, group: np.ndarray | None = None
-) -> list[FeatureShapSummary]:
+def aggregate_shap(phi: np.ndarray) -> list[FeatureShapSummary]:
     """
-    Per-feature mean and spread of contributions, population- or group-wide.
-
-    phi is the (n, 5) attribution matrix of shap_matrix; group is an optional
-    boolean mask of length n that selects the sub-group's rows.
+    Per-feature mean and spread of the rows of an (n, 5) attribution matrix
+    from shap_matrix; pass phi[mask] for a sub-group.
 
     Raises:
-        EmptyGroupError: the mask selects no rows.
         ValueError: no attributions given.
     """
     phi = np.asarray(phi, dtype=float)
     if not len(phi):
         raise ValueError("need at least one attribution")
-    if group is not None:
-        phi = phi[np.asarray(group, dtype=bool)]
-        if not len(phi):
-            raise EmptyGroupError("sub-group mask selects no samples")
     return [
         FeatureShapSummary(
             feature=name,
@@ -139,82 +127,6 @@ def aggregate_shap(
         )
         for j, name in enumerate(FEATURE_NAMES)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Permutation feature importance
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PermutationImportance:
-    feature: str
-    mean_drop: float
-    std_drop: float
-
-
-def _score(model: LogisticModel, Z: np.ndarray, y: Sequence[Direction], metric: str) -> float:
-    probabilities = np.atleast_1d(predict_proba(model, Z))
-    predicted = [classify_direction(float(p)) for p in probabilities]
-    report = metrics(predicted, list(y))
-    return report.f1 if metric == "f1" else report.accuracy
-
-
-def permutation_importance(
-    model: LogisticModel,
-    Z: np.ndarray,
-    y: Sequence[Direction],
-    metric: str = "accuracy",
-    n_repeats: int = 10,
-    seed: int = 0,
-) -> list[PermutationImportance]:
-    """
-    Mean and spread of the metric drop when each feature column is shuffled.
-
-    Each (feature, repeat) uses its own derived substream, so results do not
-    depend on evaluation order.
-
-    Raises:
-        TooFewSamplesError: fewer than 20 samples.
-    """
-    if metric not in ("accuracy", "f1"):
-        raise ValueError(f"unsupported metric: {metric!r}")
-    Z = np.asarray(Z, dtype=float)
-    n = Z.shape[0]
-    if n < 20:
-        raise TooFewSamplesError(f"permutation importance needs >= 20 samples, got {n}")
-    baseline = _score(model, Z, y, metric)
-    results = []
-    for j, name in enumerate(FEATURE_NAMES):
-        drops = []
-        for repeat in range(n_repeats):
-            rng = np.random.default_rng([seed, j, repeat])
-            drops.append(
-                _column_permutation_drop(
-                    model, Z, y, j, rng.permutation(n), baseline, metric
-                )
-            )
-        results.append(
-            PermutationImportance(
-                feature=name,
-                mean_drop=float(np.mean(drops)),
-                std_drop=float(np.std(drops)),
-            )
-        )
-    return results
-
-
-def _column_permutation_drop(
-    model: LogisticModel,
-    Z: np.ndarray,
-    y: Sequence[Direction],
-    column: int,
-    permutation: np.ndarray,
-    baseline: float,
-    metric: str,
-) -> float:
-    permuted = Z.copy()
-    permuted[:, column] = Z[permutation, column]
-    return baseline - _score(model, permuted, y, metric)
 
 
 # ---------------------------------------------------------------------------

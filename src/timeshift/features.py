@@ -20,7 +20,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .errors import (
     ConstantColumnError,
     FeatureDependencyError,
     MalformedRowError,
-    MissingBaselineError,
     NonPositiveTimeError,
     TooFewSamplesError,
 )
@@ -132,32 +131,6 @@ def transform(X: np.ndarray, stats: ScalerStats) -> np.ndarray:
     """z-score a 5-vector or an (n, 5) matrix: (x - mean) / std, per column."""
     X = np.asarray(X, dtype=float)
     return (X - np.asarray(stats.means)) / np.asarray(stats.std_devs)
-
-
-def label_engagement_from_performance(
-    scene_stats: Mapping[str, float], baseline_scene: str
-) -> dict[str, EngagementLevel]:
-    """
-    Assign engagement levels to scenes from non-timing task performance.
-
-    The designated baseline scene is LOW. Among the remaining scenes the one
-    with the worst (highest) mean error is HIGH; ties on the worst error are
-    broken by lexicographically smallest scene id. Everything else is MEDIUM.
-
-    Raises:
-        MissingBaselineError: the baseline scene is not in the table.
-        ValueError: fewer than two scenes.
-    """
-    if baseline_scene not in scene_stats:
-        raise MissingBaselineError(f"baseline scene {baseline_scene!r} not present")
-    if len(scene_stats) < 2:
-        raise ValueError("need at least two scenes to label engagement")
-    candidates = [s for s in scene_stats if s != baseline_scene]
-    worst = min(candidates, key=lambda s: (-scene_stats[s], s))
-    labels = {scene: EngagementLevel.MEDIUM for scene in scene_stats}
-    labels[baseline_scene] = EngagementLevel.LOW
-    labels[worst] = EngagementLevel.HIGH
-    return labels
 
 
 # ---------------------------------------------------------------------------

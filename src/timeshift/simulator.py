@@ -120,12 +120,7 @@ class SimParams:
 
     @classmethod
     def from_json(cls, text: str) -> "SimParams":
-        payload = json.loads(text)
-        if "gate_width_by_engagement" in payload:
-            payload["gate_width_by_engagement"] = tuple(
-                payload["gate_width_by_engagement"]
-            )
-        return cls(**payload)
+        return cls(**json.loads(text))
 
 
 def participant_rng(seed: int, participant_index: int) -> np.random.Generator:
@@ -277,7 +272,6 @@ def generate_dataset(
     return Dataset(
         samples=tuple(pair_consecutive(trials)),
         provenance=Provenance.SYNTHETIC,
-        seed=params.rng_seed,
     )
 
 

@@ -73,6 +73,22 @@ class TestSimulate:
             produced = [float(row["produced_time_s"]) for row in csv.DictReader(fh)]
         assert produced == [30.0] * 8
 
+    def test_gate_width_list_hashes_like_before(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            sim={
+                "n_participants": 30,
+                "n_trials": 2,
+                "gate_width_by_engagement": [1, 0.9, 0.8],
+            },
+        )
+        out = tmp_path / "trials.csv"
+        assert main(["simulate", "--config", str(config), "--output", str(out)]) == 0
+        manifest = json.loads((tmp_path / "trials.manifest.json").read_text())
+        assert manifest["params"]["gate_width_by_engagement"] == [1.0, 0.9, 0.8]
+        # the hash this config had when the CLI converted the list itself
+        assert manifest["config_hash"] == "2a245061480bb1d5"
+
     def test_invalid_sim_config_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, sim={"weber_fraction": -1.0})
         out = tmp_path / "trials.csv"
@@ -314,6 +330,43 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         assert fragment in err["message"]
 
 
+# (command, config file text or None, flags, fragment of the message)
+MALFORMED_CONFIGS = {
+    "not_an_object": ("simulate", "[1, 2]", [], "JSON object"),
+    "seed_text": ("simulate", '{"seed": "abc"}', [], "seed"),
+    "seed_bool": ("simulate", '{"seed": true}', [], "seed"),
+    "seed_negative": ("simulate", None, ["--seed", "-1"], "seed"),
+    "participants_0": ("simulate", None, ["--participants", "0"], "participants"),
+    "trials_1": ("simulate", None, ["--trials", "1"], "trials"),
+    "C_0": ("train", None, ["--C", "0"], "C must"),
+    "C_negative": ("train", None, ["--C", "-1"], "C must"),
+    "C_inf": ("train", None, ["--C", "inf"], "C must"),
+    "target_text": ("train", '{"target_interval_s": "abc"}', [], "target_interval_s"),
+    "undersample_text": ("train", '{"undersample": "no"}', [], "undersample"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_exits_2(tmp_path, capsys, case):
+    command, text, flags, fragment = MALFORMED_CONFIGS[case]
+    if text is not None:
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        flags = [*flags, "--config", str(config)]
+    if command == "train":
+        # six trainable rows, so only the config value can fail the run
+        features = tmp_path / "features.csv"
+        features.write_bytes(_feature_rows(
+            "2.0,1,1,0,0,decrease\n-5.0,1,0,2,2,increase\n7.0,0,1,0,1,decrease\n"
+            "1.0,0,0,1,2,decrease\n-3.0,1,0,1,0,increase"
+        ))
+        flags = [*flags, "--input", str(features)]
+    assert main([command, *flags, "--output", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert fragment in err["message"]
+
+
 class TestEvaluate:
     def test_report_schema_and_per_sample(self, tmp_path):
         config = write_config(
@@ -340,7 +393,11 @@ class TestEvaluate:
             assert key in report
         assert len(report["confusion"]) == 2
         assert len(report["magnitude_confusion"]) == 3
-        assert report["baselines"][0]["model_name"] == "attention"
+        assert [row["model_name"] for row in report["baselines"]] == [
+            "attention", "arousal",
+        ]
+        for row in report["baselines"]:
+            assert set(row) == {"model_name", "precision", "recall", "accuracy"}
         per_sample = report_path.with_suffix(".per_sample.csv")
         with per_sample.open() as fh:
             rows = list(csv.DictReader(fh))

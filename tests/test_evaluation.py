@@ -19,19 +19,16 @@ from timeshift.evaluation import (
     DEFAULT_THRESHOLDS,
     PredictionOutcome,
     Thresholds,
+    baseline_rows,
     classify_actual_magnitude,
     classify_direction,
     classify_predicted_magnitude,
-    compare_baselines,
     confusion_2x2,
-    kfold_cv,
     loocv,
     magnitude_confusion,
     metrics,
     undersample,
 )
-from timeshift.features import build_features, fit_scaler, transform
-from timeshift.logistic import fit
 from timeshift.simulator import SimParams, generate_dataset
 from tests.test_data import make_trial
 
@@ -76,7 +73,7 @@ def varied_dataset(labels, seed=0):
                 delta=float(rng.uniform(1, 12)),
             )
         )
-    return Dataset(samples=tuple(pairs), provenance=Provenance.SYNTHETIC, seed=seed)
+    return Dataset(samples=tuple(pairs), provenance=Provenance.SYNTHETIC)
 
 
 class TestClassification:
@@ -321,71 +318,6 @@ class TestLoocv:
         assert 0.3 <= result.metrics.accuracy <= 0.7
 
 
-class TestKfold:
-    def test_single_candidate_grid(self):
-        ds = varied_dataset([True, False] * 20)
-        result = kfold_cv(ds, k=5, grid=[12.06], repeats=1, seed=0)
-        assert result.best_c == 12.06
-        assert set(result.mean_scores) == {12.06}
-
-    def test_prefers_weak_regularization_on_informative_data(self):
-        # The label lives in a low-variance contrast between two strongly
-        # correlated features (rel_error rides on the next engagement level,
-        # the signal is the small residual). Heavy shrinkage cannot afford the
-        # large opposing weights that contrast requires, so it rotates the
-        # boundary onto the uninformative common direction and f1 collapses.
-        rng = np.random.default_rng(12)
-        pairs = []
-        for i in range(80):
-            common = int(rng.integers(0, 3))
-            residual = 1.0 if i % 2 == 0 else -1.0
-            rel_error = 40.0 * (common - 1) + 6.0 * residual
-            produced = 30.0 * (1 + rel_error / 100.0)
-            prev_eng = LOW if i % 7 == 0 else MED
-            pairs.append(
-                labeled_pair(
-                    f"p{i}",
-                    produced,
-                    decrease=residual > 0,
-                    prev_eng=prev_eng,
-                    next_eng=EngagementLevel(common),
-                    lower=bool(rng.integers(2)),
-                    rep_high=(prev_eng == LOW),
-                    delta=3.0,
-                )
-            )
-        ds = Dataset(samples=tuple(pairs), provenance=Provenance.SYNTHETIC)
-        result = kfold_cv(ds, k=5, grid=[0.01, 100.0], repeats=2, seed=1)
-        assert result.best_c == 100.0
-        assert result.mean_scores[100.0] > result.mean_scores[0.01]
-
-    def test_ties_go_to_smaller_c(self):
-        # cleanly separable data scores f1=1.0 at both grid points
-        labels = [True, False] * 20
-        pairs = []
-        rng = np.random.default_rng(3)
-        transitions = [(LOW, MED), (MED, LOW), (HIGH, HIGH), (LOW, LOW)]
-        for i, decrease in enumerate(labels):
-            prev_eng, next_eng = transitions[i % len(transitions)]
-            produced = rng.uniform(55, 75) if decrease else rng.uniform(10, 25)
-            pairs.append(
-                labeled_pair(
-                    f"p{i}", produced, decrease,
-                    prev_eng=prev_eng, next_eng=next_eng,
-                    lower=bool(i % 2), rep_high=(prev_eng == LOW and i % 3 == 0),
-                )
-            )
-        ds = Dataset(samples=tuple(pairs), provenance=Provenance.SYNTHETIC)
-        result = kfold_cv(ds, k=5, grid=[80.0, 40.0], repeats=1, seed=0)
-        assert result.mean_scores[40.0] == result.mean_scores[80.0] == 1.0
-        assert result.best_c == 40.0
-
-    def test_k_larger_than_n_rejected(self):
-        ds = varied_dataset([True, False] * 2)
-        with pytest.raises(TooFewSamplesError):
-            kfold_cv(ds, k=50, grid=[1.0])
-
-
 class TestMagnitudeConfusion:
     def test_all_center(self):
         outcomes = [PredictionOutcome.from_probability(0.5)] * 4
@@ -432,11 +364,6 @@ class TestMagnitudeConfusion:
 
 
 class TestCompareBaselines:
-    def _fit_on(self, ds):
-        X = build_features(ds.samples)
-        scaler = fit_scaler(X)
-        return fit(transform(X, scaler), ds.labels(), C=12.06, scaler=scaler)
-
     def test_attention_dominated_mirror(self):
         params = SimParams(
             rng_seed=21,
@@ -453,8 +380,7 @@ class TestCompareBaselines:
             ),
             provenance=Provenance.SYNTHETIC,
         )
-        comparison = compare_baselines(strict, self._fit_on(strict))
-        rows = dict(comparison.rows)
+        rows = dict(baseline_rows(strict))
         assert rows["attention"].accuracy == 1.0
         assert rows["arousal"].accuracy == 0.0
 
@@ -475,18 +401,6 @@ class TestCompareBaselines:
             ),
             provenance=Provenance.SYNTHETIC,
         )
-        # all trial-1 productions are 30 s here (equal gates, no noise), so a
-        # scaler cannot be fitted on this data; the pinned model stands in
-        from timeshift.logistic import pinned_model
-
-        comparison = compare_baselines(strict, pinned_model())
-        rows = dict(comparison.rows)
+        rows = dict(baseline_rows(strict))
         assert rows["arousal"].accuracy == 1.0
         assert rows["attention"].accuracy == 0.0
-
-    def test_report_shape(self):
-        ds = varied_dataset([True, False] * 15)
-        comparison = compare_baselines(ds, self._fit_on(ds))
-        dicts = comparison.as_dicts()
-        assert [d["model_name"] for d in dicts] == ["model", "attention", "arousal"]
-        assert set(dicts[0]) == {"model_name", "precision", "recall", "accuracy"}

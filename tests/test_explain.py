@@ -4,13 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from timeshift.data import Direction
-from timeshift.errors import EmptyGroupError, TooFewSamplesError
 from timeshift.explain import (
     ShapAttribution,
-    _column_permutation_drop,
     aggregate_shap,
-    permutation_importance,
     shap_matrix,
     shap_values,
     waterfall_payload,
@@ -144,8 +140,8 @@ class TestAggregateShap:
     def test_disjoint_groups_recombine(self):
         phi = self._phi(n=50)
         rows = np.arange(50)
-        left = aggregate_shap(phi, group=rows < 20)
-        right = aggregate_shap(phi, group=rows >= 20)
+        left = aggregate_shap(phi[rows < 20])
+        right = aggregate_shap(phi[rows >= 20])
         population = aggregate_shap(phi)
         for j in range(5):
             combined = (20 * left[j].mean_phi + 30 * right[j].mean_phi) / 50
@@ -153,8 +149,8 @@ class TestAggregateShap:
 
     def test_empty_group_rejected(self):
         phi = self._phi(n=5)
-        with pytest.raises(EmptyGroupError):
-            aggregate_shap(phi, group=np.zeros(5, dtype=bool))
+        with pytest.raises(ValueError):
+            aggregate_shap(phi[np.zeros(5, dtype=bool)])
 
     def test_long_production_group_dominated_by_rel_error(self):
         # synthetic cohort scored by the pinned model: among samples with
@@ -169,7 +165,7 @@ class TestAggregateShap:
         model = pinned_model(scaler)
         _, phi, _ = shap_matrix(model, Z)
         produced = np.array([s.prev.produced_time_s for s in ds.samples])
-        summaries = aggregate_shap(phi, group=produced > 45.0)
+        summaries = aggregate_shap(phi[produced > 45.0])
         by_name = {s.feature: s.mean_phi for s in summaries}
         rel_error_mean = by_name["t1_rel_error"]
         assert rel_error_mean > 0.5
@@ -178,61 +174,6 @@ class TestAggregateShap:
             for k, v in by_name.items()
             if k != "t1_rel_error"
         )
-
-
-class TestPermutationImportance:
-    def _data(self, n=200, seed=6):
-        rng = np.random.default_rng(seed)
-        Z = rng.normal(size=(n, 5))
-        model = make_model(0.0, (2.5, 0.0, 0.0, 0.0, 0.0))
-        y = [
-            Direction.DECREASE if rng.random() < predict_proba(model, Z[i]) else Direction.INCREASE
-            for i in range(n)
-        ]
-        return model, Z, y
-
-    def test_zero_weight_features_have_zero_importance(self):
-        model, Z, y = self._data()
-        results = permutation_importance(model, Z, y, n_repeats=5, seed=0)
-        for r in results[1:]:
-            assert r.mean_drop == 0.0
-            assert r.std_drop == 0.0
-
-    def test_informative_feature_ranks_first(self):
-        model, Z, y = self._data()
-        results = permutation_importance(model, Z, y, n_repeats=10, seed=0)
-        drops = {r.feature: r.mean_drop for r in results}
-        assert drops["t1_rel_error"] > 0.1
-        assert all(
-            drops["t1_rel_error"] > drops[name] for name in FEATURE_NAMES[1:]
-        )
-
-    def test_identity_permutation_drops_nothing(self):
-        from timeshift.explain import _score
-
-        model, Z, y = self._data(n=40)
-        baseline = _score(model, Z, y, metric="accuracy")
-        drop = _column_permutation_drop(
-            model, Z, y, column=0, permutation=np.arange(40),
-            baseline=baseline, metric="accuracy",
-        )
-        assert drop == 0.0
-
-    def test_deterministic(self):
-        model, Z, y = self._data()
-        a = permutation_importance(model, Z, y, n_repeats=4, seed=9)
-        b = permutation_importance(model, Z, y, n_repeats=4, seed=9)
-        assert a == b
-
-    def test_minimum_size(self):
-        model, Z, y = self._data(n=10)
-        with pytest.raises(TooFewSamplesError):
-            permutation_importance(model, Z, y)
-
-    def test_f1_metric_supported(self):
-        model, Z, y = self._data()
-        results = permutation_importance(model, Z, y, metric="f1", n_repeats=3, seed=1)
-        assert results[0].mean_drop > 0.0
 
 
 class TestExports:

@@ -9,7 +9,6 @@ from timeshift.errors import (
     EmptyFileError,
     FeatureDependencyError,
     MalformedRowError,
-    MissingBaselineError,
     NonPositiveTimeError,
     TooFewSamplesError,
 )
@@ -19,7 +18,6 @@ from timeshift.features import (
     ScalerStats,
     build_features,
     fit_scaler,
-    label_engagement_from_performance,
     load_feature_csv,
     transform,
     write_feature_csv,
@@ -247,35 +245,6 @@ class TestScaler:
     def test_positive_std_required(self):
         with pytest.raises(ValueError):
             ScalerStats(means=(0,) * 5, std_devs=(1, 1, 0, 1, 1))
-
-
-class TestEngagementRelabeling:
-    def test_three_scenes(self):
-        labels = label_engagement_from_performance(
-            {"daylight": 0.1, "fog": 0.4, "stop_go": 0.9}, baseline_scene="daylight"
-        )
-        assert labels == {
-            "daylight": EngagementLevel.LOW,
-            "fog": EngagementLevel.MEDIUM,
-            "stop_go": EngagementLevel.HIGH,
-        }
-
-    def test_two_scenes(self):
-        labels = label_engagement_from_performance(
-            {"daylight": 0.1, "x": 0.5}, baseline_scene="daylight"
-        )
-        assert labels == {"daylight": EngagementLevel.LOW, "x": EngagementLevel.HIGH}
-
-    def test_missing_baseline(self):
-        with pytest.raises(MissingBaselineError):
-            label_engagement_from_performance({"a": 0.1, "b": 0.2}, baseline_scene="zzz")
-
-    def test_worst_tie_breaks_lexicographically(self):
-        labels = label_engagement_from_performance(
-            {"base": 0.0, "beta": 0.7, "alpha": 0.7}, baseline_scene="base"
-        )
-        assert labels["alpha"] == EngagementLevel.HIGH
-        assert labels["beta"] == EngagementLevel.MEDIUM
 
 
 class TestFeatureCsv:

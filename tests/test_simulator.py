@@ -253,6 +253,11 @@ class TestSimParams:
         with pytest.raises(ValueError):
             SimParams(gate_width_by_engagement=(0.7, 0.85, 1.0))
 
+    def test_gate_widths_list_becomes_tuple(self):
+        listed = SimParams(gate_width_by_engagement=[1.0, 0.9, 0.8])
+        assert listed == SimParams(gate_width_by_engagement=(1.0, 0.9, 0.8))
+        assert isinstance(listed.gate_width_by_engagement, tuple)
+
     def test_weight_budget_enforced(self):
         with pytest.raises(ValueError):
             SimParams(memory_correction_weight=0.6, regression_weight=0.6)
