@@ -17,6 +17,7 @@ from timeshift.errors import (
 )
 from timeshift.evaluation import (
     DEFAULT_THRESHOLDS,
+    MetricsReport,
     PredictionOutcome,
     Thresholds,
     baseline_rows,
@@ -364,6 +365,16 @@ class TestMagnitudeConfusion:
 
 
 class TestCompareBaselines:
+    def test_report_shape(self):
+        ds = varied_dataset([True, False] * 15)
+        rows = baseline_rows(ds)
+        assert [name for name, _ in rows] == ["attention", "arousal"]
+        for _, row in rows:
+            assert isinstance(row, MetricsReport)
+            assert row.n == len(ds.samples)
+            for value in (row.precision, row.recall, row.accuracy):
+                assert 0.0 <= value <= 1.0
+
     def test_attention_dominated_mirror(self):
         params = SimParams(
             rng_seed=21,
