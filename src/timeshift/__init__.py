@@ -54,7 +54,6 @@ from .logistic import (
     save_model,
 )
 from .evaluation import (
-    MagnitudeConfusion,
     MetricsReport,
     PredictionOutcome,
     Thresholds,

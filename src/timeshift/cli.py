@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +40,6 @@ from .evaluation import (
     classify_direction,
     classify_actual_magnitude,
     classify_predicted_magnitude,
-    confusion_2x2,
     loocv,
     magnitude_confusion,
     undersample,
@@ -86,7 +84,6 @@ class RunConfig:
     sim_n_participants: int = 1000
     sim_n_trials: int = 2
     sim_engagement_assignment: str | list[EngagementLevel] = "random_uniform_9"
-    paths: dict = dataclasses.field(default_factory=dict)
     undersample: bool = True
 
     def __post_init__(self):
@@ -103,6 +100,14 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
         if type(self.undersample) is not bool:
             raise ConfigError(f"undersample must be a boolean, got {self.undersample!r}")
+        assignment = self.sim_engagement_assignment
+        if assignment != "random_uniform_9" and (
+            not isinstance(assignment, list) or len(assignment) != self.sim_n_trials
+        ):
+            raise ConfigError(
+                'engagement_assignment must be "random_uniform_9" or a list of '
+                f"{self.sim_n_trials} engagement levels, got {assignment!r}"
+            )
 
     def config_hash(self) -> str:
         return hashlib.sha256(
@@ -158,7 +163,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"invalid thresholds: {exc}") from None
 
     sim = None
-    sim_section = dict(payload.get("sim", {}))
+    sim_section = payload.get("sim", {})
+    if not isinstance(sim_section, dict):
+        raise ConfigError(f"sim must be a JSON object, got {sim_section!r}")
+    sim_section = dict(sim_section)
     n_participants = sim_section.pop("n_participants", 1000)
     n_trials = sim_section.pop("n_trials", 2)
     assignment = sim_section.pop("engagement_assignment", "random_uniform_9")
@@ -166,8 +174,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         n_participants = args.participants
     if getattr(args, "trials", None) is not None:
         n_trials = args.trials
-    if not isinstance(assignment, str):
-        assignment = [EngagementLevel.parse(str(level)) for level in assignment]
+    if isinstance(assignment, list):
+        try:
+            assignment = [EngagementLevel.parse(str(level)) for level in assignment]
+        except ValueError as exc:
+            raise ConfigError(f"invalid engagement_assignment: {exc}") from None
     if args.command == "simulate":
         sim_section.setdefault("rng_seed", seed)
         sim_section.setdefault("target_s", target)
@@ -180,12 +191,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "no_undersample", False):
         undersample_flag = False
 
-    paths = dict(payload.get("paths", {}))
-    for key in ("input", "output", "model", "features", "per_sample", "output_dir"):
-        value = getattr(args, key, None)
-        if value is not None:
-            paths[key] = value
-
     return RunConfig(
         seed=seed,
         target_interval_s=target,
@@ -195,15 +200,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         sim_n_participants=n_participants,
         sim_n_trials=n_trials,
         sim_engagement_assignment=assignment,
-        paths=paths,
         undersample=undersample_flag,
     )
 
 
-def _require_path(config: RunConfig, key: str) -> Path:
-    if key not in config.paths:
+def _require_path(args: argparse.Namespace, key: str) -> Path:
+    value = getattr(args, key, None)
+    if value is None:
         raise ConfigError(f"missing required path: --{key.replace('_', '-')}")
-    return Path(config.paths[key])
+    return Path(value)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -219,9 +224,9 @@ def _report(payload: dict) -> None:
     sys.stderr.write(json.dumps(payload) + "\n")
 
 
-def _load_model(config: RunConfig) -> LogisticModel:
+def _load_model(args: argparse.Namespace) -> LogisticModel:
     """Load --model; a model whose fit did not converge is reported, then used."""
-    model = load_model(_require_path(config, "model"))
+    model = load_model(_require_path(args, "model"))
     if not model.converged:
         message = f"model stopped after {model.n_iter} iterations without converging"
         _report({"warning": NonConvergenceWarning.__name__, "message": message})
@@ -233,7 +238,7 @@ def _load_model(config: RunConfig) -> LogisticModel:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
-    output = _require_path(config, "output")
+    output = _require_path(args, "output")
     trials = generate_trials(
         config.sim,
         n_participants=config.sim_n_participants,
@@ -259,8 +264,8 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_extract(config: RunConfig, args: argparse.Namespace) -> int:
-    input_path = _require_path(config, "input")
-    output = _require_path(config, "output")
+    input_path = _require_path(args, "input")
+    output = _require_path(args, "output")
     pairs = pair_consecutive(load_trials(input_path))
     X = build_features(pairs, config.target_interval_s)
     write_feature_csv(X, [p.label for p in pairs], output)
@@ -272,8 +277,8 @@ def cmd_extract(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
-    input_path = _require_path(config, "input")
-    output = _require_path(config, "output")
+    input_path = _require_path(args, "input")
+    output = _require_path(args, "output")
     X, labels = load_feature_csv(input_path)
     y = labels_to_array(labels)
     if config.undersample:
@@ -297,8 +302,8 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
-    input_path = _require_path(config, "input")
-    output = _require_path(config, "output")
+    input_path = _require_path(args, "input")
+    output = _require_path(args, "output")
     dataset = Dataset(
         samples=tuple(pair_consecutive(load_trials(input_path))),
         provenance=Provenance.HUMAN,
@@ -306,28 +311,18 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     if config.undersample:
         dataset = undersample(dataset, seed=config.seed)
 
-    nonconverged = 0
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NonConvergenceWarning)
-        result = loocv(
-            dataset,
-            C=config.C,
-            seed=config.seed,
-            target_s=config.target_interval_s,
-            thresholds=config.thresholds,
-        )
-        nonconverged = sum(
-            1 for w in caught if issubclass(w.category, NonConvergenceWarning)
-        )
-
-    actual = dataset.labels()
-    confusion, five_cells = magnitude_confusion(
+    result = loocv(
+        dataset,
+        C=config.C,
+        seed=config.seed,
+        target_s=config.target_interval_s,
+        thresholds=config.thresholds,
+    )
+    magnitude_counts, five_cells = magnitude_confusion(
         result.outcomes, dataset.deltas(), config.thresholds
     )
 
-    per_sample_path = Path(
-        config.paths.get("per_sample", output.with_suffix(".per_sample.csv"))
-    )
+    per_sample_path = Path(args.per_sample or output.with_suffix(".per_sample.csv"))
     with per_sample_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -360,11 +355,8 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
         "precision": result.metrics.precision,
         "recall": result.metrics.recall,
         "accuracy": result.metrics.accuracy,
-        "confusion": [
-            list(row)
-            for row in confusion_2x2([o.direction for o in result.outcomes], actual)
-        ],
-        "magnitude_confusion": [list(row) for row in confusion.counts],
+        "confusion": [list(row) for row in result.metrics.confusion],
+        "magnitude_confusion": [list(row) for row in magnitude_counts],
         "seed": config.seed,
         "C": config.C,
         "config_hash": config.config_hash(),
@@ -372,7 +364,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
         "undersampled": config.undersample,
         "five_cells": {
             name: {"count": count, "share_of_predicted": share}
-            for name, (count, share) in five_cells.cells.items()
+            for name, (count, share) in five_cells.items()
         },
         "baselines": [
             {
@@ -383,17 +375,17 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
             }
             for name, row in baseline_rows(dataset)
         ],
-        "nonconverged_folds": nonconverged,
+        "nonconverged_folds": result.nonconverged,
         "per_sample_csv": per_sample_path.name,
     }
     _write_json(output, report)
-    return 3 if nonconverged else 0
+    return 3 if result.nonconverged else 0
 
 
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
-    model = _load_model(config)
-    X, labels = load_feature_csv(_require_path(config, "features"))
-    output = _require_path(config, "output")
+    model = _load_model(args)
+    X, labels = load_feature_csv(_require_path(args, "features"))
+    output = _require_path(args, "output")
     probabilities = predict_proba(model, transform(X, model.scaler)).tolist()
     with output.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -419,11 +411,11 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_explain(config: RunConfig, args: argparse.Namespace) -> int:
     row = args.row
-    model = _load_model(config)
-    X, _ = load_feature_csv(_require_path(config, "features"))
+    model = _load_model(args)
+    X, _ = load_feature_csv(_require_path(args, "features"))
     if not 0 <= row < len(X):
         raise ConfigError(f"--row {row} out of range for {len(X)} samples")
-    output_dir = Path(config.paths.get("output_dir", "."))
+    output_dir = Path(args.output_dir or ".")
     output_dir.mkdir(parents=True, exist_ok=True)
     Z = transform(X, model.scaler)
     _, phi, _ = shap_matrix(model, Z)

@@ -11,6 +11,7 @@ extreme class.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +21,7 @@ from .data import Dataset, Direction, MagnitudeLevel
 from .errors import (
     FoldSingleClassError,
     LengthMismatchError,
+    NonConvergenceWarning,
     SingleClassError,
     TooFewSamplesError,
 )
@@ -94,8 +96,9 @@ class PredictionOutcome:
     def from_probability(
         cls, p: float, thresholds: Thresholds = DEFAULT_THRESHOLDS
     ) -> "PredictionOutcome":
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"probability must lie in (0, 1), got {p}")
+        # a certain fold (|logit| above ~37) rounds to exactly 0.0 or 1.0
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability must lie in [0, 1], got {p}")
         return cls(
             probability_of_decrease=p,
             direction=classify_direction(p),
@@ -105,43 +108,18 @@ class PredictionOutcome:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Precision/recall are for the decrease class; f1 is their harmonic mean."""
+    """
+    Precision/recall are for the decrease class; f1 is their harmonic mean.
+    confusion is the 2x2 count ((tp, fn), (fp, tn)) of confusion_2x2.
+    """
 
     precision: float
     recall: float
     accuracy: float
     f1: float
     n: int
+    confusion: tuple[tuple[int, int], tuple[int, int]]
     undefined_precision: bool = False
-
-
-@dataclass(frozen=True)
-class MagnitudeConfusion:
-    """3x3 counts, rows = actual, columns = predicted, in MAGNITUDE_ORDER."""
-
-    counts: tuple[tuple[int, int, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def row_totals(self) -> tuple[int, int, int]:
-        return tuple(sum(row) for row in self.counts)
-
-    def column_totals(self) -> tuple[int, int, int]:
-        return tuple(sum(row[j] for row in self.counts) for j in range(3))
-
-
-@dataclass(frozen=True)
-class FiveCellSummary:
-    """
-    The five headline cells of the magnitude confusion: the three diagonal
-    hits plus the two extreme misses (predicted one extreme, actual the
-    other). Shares are relative to the predicted-class column total, i.e.
-    "when the model says high increase, how often is that right".
-    """
-
-    cells: dict[str, tuple[int, float]]
 
 
 def balanced_indices(labels: Sequence[Direction], seed: int) -> np.ndarray:
@@ -196,7 +174,8 @@ def metrics(
         )
     if not predictions:
         raise ValueError("cannot compute metrics on empty input")
-    (tp, fn), (fp, tn) = confusion_2x2(predictions, actual)
+    confusion = confusion_2x2(predictions, actual)
+    (tp, fn), (fp, tn) = confusion
     undefined = (tp + fp) == 0
     precision = 0.0 if undefined else tp / (tp + fp)
     recall = 0.0 if (tp + fn) == 0 else tp / (tp + fn)
@@ -207,6 +186,7 @@ def metrics(
         accuracy=(tp + tn) / len(predictions),
         f1=f1,
         n=len(predictions),
+        confusion=confusion,
         undefined_precision=undefined,
     )
 
@@ -228,8 +208,14 @@ def confusion_2x2(
 
 @dataclass(frozen=True)
 class LoocvResult:
+    """
+    Per-sample outcomes in sample order, their metrics, and the number of
+    fold models whose fit stopped at the iteration cap.
+    """
+
     outcomes: tuple[PredictionOutcome, ...]
     metrics: MetricsReport
+    nonconverged: int
 
 
 def loocv(
@@ -245,7 +231,8 @@ def loocv(
     Each sample is predicted by a scaler and model fitted on the other n-1
     samples only, so the held-out sample never leaks into standardization or
     training. Outcomes are ordered by sample index, independent of any
-    execution order.
+    execution order. A fold model that does not converge is still used; the
+    folds' NonConvergenceWarnings are silenced and counted in nonconverged.
 
     Raises:
         TooFewSamplesError: fewer than 10 samples.
@@ -258,19 +245,23 @@ def loocv(
     y = labels_to_array(dataset.labels())
 
     outcomes = []
-    for i in range(n):
-        mask = np.ones(n, dtype=bool)
-        mask[i] = False
-        y_train = y[mask]
-        if y_train.min() == y_train.max():
-            raise FoldSingleClassError(i)
-        scaler = fit_scaler(X[mask])
-        model = fit(transform(X[mask], scaler), y_train, C=C, seed=seed)
-        p = predict_proba(model, transform(X[i], scaler))
-        outcomes.append(PredictionOutcome.from_probability(float(p), thresholds))
+    nonconverged = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonConvergenceWarning)
+        for i in range(n):
+            mask = np.ones(n, dtype=bool)
+            mask[i] = False
+            y_train = y[mask]
+            if y_train.min() == y_train.max():
+                raise FoldSingleClassError(i)
+            scaler = fit_scaler(X[mask])
+            model = fit(transform(X[mask], scaler), y_train, C=C, seed=seed)
+            nonconverged += not model.converged
+            p = predict_proba(model, transform(X[i], scaler))
+            outcomes.append(PredictionOutcome.from_probability(float(p), thresholds))
 
     report = metrics([o.direction for o in outcomes], dataset.labels())
-    return LoocvResult(outcomes=tuple(outcomes), metrics=report)
+    return LoocvResult(outcomes=tuple(outcomes), metrics=report, nonconverged=nonconverged)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +272,15 @@ def magnitude_confusion(
     outcomes: Sequence[PredictionOutcome],
     deltas: Sequence[float],
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> tuple[MagnitudeConfusion, FiveCellSummary]:
+) -> tuple[tuple[tuple[int, int, int], ...], dict[str, tuple[int, float]]]:
     """
     Cross-tabulate actual versus predicted magnitude bands.
 
-    Returns the full 3x3 matrix and the five headline cells: the three
-    diagonal hits and the two extreme misses, each with its count and its
-    share of the predicted-class column total.
+    Returns the 3x3 counts (rows = actual, columns = predicted, both in
+    MAGNITUDE_ORDER) and the five headline cells: the three diagonal hits and
+    the two extreme misses (predicted one extreme, actual the other), each as
+    (count, share of the predicted-class column total), i.e. "when the model
+    says high increase, how often is that right".
 
     Raises:
         LengthMismatchError: outcomes and deltas differ in length.
@@ -299,25 +292,20 @@ def magnitude_confusion(
         row = MAGNITUDE_ORDER.index(classify_actual_magnitude(delta, thresholds))
         col = MAGNITUDE_ORDER.index(outcome.predicted_magnitude)
         counts[row][col] += 1
-    confusion = MagnitudeConfusion(counts=tuple(tuple(row) for row in counts))
-
-    col_totals = confusion.column_totals()
 
     def cell(row: int, col: int) -> tuple[int, float]:
-        count = confusion.counts[row][col]
-        share = count / col_totals[col] if col_totals[col] else 0.0
-        return count, share
+        column_total = sum(r[col] for r in counts)
+        share = counts[row][col] / column_total if column_total else 0.0
+        return counts[row][col], share
 
-    summary = FiveCellSummary(
-        cells={
-            "high_increase_hit": cell(0, 0),
-            "small_change_hit": cell(1, 1),
-            "high_decrease_hit": cell(2, 2),
-            "high_increase_extreme_miss": cell(2, 0),  # said increase, fell hard
-            "high_decrease_extreme_miss": cell(0, 2),  # said decrease, rose hard
-        }
-    )
-    return confusion, summary
+    five_cells = {
+        "high_increase_hit": cell(0, 0),
+        "small_change_hit": cell(1, 1),
+        "high_decrease_hit": cell(2, 2),
+        "high_increase_extreme_miss": cell(2, 0),  # said increase, fell hard
+        "high_decrease_extreme_miss": cell(0, 2),  # said decrease, rose hard
+    }
+    return tuple(tuple(row) for row in counts), five_cells
 
 
 def baseline_rows(dataset: Dataset) -> tuple[tuple[str, MetricsReport], ...]:

@@ -144,19 +144,20 @@ def write_scatter_csv(
 
     phi, raw_features and standardized are aligned (n, 5) matrices; phi is the
     attribution matrix of shap_matrix. Values are written as plain decimal
-    floats (shortest round-trip repr), converted one sample at a time.
+    floats (shortest round-trip repr).
     """
+    phi = np.asarray(phi, dtype=float)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "raw_value", "standardized_value", "phi"])
-        for raw_row, std_row, phi_row in zip(
-            np.asarray(raw_features, dtype=float),
-            np.asarray(standardized, dtype=float),
-            np.asarray(phi, dtype=float),
-        ):
-            writer.writerows(
-                zip(FEATURE_NAMES, raw_row.tolist(), std_row.tolist(), phi_row.tolist())
+        writer.writerows(
+            zip(
+                FEATURE_NAMES * len(phi),
+                np.asarray(raw_features, dtype=float).ravel().tolist(),
+                np.asarray(standardized, dtype=float).ravel().tolist(),
+                phi.ravel().tolist(),
             )
+        )
 
 
 def waterfall_payload(

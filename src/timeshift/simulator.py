@@ -84,6 +84,9 @@ class SimParams:
     def __post_init__(self):
         if self.base_clock_rate_hz <= 0:
             raise ValueError("base_clock_rate_hz must be > 0")
+        # type() rather than isinstance(): JSON true must not pass as seed 1
+        if type(self.rng_seed) is not int or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         gates = tuple(float(g) for g in self.gate_width_by_engagement)
         object.__setattr__(self, "gate_width_by_engagement", gates)
         if len(gates) != 3 or any(not 0 < g <= 1 for g in gates):

@@ -1,11 +1,13 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import timeshift.evaluation
 from timeshift.cli import main
 from timeshift.errors import NonConvergenceWarning
 from timeshift.features import identity_scaler
@@ -343,6 +345,20 @@ MALFORMED_CONFIGS = {
     "C_inf": ("train", None, ["--C", "inf"], "C must"),
     "target_text": ("train", '{"target_interval_s": "abc"}', [], "target_interval_s"),
     "undersample_text": ("train", '{"undersample": "no"}', [], "undersample"),
+    "sim_number": ("train", '{"sim": 5}', [], "sim must be a JSON object"),
+    "sim_null": ("simulate", '{"sim": null}', [], "sim must be a JSON object"),
+    "rng_seed_text": ("simulate", '{"sim": {"rng_seed": "abc"}}', [], "rng_seed"),
+    "rng_seed_negative": ("simulate", '{"sim": {"rng_seed": -3}}', [], "rng_seed"),
+    "rng_seed_fraction": ("simulate", '{"sim": {"rng_seed": 1.5}}', [], "rng_seed"),
+    "rng_seed_bool": ("simulate", '{"sim": {"rng_seed": true}}', [], "rng_seed"),
+    "assignment_unknown_level": ("simulate", '{"sim": {"engagement_assignment": ["low", "loud"]}}',
+                                 [], "engagement_assignment"),
+    "assignment_number": ("simulate", '{"sim": {"engagement_assignment": 7}}',
+                          [], "engagement_assignment"),
+    "assignment_text": ("simulate", '{"sim": {"engagement_assignment": "whatever"}}',
+                        [], "engagement_assignment"),
+    "assignment_short": ("simulate", '{"sim": {"engagement_assignment": ["low"]}}',
+                         [], "engagement_assignment"),
 }
 
 
@@ -368,13 +384,19 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
 
 
 class TestEvaluate:
-    def test_report_schema_and_per_sample(self, tmp_path):
+    @pytest.fixture()
+    def trials(self, tmp_path):
+        """A 60-participant cohort where every LOOCV fold can be fitted."""
         config = write_config(
             tmp_path,
             sim={"n_participants": 60, "n_trials": 2, "sensitivity_prevalence": 0.4},
         )
         trials = tmp_path / "trials.csv"
-        main(["simulate", "--config", str(config), "--output", str(trials)])
+        assert main(["simulate", "--config", str(config), "--output", str(trials)]) == 0
+        return config, trials
+
+    def test_report_schema_and_per_sample(self, tmp_path, trials):
+        config, trials = trials
         report_path = tmp_path / "report.json"
         code = main(
             [
@@ -398,6 +420,11 @@ class TestEvaluate:
         ]
         for row in report["baselines"]:
             assert set(row) == {"model_name", "precision", "recall", "accuracy"}
+        assert set(report["five_cells"]) == {
+            "high_increase_hit", "small_change_hit", "high_decrease_hit",
+            "high_increase_extreme_miss", "high_decrease_extreme_miss",
+        }
+        assert report["nonconverged_folds"] == 0
         per_sample = report_path.with_suffix(".per_sample.csv")
         with per_sample.open() as fh:
             rows = list(csv.DictReader(fh))
@@ -408,6 +435,37 @@ class TestEvaluate:
         }
         total = sum(sum(row) for row in report["magnitude_confusion"])
         assert total == report["n"]
+
+    def test_certain_fold_reads_probability_one(self, tmp_path, trials):
+        # a forgotten 4,000 s first production: its fold's logit is far past 37
+        config, trials = trials
+        lines = trials.read_text().splitlines()
+        cells = lines[1].split(",")
+        assert cells[:2] == ["sim00", "1"]
+        cells[3] = "4000"
+        lines[1] = ",".join(cells)
+        trials.write_text("\n".join(lines) + "\n")
+        report_path = tmp_path / "report.json"
+        argv = ["evaluate", "--config", str(config), "--input", str(trials),
+                "--output", str(report_path), "--no-undersample"]
+        assert main(argv) == 0
+        with report_path.with_suffix(".per_sample.csv").open() as fh:
+            rows = {row["id"]: row for row in csv.DictReader(fh)}
+        assert rows["sim00:2"]["probability"] == "1.0"
+        assert rows["sim00:2"]["direction_pred"] == "decrease"
+
+    def test_nonconverged_folds_exit_3(self, tmp_path, trials, monkeypatch, capsys):
+        config, trials = trials
+        stopped = functools.partial(timeshift.evaluation.fit, max_iter=1)
+        monkeypatch.setattr(timeshift.evaluation, "fit", stopped)
+        capsys.readouterr()
+        report_path = tmp_path / "report.json"
+        argv = ["evaluate", "--config", str(config), "--input", str(trials),
+                "--output", str(report_path)]
+        assert main(argv) == 3
+        report = json.loads(report_path.read_text())
+        assert report["nonconverged_folds"] == report["n"] > 0
+        assert capsys.readouterr().err == ""
 
 
 class TestMisc:
@@ -432,6 +490,13 @@ class TestMisc:
         out = tmp_path / "x.csv"
         assert main(["simulate", "--config", str(config), "--output", str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_config_paths_section_is_not_read(self, tmp_path, capsys):
+        # paths come only from flags; a config "paths" section is ignored
+        config = write_config(tmp_path, paths={"output": str(tmp_path / "t.csv")})
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert "--output" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "t.csv").exists()
 
     def test_missing_output_flag_exits_2(self, capsys):
         assert main(["simulate"]) == 2

@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+import timeshift.evaluation
 from timeshift.data import (
     Dataset,
     Direction,
@@ -129,8 +132,16 @@ class TestClassification:
         outcome = PredictionOutcome.from_probability(0.91)
         assert outcome.direction == Direction.DECREASE
         assert outcome.predicted_magnitude == MagnitudeLevel.HIGH_DECREASE
-        with pytest.raises(ValueError):
-            PredictionOutcome.from_probability(1.0)
+        # a certain fold model rounds to exactly 0 or 1
+        certain = PredictionOutcome.from_probability(1.0)
+        assert certain.direction == Direction.DECREASE
+        assert certain.predicted_magnitude == MagnitudeLevel.HIGH_DECREASE
+        certain = PredictionOutcome.from_probability(0.0)
+        assert certain.direction == Direction.INCREASE
+        assert certain.predicted_magnitude == MagnitudeLevel.HIGH_INCREASE
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                PredictionOutcome.from_probability(bad)
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -203,6 +214,12 @@ class TestMetrics:
         assert report.recall == pytest.approx(0.590, abs=1e-3)
         assert report.accuracy == pytest.approx(0.610, abs=1e-3)
         assert confusion_2x2(predictions, actual) == ((59, 41), (37, 63))
+
+    def test_report_carries_its_confusion(self):
+        predictions = [Direction.DECREASE] * 3 + [Direction.INCREASE] * 5
+        actual = [Direction.DECREASE, Direction.INCREASE] * 4
+        report = metrics(predictions, actual)
+        assert report.confusion == confusion_2x2(predictions, actual) == ((2, 2), (1, 3))
 
     def test_undefined_precision_flagged(self):
         predictions = [Direction.INCREASE] * 6
@@ -277,6 +294,14 @@ class TestLoocv:
         flipped = loocv(poisoned, C=12.06, seed=0).outcomes[target].probability_of_decrease
         assert flipped == baseline
 
+    def test_nonconverged_folds_counted_not_warned(self, monkeypatch):
+        ds = varied_dataset([True, False] * 6, seed=3)
+        assert loocv(ds).nonconverged == 0
+        # a warning escaping loocv would fail this test (pytest turns it into an error)
+        stopped = functools.partial(timeshift.evaluation.fit, max_iter=1)
+        monkeypatch.setattr(timeshift.evaluation, "fit", stopped)
+        assert loocv(ds).nonconverged == len(ds)
+
     def test_minimum_size_enforced(self):
         ds = varied_dataset([True, False] * 4)
         with pytest.raises(TooFewSamplesError):
@@ -322,29 +347,29 @@ class TestLoocv:
 class TestMagnitudeConfusion:
     def test_all_center(self):
         outcomes = [PredictionOutcome.from_probability(0.5)] * 4
-        confusion, _ = magnitude_confusion(outcomes, [0.0] * 4)
-        assert confusion.counts[1][1] == 4
-        assert confusion.total == 4
+        counts, _ = magnitude_confusion(outcomes, [0.0] * 4)
+        assert counts[1][1] == 4
+        assert sum(map(sum, counts)) == 4
 
     def test_hit_and_extreme_cells(self):
         outcomes = [
             PredictionOutcome.from_probability(0.35),  # predicted high increase
             PredictionOutcome.from_probability(0.70),  # predicted high decrease
         ]
-        confusion, summary = magnitude_confusion(outcomes, [8.0, 8.0])
+        counts, five_cells = magnitude_confusion(outcomes, [8.0, 8.0])
         # actual high increase row: one correct, one extreme miss
-        assert confusion.counts[0][0] == 1
-        assert confusion.counts[0][2] == 1
-        assert summary.cells["high_increase_hit"] == (1, 1.0)
-        assert summary.cells["high_decrease_extreme_miss"] == (1, 1.0)
+        assert counts[0][0] == 1
+        assert counts[0][2] == 1
+        assert five_cells["high_increase_hit"] == (1, 1.0)
+        assert five_cells["high_decrease_extreme_miss"] == (1, 1.0)
 
     def test_row_and_column_sums(self):
         rng = np.random.default_rng(13)
         probs = rng.uniform(0.01, 0.99, 300)
         deltas = rng.normal(0, 8, 300)
         outcomes = [PredictionOutcome.from_probability(float(p)) for p in probs]
-        confusion, summary = magnitude_confusion(outcomes, list(deltas))
-        assert confusion.total == 300
+        counts, five_cells = magnitude_confusion(outcomes, list(deltas))
+        assert sum(map(sum, counts)) == 300
         actual_counts = [
             sum(1 for d in deltas if classify_actual_magnitude(float(d)) == level)
             for level in (
@@ -353,10 +378,10 @@ class TestMagnitudeConfusion:
                 MagnitudeLevel.HIGH_DECREASE,
             )
         ]
-        assert list(confusion.row_totals()) == actual_counts
+        assert [sum(row) for row in counts] == actual_counts
         # five-cell shares are relative to predicted-column totals
-        col = confusion.column_totals()
-        count, share = summary.cells["high_increase_hit"]
+        col = [sum(column) for column in zip(*counts)]
+        count, share = five_cells["high_increase_hit"]
         assert share == pytest.approx(count / col[0])
 
     def test_length_mismatch(self):

@@ -1,7 +1,10 @@
-"""The README's library quick start runs as written."""
+"""The README's quick starts run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from timeshift.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -11,3 +14,16 @@ def test_library_quick_start_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     out = capsys.readouterr().out
     assert out.startswith("MetricsReport(") and "ShapAttribution(" in out
+
+
+def test_cli_quick_start_runs(tmp_path, monkeypatch):
+    (block,) = re.findall(
+        r"## Quick start \(CLI\)\n+```bash\n(.*?)```", README.read_text(), re.DOTALL
+    )
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("timeshift ")]
+    assert [argv[1] for argv in commands] == [
+        "simulate", "extract", "train", "evaluate", "predict", "explain",
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)
