@@ -28,6 +28,7 @@ from .data import (
     Direction,
     EngagementLevel,
     Provenance,
+    atomic_write,
     load_trials,
     pair_consecutive,
     write_trials_csv,
@@ -137,6 +138,23 @@ class RunConfig:
         return payload
 
 
+# The keys each config section may hold; any other key is a ConfigError.
+_CONFIG_KEYS = {
+    "": {"seed", "target_interval_s", "C", "thresholds", "sim", "undersample"},
+    "thresholds": {field.name for field in dataclasses.fields(Thresholds)},
+    "sim": {field.name for field in dataclasses.fields(SimParams)}
+    | {"n_participants", "n_trials", "engagement_assignment"},
+}
+
+
+def _check_keys(section: str, payload) -> None:
+    if isinstance(payload, dict):
+        unknown = sorted(set(payload) - _CONFIG_KEYS[section])
+        if unknown:
+            where = f"the {section} section" if section else "the config"
+            raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     payload: dict = {}
     if args.config:
@@ -148,6 +166,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ConfigError("config file must hold a JSON object")
+    _check_keys("", payload)
+    _check_keys("thresholds", payload.get("thresholds"))
+    _check_keys("sim", payload.get("sim"))
 
     seed = args.seed if args.seed is not None else payload.get("seed", 0)
     target = (
@@ -212,7 +233,8 @@ def _require_path(args: argparse.Namespace, key: str) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _manifest(config: RunConfig, **extra) -> dict:
@@ -323,7 +345,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     )
 
     per_sample_path = Path(args.per_sample or output.with_suffix(".per_sample.csv"))
-    with per_sample_path.open("w", newline="") as fh:
+    with atomic_write(per_sample_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
@@ -376,6 +398,9 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
             for name, row in baseline_rows(dataset)
         ],
         "nonconverged_folds": result.nonconverged,
+        "fold_n_iter": {"min": int(result.n_iter.min()), "max": int(result.n_iter.max())},
+        "fallback_folds": result.fallbacks,
+        "constant_fold_columns": result.constant_fold_columns,
         "per_sample_csv": per_sample_path.name,
     }
     _write_json(output, report)
@@ -387,7 +412,7 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
     X, labels = load_feature_csv(_require_path(args, "features"))
     output = _require_path(args, "output")
     probabilities = predict_proba(model, transform(X, model.scaler)).tolist()
-    with output.open("w", newline="") as fh:
+    with atomic_write(output, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["row", "probability", "direction_pred", "direction_actual", "magnitude_pred"]

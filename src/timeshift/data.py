@@ -1,5 +1,6 @@
 """
-Core domain types for trial-level time production data, plus CSV ingestion.
+Core domain types for trial-level time production data, plus CSV ingestion
+and the one artifact writer every stage uses (atomic_write).
 
 A *trial* is one produced interval by one participant; consecutive trials of
 the same participant form a *sample pair* whose label is the direction of
@@ -13,9 +14,11 @@ import csv
 import enum
 import logging
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     DuplicateTrialIndexError,
@@ -265,6 +268,27 @@ def _read_csv(path: Path, cells) -> Iterator[tuple[int, list]]:
         raise EmptyFileError(f"{path}: no data rows")
 
 
+@contextmanager
+def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """
+    Open a text file to write that appears at path only once it is complete.
+
+    The text goes to a temporary file in the same directory, which replaces
+    path (os.replace) when the block ends. If the block raises, the temporary
+    file is removed and a file already at path is left as it was, so an
+    interrupted run never leaves a truncated artifact for a later stage.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("w", newline=newline) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def load_trials(path: str | Path) -> list[TrialRecord]:
     """
     Load trial records from a CSV file with the canonical header.
@@ -289,8 +313,7 @@ def load_trials(path: str | Path) -> list[TrialRecord]:
 
 def write_trials_csv(trials: Iterable[TrialRecord], path: str | Path) -> None:
     """Write trial records in the canonical interchange schema."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_CSV_COLUMNS)
         for t in trials:

@@ -25,8 +25,8 @@ from .errors import (
     SingleClassError,
     TooFewSamplesError,
 )
-from .features import build_features, fit_scaler, transform
-from .logistic import fit, labels_to_array, predict_proba
+from .features import build_features, constant_columns
+from .logistic import fit, fit_folds, labels_to_array, predict_proba
 from .simulator import arousal_baseline, attention_baseline
 
 # Row/column order of the 3x3 magnitude confusion matrix.
@@ -209,13 +209,23 @@ def confusion_2x2(
 @dataclass(frozen=True)
 class LoocvResult:
     """
-    Per-sample outcomes in sample order, their metrics, and the number of
-    fold models whose fit stopped at the iteration cap.
+    Per-sample outcomes in sample order and their metrics, with each fold's
+    probability and Newton steps as arrays. nonconverged counts the folds whose
+    fit stopped at the iteration cap, fallbacks the folds refitted one by one
+    and constant_fold_columns the folds with a column constant within them.
     """
 
     outcomes: tuple[PredictionOutcome, ...]
     metrics: MetricsReport
     nonconverged: int
+    probabilities: np.ndarray
+    n_iter: np.ndarray
+    fallbacks: int
+    constant_fold_columns: int
+
+
+# Newton step cap of every fold, batched or refitted: fit's default.
+_MAX_ITER = 5000
 
 
 def loocv(
@@ -226,13 +236,15 @@ def loocv(
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> LoocvResult:
     """
-    Leave-one-out cross-validation.
+    Exact leave-one-out cross-validation.
 
     Each sample is predicted by a scaler and model fitted on the other n-1
     samples only, so the held-out sample never leaks into standardization or
-    training. Outcomes are ordered by sample index, independent of any
-    execution order. A fold model that does not converge is still used; the
-    folds' NonConvergenceWarnings are silenced and counted in nonconverged.
+    training. All folds are solved together by fit_folds, each from zero to
+    fit's gradient tolerance in its own coordinates; a fold still above it is
+    refitted alone with fit (a fallback). A column constant within a fold
+    keeps weight 0 in that fold's model instead of failing the run. A fold
+    model that does not converge is still used and counted in nonconverged.
 
     Raises:
         TooFewSamplesError: fewer than 10 samples.
@@ -243,25 +255,70 @@ def loocv(
         raise TooFewSamplesError(f"LOOCV needs >= 10 samples, got {n}")
     X = build_features(dataset.samples, target_s)
     y = labels_to_array(dataset.labels())
+    for members in (np.flatnonzero(y == 1.0), np.flatnonzero(y == 0.0)):
+        if len(members) <= 1:  # the fold without its one member is single-class
+            raise FoldSingleClassError(int(members[0]) if len(members) else 0)
 
-    outcomes = []
+    Z, shift, scale, free = _fold_scalers(X)
+    probabilities, n_iter, converged = fit_folds(
+        Z, y, shift, scale, free, C, max_iter=_MAX_ITER
+    )
+    fallbacks = np.flatnonzero(~converged)
     nonconverged = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
-        for i in range(n):
-            mask = np.ones(n, dtype=bool)
-            mask[i] = False
-            y_train = y[mask]
-            if y_train.min() == y_train.max():
-                raise FoldSingleClassError(i)
-            scaler = fit_scaler(X[mask])
-            model = fit(transform(X[mask], scaler), y_train, C=C, seed=seed)
+        for i in fallbacks:
+            probabilities[i], model = _refit_fold(X, y, i, free[i], C, seed)
+            n_iter[i] = model.n_iter
             nonconverged += not model.converged
-            p = predict_proba(model, transform(X[i], scaler))
-            outcomes.append(PredictionOutcome.from_probability(float(p), thresholds))
 
-    report = metrics([o.direction for o in outcomes], dataset.labels())
-    return LoocvResult(outcomes=tuple(outcomes), metrics=report, nonconverged=nonconverged)
+    outcomes = tuple(
+        PredictionOutcome.from_probability(p, thresholds) for p in probabilities.tolist()
+    )
+    return LoocvResult(
+        outcomes=outcomes,
+        metrics=metrics([o.direction for o in outcomes], dataset.labels()),
+        nonconverged=nonconverged,
+        probabilities=probabilities,
+        n_iter=n_iter,
+        fallbacks=len(fallbacks),
+        constant_fold_columns=int((~free).any(axis=1).sum()),
+    )
+
+
+def _fold_scalers(X: np.ndarray):
+    """
+    Every fold's scaler as an affine map of the full-data z-scores Z.
+
+    Fold i's features are (Z - shift[i]) / scale[i]: its mean and population
+    std, in Z's units, are downdates of Z's column sums without row i.
+    free[i, j] is False where column j is constant within fold i: one value
+    left after dropping row i, or a std that fit_scaler would reject.
+    """
+    n = len(X)
+    free = np.ones(X.shape, dtype=bool)
+    for j, column in enumerate(X.T):
+        values, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
+        if len(values) <= 2:  # row i is the one row with the other value
+            free[:, j] = (len(values) == 2) & (counts[inverse] > 1)
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    varying = ~constant_columns(mean, std)
+    std = np.where(varying, std, 1.0)
+    Z = (X - mean) / std * varying
+    shift = (Z.sum(axis=0) - Z) / (n - 1)
+    scale = np.sqrt(np.maximum((np.sum(Z * Z, axis=0) - Z * Z) / (n - 1) - shift**2, 0.0))
+    free &= ~constant_columns(mean + shift * std, scale * std)
+    return Z, shift, scale, free
+
+
+def _refit_fold(X: np.ndarray, y: np.ndarray, i: int, free: np.ndarray, C: float, seed: int):
+    """Fold i alone: fit_scaler's statistics (constant columns zeroed), fit from zero."""
+    train = np.arange(len(y)) != i
+    means = X[train].mean(axis=0)
+    stds = np.where(free, X[train].std(axis=0), 1.0)
+    Z = (X - means) / stds * free
+    model = fit(Z[train], y[train], C=C, seed=seed, max_iter=_MAX_ITER)
+    return predict_proba(model, Z[i]), model
 
 
 # ---------------------------------------------------------------------------

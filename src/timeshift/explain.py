@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import atomic_write
 from .features import FEATURE_NAMES, N_FEATURES
 from .logistic import LogisticModel, _sigmoid
 
@@ -147,7 +148,7 @@ def write_scatter_csv(
     floats (shortest round-trip repr).
     """
     phi = np.asarray(phi, dtype=float)
-    with Path(path).open("w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "raw_value", "standardized_value", "phi"])
         writer.writerows(

@@ -24,7 +24,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DEFAULT_TARGET_S, Direction, EngagementLevel, SamplePair, _read_csv
+from .data import (
+    DEFAULT_TARGET_S,
+    Direction,
+    EngagementLevel,
+    SamplePair,
+    _read_csv,
+    atomic_write,
+)
 from .errors import (
     ConstantColumnError,
     FeatureDependencyError,
@@ -121,10 +128,15 @@ def fit_scaler(X: np.ndarray) -> ScalerStats:
         raise TooFewSamplesError(f"need >= 2 samples to fit a scaler, got {X.shape[0]}")
     means = X.mean(axis=0)
     stds = X.std(axis=0)  # population (ddof=0)
-    for i in range(N_FEATURES):
-        if stds[i] <= 1e-12 * max(1.0, abs(means[i])):
-            raise ConstantColumnError(i)
+    constant = np.flatnonzero(constant_columns(means, stds))
+    if len(constant):
+        raise ConstantColumnError(int(constant[0]))
     return ScalerStats(means=tuple(means), std_devs=tuple(stds))
+
+
+def constant_columns(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """True where a std is too small to z-score by: <= 1e-12 * max(1, |mean|)."""
+    return stds <= 1e-12 * np.maximum(1.0, np.abs(means))
 
 
 def transform(X: np.ndarray, stats: ScalerStats) -> np.ndarray:
@@ -144,7 +156,7 @@ def write_feature_csv(
     if len(X) != len(labels):
         raise ValueError("features and labels differ in length")
     X = np.asarray(X, dtype=float)
-    with Path(path).open("w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_CSV_COLUMNS)
         # csv writes a float as str(), its shortest round-trip repr

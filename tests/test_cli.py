@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import functools
 import hashlib
 import json
 
@@ -359,6 +358,11 @@ MALFORMED_CONFIGS = {
                         [], "engagement_assignment"),
     "assignment_short": ("simulate", '{"sim": {"engagement_assignment": ["low"]}}',
                          [], "engagement_assignment"),
+    "unknown_keys": ("simulate", '{"Seed": 3, "c": 1.0}', [],
+                     "unknown key(s) in the config: Seed, c"),
+    "unknown_sim_key": ("train", '{"sim": {"weber": 0.1}}', [], "sim section: weber"),
+    "unknown_threshold_key": ("train", '{"thresholds": {"low": 0.3}}', [],
+                              "thresholds section: low"),
 }
 
 
@@ -425,6 +429,9 @@ class TestEvaluate:
             "high_increase_extreme_miss", "high_decrease_extreme_miss",
         }
         assert report["nonconverged_folds"] == 0
+        assert report["fallback_folds"] == 0
+        assert 1 <= report["fold_n_iter"]["min"] <= report["fold_n_iter"]["max"]
+        assert 0 <= report["constant_fold_columns"] <= report["n"]
         per_sample = report_path.with_suffix(".per_sample.csv")
         with per_sample.open() as fh:
             rows = list(csv.DictReader(fh))
@@ -454,10 +461,22 @@ class TestEvaluate:
         assert rows["sim00:2"]["probability"] == "1.0"
         assert rows["sim00:2"]["direction_pred"] == "decrease"
 
+    @pytest.mark.parametrize("flags", [[], ["--no-undersample"]])
+    def test_cohort_constant_column_is_evaluated(self, tmp_path, flags):
+        # default prevalence, 60 participants, seed 5: no one is sensitive
+        trials = tmp_path / "trials.csv"
+        assert main(["simulate", "--seed", "5", "--participants", "60", "--trials", "2",
+                     "--output", str(trials)]) == 0
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--seed", "5", "--input", str(trials),
+                     "--output", str(report_path), *flags]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["constant_fold_columns"] == report["n"] > 0
+        assert report["fallback_folds"] == report["nonconverged_folds"] == 0
+
     def test_nonconverged_folds_exit_3(self, tmp_path, trials, monkeypatch, capsys):
         config, trials = trials
-        stopped = functools.partial(timeshift.evaluation.fit, max_iter=1)
-        monkeypatch.setattr(timeshift.evaluation, "fit", stopped)
+        monkeypatch.setattr(timeshift.evaluation, "_MAX_ITER", 1)
         capsys.readouterr()
         report_path = tmp_path / "report.json"
         argv = ["evaluate", "--config", str(config), "--input", str(trials),
@@ -492,10 +511,11 @@ class TestMisc:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_config_paths_section_is_not_read(self, tmp_path, capsys):
-        # paths come only from flags; a config "paths" section is ignored
+        # paths come only from flags; a config "paths" section is an unknown key
         config = write_config(tmp_path, paths={"output": str(tmp_path / "t.csv")})
         assert main(["simulate", "--config", str(config)]) == 2
-        assert "--output" in json.loads(capsys.readouterr().err)["message"]
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "paths" in err["message"]
         assert not (tmp_path / "t.csv").exists()
 
     def test_missing_output_flag_exits_2(self, capsys):

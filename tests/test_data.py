@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from timeshift.data import (
     Provenance,
     SamplePair,
     TrialRecord,
+    atomic_write,
     load_trials,
     pair_consecutive,
     write_trials_csv,
@@ -19,6 +22,7 @@ from timeshift.errors import (
     MissingColumnError,
     NonPositiveTimeError,
 )
+from timeshift.features import write_feature_csv
 
 HEADER = (
     "participant_id,trial_index,engagement_level,produced_time_s,"
@@ -213,3 +217,33 @@ class TestDataset:
         assert len(ds) == 2
         assert ds.labels() == [Direction.DECREASE, Direction.INCREASE]
         assert ds.deltas() == [pytest.approx(-5.0), pytest.approx(5.0)]
+
+
+class TestAtomicWrite:
+    def test_writer_raising_halfway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("old\n")
+        # the bad last label raises after several buffers of rows were written
+        labels = [Direction.DECREASE] * 4999 + ["not a direction"]
+        with pytest.raises(AttributeError):
+            write_feature_csv(np.zeros((5000, 5)), labels, path)
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_interrupted_first_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("{" * 100_000)
+                fh.flush()
+                assert path.with_name(f".out.json.{os.getpid()}.tmp").stat().st_size
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_complete_write_replaces(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert list(tmp_path.iterdir()) == [path]

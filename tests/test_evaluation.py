@@ -1,9 +1,8 @@
-import functools
-
 import numpy as np
 import pytest
 
 import timeshift.evaluation
+import timeshift.logistic
 from timeshift.data import (
     Dataset,
     Direction,
@@ -33,6 +32,8 @@ from timeshift.evaluation import (
     metrics,
     undersample,
 )
+from timeshift.features import build_features, fit_scaler, transform
+from timeshift.logistic import fit, predict_proba
 from timeshift.simulator import SimParams, generate_dataset
 from tests.test_data import make_trial
 
@@ -56,6 +57,36 @@ def labeled_pair(
                    lower=lower, rep_high=rep_high),
         make_trial(pid=pid, index=2, engagement=next_eng, produced=next_produced),
     )
+
+
+def per_fold_reference(ds, C):
+    """Each fold refitted alone: fit_scaler + fit, a constant column left at 0."""
+    X = build_features(ds.samples)
+    y = np.array([s.label == Direction.DECREASE for s in ds.samples], dtype=float)
+    probabilities = []
+    for i in range(len(ds)):
+        train = np.arange(len(ds)) != i
+        varying = np.ptp(X[train], axis=0) > 0
+        # fit_scaler rejects a constant column: scale a stand-in, zeroed below
+        scaler = fit_scaler(np.where(varying, X[train], np.arange(len(ds) - 1)[:, None]))
+        z = np.where(varying, transform(X, scaler), 0.0)
+        model = fit(z[train], y[train], C=C)
+        probabilities.append(predict_proba(model, z[i]))
+    return np.array(probabilities)
+
+
+def sensitive_only(ds, rows):
+    """The same dataset with high_visual_sensitivity set on the given rows only."""
+    samples = [
+        labeled_pair(
+            s.sample_id, s.prev.produced_time_s, s.label == Direction.DECREASE,
+            prev_eng=s.prev.engagement, next_eng=s.next.engagement,
+            lower=s.prev.reported_lower_than_30, rep_high=i in rows,
+            delta=abs(s.delta_t_s),
+        )
+        for i, s in enumerate(ds.samples)
+    ]
+    return Dataset(samples=tuple(samples), provenance=ds.provenance)
 
 
 def varied_dataset(labels, seed=0):
@@ -298,9 +329,56 @@ class TestLoocv:
         ds = varied_dataset([True, False] * 6, seed=3)
         assert loocv(ds).nonconverged == 0
         # a warning escaping loocv would fail this test (pytest turns it into an error)
-        stopped = functools.partial(timeshift.evaluation.fit, max_iter=1)
-        monkeypatch.setattr(timeshift.evaluation, "fit", stopped)
+        monkeypatch.setattr(timeshift.evaluation, "_MAX_ITER", 1)
         assert loocv(ds).nonconverged == len(ds)
+
+    def test_batched_folds_match_per_fold_refits(self):
+        # several blocks of folds and a short last one
+        ds = generate_dataset(SimParams(rng_seed=8, sensitivity_prevalence=0.3), 300, 2)
+        n = len(ds)
+        block = timeshift.logistic._BLOCK_ELEMENTS // n
+        assert n // block >= 3 and n % block
+        result = loocv(ds, C=12.06, seed=0)
+        assert (result.fallbacks, result.nonconverged, result.constant_fold_columns) == (0, 0, 0)
+        np.testing.assert_allclose(
+            result.probabilities, per_fold_reference(ds, C=12.06), rtol=0, atol=1e-9
+        )
+        assert [o.probability_of_decrease for o in result.outcomes] == result.probabilities.tolist()
+        assert result.n_iter.min() >= 1
+
+    def test_fallback_fold_refitted_and_counted(self, monkeypatch):
+        ds = varied_dataset([True, False] * 12, seed=6)
+        expected = loocv(ds).probabilities
+        batched = timeshift.evaluation.fit_folds
+
+        def stalls_on_fold_4(*args, **kwargs):
+            probability, n_iter, converged = batched(*args, **kwargs)
+            probability[4], converged[4] = 0.5, False
+            return probability, n_iter, converged
+
+        monkeypatch.setattr(timeshift.evaluation, "fit_folds", stalls_on_fold_4)
+        result = loocv(ds)
+        assert (result.fallbacks, result.nonconverged) == (1, 0)
+        np.testing.assert_allclose(result.probabilities, expected, rtol=0, atol=1e-12)
+
+    def test_constant_fold_column_gets_zero_weight(self):
+        # only sample 0 is sensitive: the column is constant in its fold alone
+        ds = sensitive_only(varied_dataset([True, False] * 10, seed=2), rows=[0])
+        assert np.flatnonzero(build_features(ds.samples)[:, 2]).tolist() == [0]
+        result = loocv(ds)
+        assert (result.constant_fold_columns, result.fallbacks) == (1, 0)
+        np.testing.assert_allclose(
+            result.probabilities, per_fold_reference(ds, C=12.06), rtol=0, atol=1e-9
+        )
+
+    def test_cohort_constant_column_counts_every_fold(self):
+        ds = sensitive_only(varied_dataset([True, False] * 10, seed=2), rows=[])
+        assert not build_features(ds.samples)[:, 2].any()
+        result = loocv(ds)
+        assert (result.constant_fold_columns, result.fallbacks) == (len(ds), 0)
+        np.testing.assert_allclose(
+            result.probabilities, per_fold_reference(ds, C=12.06), rtol=0, atol=1e-9
+        )
 
     def test_minimum_size_enforced(self):
         ds = varied_dataset([True, False] * 4)

@@ -15,6 +15,7 @@ from timeshift.logistic import (
     PINNED_COEFFICIENTS,
     PINNED_INTERCEPT,
     LogisticModel,
+    _newton_directions,
     fit,
     gradient,
     load_model,
@@ -257,6 +258,15 @@ class TestFit:
         a = fit(Z, y_bool.astype(float), C=2.0)
         b = fit(Z, labels, C=2.0)
         assert a.coefficients == b.coefficients
+
+
+class TestFitFolds:
+    def test_singular_hessian_gets_steepest_descent(self):
+        # a batched solve with one singular matrix falls back fold by fold, as fit does
+        hess = np.stack([2.0 * np.eye(6), np.zeros((6, 6))])
+        grad = np.arange(12.0).reshape(2, 6)
+        direction = _newton_directions(hess, grad)
+        np.testing.assert_array_equal(direction, [-grad[0] / 2.0, -grad[1]])
 
 
 class TestSerialization:
