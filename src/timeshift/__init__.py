@@ -14,15 +14,13 @@ baselines' scores (evaluation), exact linear-logit SHAP attributions
 __version__ = "0.1.0"
 
 from .data import (
-    Dataset,
     Direction,
     EngagementLevel,
     MagnitudeLevel,
-    Provenance,
-    SamplePair,
-    TrialRecord,
+    TrialTable,
     load_trials,
     pair_consecutive,
+    pair_deltas,
     write_trials_csv,
 )
 from .features import (
@@ -36,7 +34,6 @@ from .simulator import (
     SimParams,
     arousal_baseline,
     attention_baseline,
-    generate_dataset,
     generate_trials,
     simulate_trial,
     update_reference_memory,
@@ -57,13 +54,13 @@ from .evaluation import (
     MetricsReport,
     PredictionOutcome,
     Thresholds,
+    balanced_indices,
     classify_actual_magnitude,
     classify_direction,
     classify_predicted_magnitude,
     loocv,
     magnitude_confusion,
     metrics,
-    undersample,
 )
 from .explain import (
     ShapAttribution,

@@ -13,7 +13,6 @@ non-convergence (artifacts are still written).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -22,18 +21,21 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
-    Dataset,
-    Direction,
     EngagementLevel,
-    Provenance,
+    TrialTable,
     atomic_write,
+    direction_words,
     load_trials,
     pair_consecutive,
+    pair_deltas,
+    write_csv,
     write_trials_csv,
 )
-from .errors import ConfigError, NonConvergenceWarning, TimeshiftError
+from .errors import ConfigError, NonConvergenceWarning, TimeshiftError, TooFewSamplesError
 from .evaluation import (
     Thresholds,
     balanced_indices,
@@ -43,7 +45,6 @@ from .evaluation import (
     classify_predicted_magnitude,
     loocv,
     magnitude_confusion,
-    undersample,
 )
 from .explain import (
     aggregate_shap,
@@ -65,7 +66,6 @@ from .logistic import (
     PINNED_INTERCEPT,
     LogisticModel,
     fit,
-    labels_to_array,
     load_model,
     predict_proba,
     save_model,
@@ -246,6 +246,15 @@ def _report(payload: dict) -> None:
     sys.stderr.write(json.dumps(payload) + "\n")
 
 
+def _load_pairs(path: Path) -> tuple[TrialTable, np.ndarray]:
+    """The trials of a trial CSV and their consecutive pairs; no pair is an error."""
+    trials = load_trials(path)
+    pairs = pair_consecutive(trials)
+    if not len(pairs):
+        raise TooFewSamplesError(f"{path.name}: no consecutive trial pairs")
+    return trials, pairs
+
+
 def _load_model(args: argparse.Namespace) -> LogisticModel:
     """Load --model; a model whose fit did not converge is reported, then used."""
     model = load_model(_require_path(args, "model"))
@@ -268,7 +277,10 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
         engagement_assignment=config.sim_engagement_assignment,
     )
     write_trials_csv(trials, output)
-    labels = [pair.label for pair in pair_consecutive(trials)]
+    # the table is participant-major: one row of this matrix per session
+    sessions = trials.produced_s.reshape(config.sim_n_participants, config.sim_n_trials)
+    changes = np.diff(sessions, axis=1)
+    decrease = int(np.count_nonzero(changes < 0))
     _write_json(
         output.with_suffix(".manifest.json"),
         _manifest(
@@ -276,10 +288,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
             params=json.loads(config.sim.to_json()),
             n_participants=config.sim_n_participants,
             n_trials=config.sim_n_trials,
-            class_balance={
-                "increase": sum(1 for lab in labels if lab == Direction.INCREASE),
-                "decrease": sum(1 for lab in labels if lab == Direction.DECREASE),
-            },
+            class_balance={"increase": changes.size - decrease, "decrease": decrease},
         ),
     )
     return 0
@@ -288,9 +297,9 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_extract(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = _require_path(args, "input")
     output = _require_path(args, "output")
-    pairs = pair_consecutive(load_trials(input_path))
-    X = build_features(pairs, config.target_interval_s)
-    write_feature_csv(X, [p.label for p in pairs], output)
+    trials, pairs = _load_pairs(input_path)
+    X = build_features(trials, pairs, config.target_interval_s)
+    write_feature_csv(X, pair_deltas(trials, pairs) < 0, output)
     _write_json(
         output.with_suffix(".manifest.json"),
         _manifest(config, n_samples=len(X), source=input_path.name),
@@ -301,8 +310,7 @@ def cmd_extract(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = _require_path(args, "input")
     output = _require_path(args, "output")
-    X, labels = load_feature_csv(input_path)
-    y = labels_to_array(labels)
+    X, y = load_feature_csv(input_path)
     if config.undersample:
         rows = balanced_indices(y, config.seed)
         X, y = X[rows], y[rows]
@@ -326,54 +334,49 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = _require_path(args, "input")
     output = _require_path(args, "output")
-    dataset = Dataset(
-        samples=tuple(pair_consecutive(load_trials(input_path))),
-        provenance=Provenance.HUMAN,
-    )
+    trials, pairs = _load_pairs(input_path)
     if config.undersample:
-        dataset = undersample(dataset, seed=config.seed)
-
+        pairs = pairs[balanced_indices(pair_deltas(trials, pairs) < 0, config.seed)]
+    deltas = pair_deltas(trials, pairs)
     result = loocv(
-        dataset,
+        build_features(trials, pairs, config.target_interval_s),
+        deltas < 0,
         C=config.C,
         seed=config.seed,
-        target_s=config.target_interval_s,
         thresholds=config.thresholds,
     )
     magnitude_counts, five_cells = magnitude_confusion(
-        result.outcomes, dataset.deltas(), config.thresholds
+        result.outcomes, deltas, config.thresholds
     )
 
-    per_sample_path = Path(args.per_sample or output.with_suffix(".per_sample.csv"))
-    with atomic_write(per_sample_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "id",
-                "probability",
-                "direction_pred",
-                "direction_actual",
-                "delta_t",
-                "magnitude_pred",
-                "magnitude_actual",
-            ]
+    # a sample's id is "<participant id>:<trial index of its next trial>"
+    nxt = pairs[:, 1]
+    ids, index = trials.participant_ids[trials.participant[nxt]], trials.trial_index[nxt]
+
+    def rows(block: slice):
+        outcomes, block_deltas = result.outcomes[block], deltas[block].tolist()
+        return zip(
+            map("{}:{}".format, ids[block], index[block].tolist()),
+            result.probabilities[block].tolist(),
+            [outcome.direction.value for outcome in outcomes],
+            direction_words(deltas[block] < 0),
+            block_deltas,
+            [outcome.predicted_magnitude.value for outcome in outcomes],
+            [classify_actual_magnitude(d, config.thresholds).value for d in block_deltas],
         )
-        for sample, outcome in zip(dataset.samples, result.outcomes):
-            writer.writerow(
-                [
-                    sample.sample_id,
-                    repr(outcome.probability_of_decrease),
-                    outcome.direction.value,
-                    sample.label.value,
-                    repr(sample.delta_t_s),
-                    outcome.predicted_magnitude.value,
-                    classify_actual_magnitude(sample.delta_t_s, config.thresholds).value,
-                ]
-            )
+
+    per_sample_path = Path(args.per_sample or output.with_suffix(".per_sample.csv"))
+    write_csv(
+        per_sample_path,
+        ("id", "probability", "direction_pred", "direction_actual", "delta_t",
+         "magnitude_pred", "magnitude_actual"),
+        rows,
+        len(pairs),
+    )
 
     report = {
         "model_name": "logistic_regression_loocv",
-        "n": len(dataset),
+        "n": len(pairs),
         "precision": result.metrics.precision,
         "recall": result.metrics.recall,
         "accuracy": result.metrics.accuracy,
@@ -395,7 +398,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
                 "recall": row.recall,
                 "accuracy": row.accuracy,
             }
-            for name, row in baseline_rows(dataset)
+            for name, row in baseline_rows(trials, pairs)
         ],
         "nonconverged_folds": result.nonconverged,
         "fold_n_iter": {"min": int(result.n_iter.min()), "max": int(result.n_iter.max())},
@@ -409,24 +412,26 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
     model = _load_model(args)
-    X, labels = load_feature_csv(_require_path(args, "features"))
+    X, decrease = load_feature_csv(_require_path(args, "features"))
     output = _require_path(args, "output")
-    probabilities = predict_proba(model, transform(X, model.scaler)).tolist()
-    with atomic_write(output, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["row", "probability", "direction_pred", "direction_actual", "magnitude_pred"]
+    probabilities = predict_proba(model, transform(X, model.scaler))
+
+    def rows(block: slice):
+        p = probabilities[block].tolist()
+        return zip(
+            range(block.start, block.start + len(p)),
+            p,
+            [classify_direction(q).value for q in p],
+            direction_words(decrease[block]),
+            [classify_predicted_magnitude(q, config.thresholds).value for q in p],
         )
-        writer.writerows(
-            [
-                i,
-                repr(p),
-                classify_direction(p).value,
-                label.value,
-                classify_predicted_magnitude(p, config.thresholds).value,
-            ]
-            for i, (p, label) in enumerate(zip(probabilities, labels))
-        )
+
+    write_csv(
+        output,
+        ("row", "probability", "direction_pred", "direction_actual", "magnitude_pred"),
+        rows,
+        len(X),
+    )
     _write_json(
         output.with_suffix(".manifest.json"),
         _manifest(config, n_samples=len(X)),

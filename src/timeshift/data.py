@@ -1,11 +1,12 @@
 """
-Core domain types for trial-level time production data, plus CSV ingestion
-and the one artifact writer every stage uses (atomic_write).
+Trial-level time production data as one table of numpy columns, its CSV
+reader and writers, consecutive-trial pairing, and the one artifact writer
+every stage uses (atomic_write).
 
 A *trial* is one produced interval by one participant; consecutive trials of
 the same participant form a *sample pair* whose label is the direction of
-change in produced time. All types are immutable after construction and safe
-to share across threads.
+change in produced time. Trials are the rows of a TrialTable, and pairs are
+an (n, 2) array of its (previous, next) row indices.
 """
 
 from __future__ import annotations
@@ -15,10 +16,15 @@ import enum
 import logging
 import math
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
+
+import numpy as np
 
 from .errors import (
     DuplicateTrialIndexError,
@@ -71,14 +77,6 @@ class Direction(enum.Enum):
     INCREASE = "increase"
     DECREASE = "decrease"
 
-    @classmethod
-    def parse(cls, text: str) -> "Direction":
-        key = text.strip().lower()
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValueError(f"not a direction label: {text!r}")
-
 
 class MagnitudeLevel(enum.Enum):
     """Coarse magnitude band of the change in produced time."""
@@ -88,173 +86,156 @@ class MagnitudeLevel(enum.Enum):
     HIGH_DECREASE = "high_decrease"
 
 
-class Provenance(enum.Enum):
-    HUMAN = "human"
-    SYNTHETIC = "synthetic"
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+@dataclass(frozen=True, eq=False)
+class TrialTable:
     """
-    One trial of one participant.
+    Trials as numpy columns; entry i of every column belongs to trial i.
 
     Attributes:
-        participant_id: opaque identifier, unique per participant.
+        participant_ids: distinct participant ids (str objects) in order of
+            first appearance.
+        participant: each trial's participant, as an index into participant_ids.
         trial_index: 1-based position of the trial in the participant's session.
-        engagement: objective engagement level of the stimulus shown.
-        produced_time_s: seconds the participant let elapse; strictly positive.
-        reported_lower_than_30: participant's own judgement that they stopped
-            before the 30 s target.
-        reported_high_engagement: participant's subjective report of high
-            engagement (used to derive the visual-sensitivity feature).
-        nontiming_task_error: optional performance measure of a concurrent
-            non-timing task (second-experiment style data).
+        level: engagement level code (EngagementLevel) of the stimulus shown.
+        produced_s: seconds the participant let elapse; finite and > 0.
+        reported_lower: participant's own judgement that they stopped before
+            the 30 s target.
+        reported_high: participant's subjective report of high engagement
+            (used to derive the visual-sensitivity feature).
+        nontiming_error: optional performance measure (>= 0) of a concurrent
+            non-timing task; NaN where absent.
+
+    Raises:
+        NonPositiveTimeError: a produced time is not finite and > 0.
+        ValueError: a trial index is below 1 or a nontiming error below 0.
     """
 
-    participant_id: str
-    trial_index: int
-    engagement: EngagementLevel
-    produced_time_s: float
-    reported_lower_than_30: bool
-    reported_high_engagement: bool
-    nontiming_task_error: float | None = None
+    participant_ids: np.ndarray
+    participant: np.ndarray
+    trial_index: np.ndarray
+    level: np.ndarray
+    produced_s: np.ndarray
+    reported_lower: np.ndarray
+    reported_high: np.ndarray
+    nontiming_error: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.produced_time_s) or self.produced_time_s <= 0:
-            raise NonPositiveTimeError(
-                f"produced_time_s must be finite and > 0, got {self.produced_time_s}"
-            )
-        if self.trial_index < 1:
-            raise ValueError(f"trial_index must be >= 1, got {self.trial_index}")
-        if self.nontiming_task_error is not None and not (
-            math.isfinite(self.nontiming_task_error) and self.nontiming_task_error >= 0
-        ):
-            raise ValueError(
-                f"nontiming_task_error must be >= 0, got {self.nontiming_task_error}"
-            )
-
-
-@dataclass(frozen=True)
-class SamplePair:
-    """
-    Two consecutive trials of one participant.
-
-    The change in produced time and its direction label are derived, so a
-    pair can never carry an inconsistent label. A change of exactly zero is
-    labeled INCREASE: DECREASE means strictly "produced less".
-    """
-
-    prev: TrialRecord
-    next: TrialRecord
-
-    def __post_init__(self):
-        if self.prev.participant_id != self.next.participant_id:
-            raise ValueError(
-                "pair spans two participants: "
-                f"{self.prev.participant_id!r} / {self.next.participant_id!r}"
-            )
-        if self.prev.trial_index + 1 != self.next.trial_index:
-            raise ValueError(
-                f"trials are not consecutive: indices {self.prev.trial_index} "
-                f"and {self.next.trial_index}"
-            )
-
-    @property
-    def delta_t_s(self) -> float:
-        """Next produced time minus previous produced time, in seconds."""
-        return self.next.produced_time_s - self.prev.produced_time_s
-
-    @property
-    def label(self) -> Direction:
-        return Direction.DECREASE if self.delta_t_s < 0 else Direction.INCREASE
-
-    @property
-    def sample_id(self) -> str:
-        return f"{self.prev.participant_id}:{self.next.trial_index}"
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Ordered collection of sample pairs with their provenance."""
-
-    samples: tuple[SamplePair, ...]
-    provenance: Provenance
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        invalid = _first_invalid(self.trial_index, self.produced_s, self.nontiming_error)
+        if invalid:
+            raise invalid[1]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.trial_index)
 
-    def labels(self) -> list[Direction]:
-        return [s.label for s in self.samples]
 
-    def deltas(self) -> list[float]:
-        return [s.delta_t_s for s in self.samples]
+def _first_invalid(trial_index, produced, error) -> tuple[int, Exception] | None:
+    """The first trial that breaks an invariant and the error it raises, or None."""
+    bad_time = ~(np.isfinite(produced) & (produced > 0))
+    bad_index = trial_index < 1
+    bad_error = (error < 0) | np.isinf(error)  # NaN marks an absent value
+    bad = bad_time | bad_index | bad_error
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    if bad_time[row]:
+        message = f"produced_time_s must be finite and > 0, got {produced[row]}"
+        return row, NonPositiveTimeError(message)
+    if bad_index[row]:
+        return row, ValueError(f"trial_index must be >= 1, got {trial_index[row]}")
+    return row, ValueError(f"nontiming_task_error must be >= 0, got {error[row]}")
+
+
+def pair_deltas(trials: TrialTable, pairs: np.ndarray) -> np.ndarray:
+    """
+    Next minus previous produced time of each pair, in seconds. A pair is
+    DECREASE exactly where this is < 0: DECREASE means strictly "produced less".
+    """
+    return trials.produced_s[pairs[:, 1]] - trials.produced_s[pairs[:, 0]]
+
+
+def direction_words(decrease: np.ndarray) -> list[str]:
+    """The Direction value of each entry of a boolean decrease mask."""
+    return np.where(decrease, Direction.DECREASE.value, Direction.INCREASE.value).tolist()
 
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-_BOOL_VALUES = {"true": True, "1": True, "false": False, "0": False}
+_READ_BLOCK = 2048
+
+_BOOL_WORDS = {"true": True, "1": True, "false": False, "0": False}
 
 
-def _parse_bool(text: str) -> bool:
-    return _BOOL_VALUES[text.strip().lower()]
+def _parse_optional_float(text: str) -> float:
+    """A blank cell is absent (NaN); a value written as NaN is rejected."""
+    if not text.strip():
+        return math.nan
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError("NaN marks an absent value")
+    return value
 
 
-def _parse_optional_float(text: str) -> float | None:
-    return float(text) if text.strip() else None
+# Wraps a cell parser so that each load parses a repeated text (a level, a
+# flag, an id, an empty cell) once; bounded, so distinct values cost no memory.
+_cached = lru_cache(maxsize=4096)
 
 
-# Parsers of the trial CSV columns, in TrialRecord field order.
-_TRIAL_CELLS = tuple(
-    zip(
-        TRIAL_CSV_COLUMNS,
-        (str.strip, int, EngagementLevel.parse, float)
-        + (_parse_bool, _parse_bool, _parse_optional_float),
-    )
-)
+def _word_in(table: dict) -> Callable[[str], object]:
+    """A cell parser: table[stripped lower-case text], KeyError for an unlisted word."""
+    return _cached(lambda text: table[text.strip().lower()])
 
 
-def _read_csv(path: Path, cells) -> Iterator[tuple[int, list]]:
+def _read_columns(
+    path: Path, cells: tuple, check: Callable | None = None
+) -> tuple[list[np.ndarray], array]:
     """
-    Stream (line number, [parse(row[column]) for column, parse in cells]) from
-    a UTF-8 CSV whose header names every column of cells.
+    One array per (column, parse, dtype) cell spec from a UTF-8 CSV whose
+    header names every column of cells, and the line number of every row.
+    parse turns one cell's text into a value; it raises KeyError or ValueError
+    for a bad one. check(columns) returns the first row of a block's arrays
+    that breaks a row invariant, with its error, or None.
 
-    Blank lines are skipped, missing trailing cells read as "", and unknown
-    extra columns are ignored with a warning.
+    Blank lines are skipped, a leading byte-order mark is ignored, missing
+    trailing cells read as "", and unknown extra columns are ignored with a
+    warning.
 
     Raises:
         EmptyFileError: the file has no header or no data rows.
         MissingColumnError: a required column is absent.
-        MalformedRowError: a cell does not parse (the error names its line and
-            column) or a byte is not UTF-8 (the error names its line).
+        MalformedRowError: a cell does not parse or a row breaks an invariant
+            (the error names its line, and the column of a bad cell) or a byte
+            is not UTF-8 (the error names its line).
     """
-    row = None
+    blocks, lines = [], array("q")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, restval="")
-            if reader.fieldnames is None:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise EmptyFileError(f"{path}: file is empty")
-            columns = [column for column, _ in cells]
+            position = {column: j for j, column in enumerate(header)}  # the last of repeats
+            columns = [column for column, _, _ in cells]
             for column in columns:
-                if column not in reader.fieldnames:
+                if column not in position:
                     raise MissingColumnError(column)
-            extras = [c for c in reader.fieldnames if c not in columns]
+            extras = [c for c in header if c not in columns]
             if extras:
                 logger.warning("%s: ignoring unknown columns %s", path, extras)
+            cells = [(position[column], column, parse, dtype) for column, parse, dtype in cells]
+            rows = []
             for row in reader:
-                values = []
-                for column, parse in cells:
-                    try:
-                        values.append(parse(row[column]))
-                    except (KeyError, ValueError):  # KeyError: not a boolean word
-                        raise MalformedRowError(
-                            reader.line_num, f"{column} is not valid: {row[column]!r}"
-                        ) from None
-                yield reader.line_num, values
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                    if len(rows) == _READ_BLOCK:
+                        blocks.append(_parse_block(rows, lines[-len(rows):], cells, check))
+                        rows = []
+            if rows:
+                blocks.append(_parse_block(rows, lines[-len(rows):], cells, check))
     except UnicodeDecodeError:
         with path.open("rb") as fh:
             # only a line with an invalid byte decodes differently under the two
@@ -264,8 +245,78 @@ def _read_csv(path: Path, cells) -> Iterator[tuple[int, list]]:
                 if line.decode("utf-8", "replace") != line.decode("utf-8", "ignore")
             )
         raise MalformedRowError(line_num, "not UTF-8 text") from None
-    if row is None:
+    if not lines:
         raise EmptyFileError(f"{path}: no data rows")
+    return [np.concatenate(arrays) for arrays in zip(*blocks)], lines
+
+
+def _parse_block(rows, lines, cells, check) -> list[np.ndarray]:
+    """A block of rows, parsed a column at a time, then checked."""
+    try:
+        columns = [
+            np.array(list(map(parse, map(itemgetter(j), rows))), dtype)
+            for j, _, parse, dtype in cells
+        ]
+    except (IndexError, KeyError, ValueError, OverflowError):  # IndexError: a short row
+        return _parse_cells(rows, lines, cells, check)
+    invalid = check(columns) if check else None
+    if invalid:
+        raise MalformedRowError(lines[invalid[0]], str(invalid[1]))
+    return columns
+
+
+def _parse_cells(rows, lines, cells, check) -> list[np.ndarray]:
+    """
+    A block whose column parse failed, cell by cell: short rows get their
+    missing cells, and the first bad cell is raised once the rows before it
+    pass the block parse, so errors come in file order.
+    """
+    width = 1 + max(j for j, _, _, _ in cells)
+    for k, row in enumerate(rows):
+        row.extend([""] * (width - len(row)))
+        for j, column, parse, dtype in cells:
+            try:
+                dtype(parse(row[j]))
+            except (KeyError, ValueError, OverflowError):  # KeyError: an unlisted word
+                _parse_block(rows[:k], lines, cells, check)
+                raise MalformedRowError(lines[k], f"{column} is not valid: {row[j]!r}") from None
+    return _parse_block(rows, lines, cells, check)
+
+
+def load_trials(path: str | Path) -> TrialTable:
+    """
+    Load a trial table from a CSV file with the canonical header.
+
+    Unknown extra columns are ignored with a warning so questionnaire exports
+    can be fed in directly. Rows with non-positive produced times are rejected.
+
+    Raises:
+        MissingColumnError: a required column is absent.
+        EmptyFileError: the file has no data rows.
+        MalformedRowError: a row fails to parse, violates an invariant or holds
+            a byte that is not UTF-8.
+    """
+    ids: dict[str, int] = {}  # participant id -> index, in order of appearance
+    cells = (
+        ("participant_id", _cached(lambda text: ids.setdefault(text.strip(), len(ids))), np.intp),
+        ("trial_index", int, np.int64),
+        ("engagement_level", _cached(EngagementLevel.parse), np.int8),
+        ("produced_time_s", float, np.float64),
+        ("reported_lower_than_30", _word_in(_BOOL_WORDS), np.bool_),
+        ("reported_high_engagement", _word_in(_BOOL_WORDS), np.bool_),
+        ("nontiming_task_error", _cached(_parse_optional_float), np.float64),
+    )
+    columns, _ = _read_columns(Path(path), cells, lambda c: _first_invalid(c[1], c[3], c[6]))
+    return TrialTable(np.array(list(ids), dtype=object), *columns)
+
+
+# ---------------------------------------------------------------------------
+# Artifact writers
+# ---------------------------------------------------------------------------
+
+_WRITE_BLOCK = 4096
+
+_LEVEL_WORDS = np.array([level.name.lower() for level in EngagementLevel])
 
 
 @contextmanager
@@ -289,77 +340,63 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
         raise
 
 
-def load_trials(path: str | Path) -> list[TrialRecord]:
+def write_csv(
+    path: str | Path, header: Iterable[str], rows: Callable[[slice], Iterable], n: int
+) -> None:
     """
-    Load trial records from a CSV file with the canonical header.
-
-    Unknown extra columns are ignored with a warning so questionnaire exports
-    can be fed in directly. Rows with non-positive produced times are rejected.
-
-    Raises:
-        MissingColumnError: a required column is absent.
-        EmptyFileError: the file has no data rows.
-        MalformedRowError: a row fails to parse, violates an invariant or holds
-            a byte that is not UTF-8.
+    Write a CSV through atomic_write: the header, then rows(block) for each
+    _WRITE_BLOCK-long slice of range(n), so only one block's cells exist as
+    Python objects at a time. csv writes a float as its shortest repr.
     """
-    trials = []
-    for line_num, cells in _read_csv(Path(path), _TRIAL_CELLS):
-        try:
-            trials.append(TrialRecord(*cells))
-        except (NonPositiveTimeError, ValueError) as exc:
-            raise MalformedRowError(line_num, str(exc)) from None
-    return trials
-
-
-def write_trials_csv(trials: Iterable[TrialRecord], path: str | Path) -> None:
-    """Write trial records in the canonical interchange schema."""
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRIAL_CSV_COLUMNS)
-        for t in trials:
-            writer.writerow(
-                [
-                    t.participant_id,
-                    t.trial_index,
-                    t.engagement.name.lower(),
-                    repr(t.produced_time_s),
-                    "true" if t.reported_lower_than_30 else "false",
-                    "true" if t.reported_high_engagement else "false",
-                    "" if t.nontiming_task_error is None else repr(t.nontiming_task_error),
-                ]
-            )
+        writer.writerow(header)
+        for start in range(0, n, _WRITE_BLOCK):
+            writer.writerows(rows(slice(start, start + _WRITE_BLOCK)))
 
 
-def pair_consecutive(trials: Sequence[TrialRecord]) -> list[SamplePair]:
+def write_trials_csv(trials: TrialTable, path: str | Path) -> None:
+    """Write a trial table in the canonical interchange schema."""
+
+    def rows(block: slice):
+        return zip(
+            trials.participant_ids[trials.participant[block]].tolist(),
+            trials.trial_index[block].tolist(),
+            _LEVEL_WORDS[trials.level[block]].tolist(),
+            trials.produced_s[block].tolist(),
+            np.where(trials.reported_lower[block], "true", "false").tolist(),
+            np.where(trials.reported_high[block], "true", "false").tolist(),
+            ["" if math.isnan(e) else e for e in trials.nontiming_error[block].tolist()],
+        )
+
+    write_csv(path, TRIAL_CSV_COLUMNS, rows, len(trials))
+
+
+def pair_consecutive(trials: TrialTable) -> np.ndarray:
     """
-    Pair each trial with its immediate successor within every participant.
+    The (n, 2) row indices (previous, next) of every two consecutive trials
+    of one participant.
 
     A participant with n gap-free trials yields n-1 pairs; a gap in trial
     indices breaks the chain (no pair is emitted across it), and one warning
-    per call reports how many gaps there were. Input order of participants is
-    preserved; trials are ordered by index within each.
+    per call reports how many gaps there were. Pairs follow participants in
+    order of first appearance and trials by index within each.
 
     Raises:
         DuplicateTrialIndexError: a participant repeats a trial index.
     """
-    by_participant: dict[str, list[TrialRecord]] = {}
-    for trial in trials:
-        by_participant.setdefault(trial.participant_id, []).append(trial)
-
-    pairs: list[SamplePair] = []
-    gaps = 0
-    for pid, group in by_participant.items():
-        seen: set[int] = set()
-        for trial in group:
-            if trial.trial_index in seen:
-                raise DuplicateTrialIndexError(pid, trial.trial_index)
-            seen.add(trial.trial_index)
-        ordered = sorted(group, key=lambda t: t.trial_index)
-        for prev, nxt in zip(ordered, ordered[1:]):
-            if prev.trial_index + 1 == nxt.trial_index:
-                pairs.append(SamplePair(prev=prev, next=nxt))
-            else:
-                gaps += 1
+    order = np.lexsort((trials.trial_index, trials.participant))
+    participant, index = trials.participant[order], trials.trial_index[order]
+    same = participant[1:] == participant[:-1]
+    step = np.diff(index)
+    duplicate = np.flatnonzero(same & (step == 0))
+    if len(duplicate):
+        first = duplicate[0]
+        raise DuplicateTrialIndexError(
+            trials.participant_ids[participant[first]], int(index[first])
+        )
+    gaps = int(np.count_nonzero(same & (step > 1)))
     if gaps:
         logger.warning("%d gaps between trial indices, no pair emitted across them", gaps)
-    return pairs
+    consecutive = np.flatnonzero(same & (step == 1))
+    return np.column_stack((order[consecutive], order[consecutive + 1]))

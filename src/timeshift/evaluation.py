@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Direction, MagnitudeLevel
+from .data import Direction, EngagementLevel, MagnitudeLevel, TrialTable, pair_deltas
 from .errors import (
     FoldSingleClassError,
     LengthMismatchError,
@@ -25,7 +25,7 @@ from .errors import (
     SingleClassError,
     TooFewSamplesError,
 )
-from .features import build_features, constant_columns
+from .features import constant_columns
 from .logistic import fit, fit_folds, labels_to_array, predict_proba
 from .simulator import arousal_baseline, attention_baseline
 
@@ -122,9 +122,10 @@ class MetricsReport:
     undefined_precision: bool = False
 
 
-def balanced_indices(labels: Sequence[Direction], seed: int) -> np.ndarray:
+def balanced_indices(labels, seed: int) -> np.ndarray:
     """
-    Ascending row indices that downsample the majority class to exact balance.
+    Ascending row indices that downsample the majority class to exact balance;
+    labels are read by labels_to_array (Direction, bool or 0/1).
 
     Sampling is uniform without replacement and deterministic per seed; every
     minority row is kept.
@@ -142,24 +143,10 @@ def balanced_indices(labels: Sequence[Direction], seed: int) -> np.ndarray:
     return np.sort(np.concatenate([minority, majority[kept_majority]]))
 
 
-def undersample(dataset: Dataset, seed: int) -> Dataset:
-    """
-    Randomly downsample the majority class to exact balance (balanced_indices);
-    the surviving samples keep their original order.
-    """
-    return Dataset(
-        samples=tuple(
-            dataset.samples[i] for i in balanced_indices(dataset.labels(), seed)
-        ),
-        provenance=dataset.provenance,
-    )
-
-
-def metrics(
-    predictions: Sequence[Direction], actual: Sequence[Direction]
-) -> MetricsReport:
+def metrics(predictions, actual) -> MetricsReport:
     """
     Precision, recall, accuracy and f1 with the decrease class as positive.
+    Both label sequences are read by labels_to_array (Direction, bool or 0/1).
 
     A degenerate predictor that never predicts the positive class gets
     precision 0 with undefined_precision=True instead of an error.
@@ -172,7 +159,7 @@ def metrics(
         raise LengthMismatchError(
             f"{len(predictions)} predictions vs {len(actual)} actual labels"
         )
-    if not predictions:
+    if not len(predictions):
         raise ValueError("cannot compute metrics on empty input")
     confusion = confusion_2x2(predictions, actual)
     (tp, fn), (fp, tn) = confusion
@@ -191,15 +178,14 @@ def metrics(
     )
 
 
-def confusion_2x2(
-    predictions: Sequence[Direction], actual: Sequence[Direction]
-) -> tuple[tuple[int, int], tuple[int, int]]:
+def confusion_2x2(predictions, actual) -> tuple[tuple[int, int], tuple[int, int]]:
     """Rows = actual (decrease, increase), columns = predicted (decrease, increase)."""
-    order = (Direction.DECREASE, Direction.INCREASE)
-    counts = [[0, 0], [0, 0]]
-    for p, a in zip(predictions, actual):
-        counts[order.index(a)][order.index(p)] += 1
-    return tuple(tuple(row) for row in counts)
+    predicted = labels_to_array(predictions) == 1.0
+    observed = labels_to_array(actual) == 1.0
+    return tuple(
+        tuple(int(np.count_nonzero(a & p)) for p in (predicted, ~predicted))
+        for a in (observed, ~observed)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +215,15 @@ _MAX_ITER = 5000
 
 
 def loocv(
-    dataset: Dataset,
+    X: np.ndarray,
+    y,
     C: float = 12.06,
     seed: int = 0,
-    target_s: float = 30.0,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> LoocvResult:
     """
-    Exact leave-one-out cross-validation.
+    Exact leave-one-out cross-validation of the (n, 5) raw feature matrix X
+    with labels y (as labels_to_array reads them).
 
     Each sample is predicted by a scaler and model fitted on the other n-1
     samples only, so the held-out sample never leaks into standardization or
@@ -250,11 +237,11 @@ def loocv(
         TooFewSamplesError: fewer than 10 samples.
         FoldSingleClassError: some training fold loses one class entirely.
     """
-    n = len(dataset)
+    X = np.asarray(X, dtype=float)
+    y = labels_to_array(y)
+    n = len(y)
     if n < 10:
         raise TooFewSamplesError(f"LOOCV needs >= 10 samples, got {n}")
-    X = build_features(dataset.samples, target_s)
-    y = labels_to_array(dataset.labels())
     for members in (np.flatnonzero(y == 1.0), np.flatnonzero(y == 0.0)):
         if len(members) <= 1:  # the fold without its one member is single-class
             raise FoldSingleClassError(int(members[0]) if len(members) else 0)
@@ -277,7 +264,7 @@ def loocv(
     )
     return LoocvResult(
         outcomes=outcomes,
-        metrics=metrics([o.direction for o in outcomes], dataset.labels()),
+        metrics=metrics([o.direction for o in outcomes], y),
         nonconverged=nonconverged,
         probabilities=probabilities,
         n_iter=n_iter,
@@ -365,11 +352,13 @@ def magnitude_confusion(
     return tuple(tuple(row) for row in counts), five_cells
 
 
-def baseline_rows(dataset: Dataset) -> tuple[tuple[str, MetricsReport], ...]:
-    """Metric rows of the attention and arousal rules, in that order."""
-    actual = dataset.labels()
-    transitions = [(s.prev.engagement, s.next.engagement) for s in dataset.samples]
-    return tuple(
-        (name, metrics([rule(prev, nxt) for prev, nxt in transitions], actual))
+def baseline_rows(trials: TrialTable, pairs: np.ndarray) -> tuple[tuple[str, MetricsReport], ...]:
+    """Metric rows of the attention and arousal rules on the pairs, in that order."""
+    prev, nxt = trials.level[pairs[:, 0]], trials.level[pairs[:, 1]]
+    actual = pair_deltas(trials, pairs) < 0
+    # each rule's call on the nine transitions, looked up per pair
+    tables = [
+        (name, np.array([[rule(p, q) for q in EngagementLevel] for p in EngagementLevel]))
         for name, rule in (("attention", attention_baseline), ("arousal", arousal_baseline))
-    )
+    ]
+    return tuple((name, metrics(table[prev, nxt], actual)) for name, table in tables)

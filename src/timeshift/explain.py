@@ -20,14 +20,13 @@ stays visible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import atomic_write
+from .data import write_csv
 from .features import FEATURE_NAMES, N_FEATURES
 from .logistic import LogisticModel, _sigmoid
 
@@ -148,17 +147,18 @@ def write_scatter_csv(
     floats (shortest round-trip repr).
     """
     phi = np.asarray(phi, dtype=float)
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "raw_value", "standardized_value", "phi"])
-        writer.writerows(
-            zip(
-                FEATURE_NAMES * len(phi),
-                np.asarray(raw_features, dtype=float).ravel().tolist(),
-                np.asarray(standardized, dtype=float).ravel().tolist(),
-                phi.ravel().tolist(),
-            )
+    raw = np.asarray(raw_features, dtype=float)
+    Z = np.asarray(standardized, dtype=float)
+
+    def rows(block: slice):
+        return zip(
+            FEATURE_NAMES * len(phi[block]),
+            raw[block].ravel().tolist(),
+            Z[block].ravel().tolist(),
+            phi[block].ravel().tolist(),
         )
+
+    write_csv(path, ("feature", "raw_value", "standardized_value", "phi"), rows, len(phi))
 
 
 def waterfall_payload(

@@ -1,5 +1,5 @@
 """
-Derivation of the five model features from sample pairs, plus z-scoring.
+Derivation of the five model features from trial pairs, plus z-scoring.
 
 Feature order is fixed everywhere in the package:
 
@@ -16,11 +16,9 @@ Feature order is fixed everywhere in the package:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -28,9 +26,11 @@ from .data import (
     DEFAULT_TARGET_S,
     Direction,
     EngagementLevel,
-    SamplePair,
-    _read_csv,
-    atomic_write,
+    TrialTable,
+    _read_columns,
+    _word_in,
+    direction_words,
+    write_csv,
 )
 from .errors import (
     ConstantColumnError,
@@ -76,10 +76,11 @@ def identity_scaler() -> ScalerStats:
 
 
 def build_features(
-    pairs: Sequence[SamplePair], target_s: float = DEFAULT_TARGET_S
+    trials: TrialTable, pairs: np.ndarray, target_s: float = DEFAULT_TARGET_S
 ) -> np.ndarray:
     """
-    The (n, 5) raw feature matrix of n sample pairs, in FEATURE_NAMES order.
+    The (n, 5) raw feature matrix of n trial pairs (pair_consecutive's
+    (previous, next) rows), in FEATURE_NAMES order.
 
     Visual sensitivity is observable only after a LOW-engagement stimulus, so
     it is 1 only for a previous trial that was LOW and reported as highly
@@ -90,24 +91,12 @@ def build_features(
     """
     if not math.isfinite(target_s) or target_s <= 0:
         raise NonPositiveTimeError(f"target interval must be > 0, got {target_s}")
-    produced, lower, reported_high, prev_level, next_level = np.fromiter(
-        (
-            (
-                p.prev.produced_time_s,
-                p.prev.reported_lower_than_30,
-                p.prev.reported_high_engagement,
-                p.prev.engagement,
-                p.next.engagement,
-            )
-            for p in pairs
-        ),
-        dtype=(float, 5),
-        count=len(pairs),
-    ).T
-    X = np.empty((len(produced), N_FEATURES))
-    X[:, 0] = (produced - target_s) / target_s * 100.0
-    X[:, 1] = lower
-    X[:, 2] = (prev_level == EngagementLevel.LOW) & (reported_high == 1.0)
+    prev, nxt = pairs[:, 0], pairs[:, 1]
+    prev_level, next_level = trials.level[prev], trials.level[nxt]
+    X = np.empty((len(pairs), N_FEATURES))
+    X[:, 0] = (trials.produced_s[prev] - target_s) / target_s * 100.0
+    X[:, 1] = trials.reported_lower[prev]
+    X[:, 2] = (prev_level == EngagementLevel.LOW) & trials.reported_high[prev]
     X[:, 3] = next_level
     X[:, 4] = np.sign(next_level - prev_level) + 1.0
     return X
@@ -149,35 +138,27 @@ def transform(X: np.ndarray, stats: ScalerStats) -> np.ndarray:
 # Feature matrix interchange CSV
 # ---------------------------------------------------------------------------
 
-def write_feature_csv(
-    X: np.ndarray, labels: Sequence[Direction], path: str | Path
-) -> None:
-    """Write the (n, 5) feature matrix with direction labels in the canonical schema."""
-    if len(X) != len(labels):
-        raise ValueError("features and labels differ in length")
+def write_feature_csv(X: np.ndarray, decrease: np.ndarray, path: str | Path) -> None:
+    """Write the (n, 5) feature matrix, labeled by a boolean decrease mask, as a feature CSV."""
     X = np.asarray(X, dtype=float)
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_CSV_COLUMNS)
-        # csv writes a float as str(), its shortest round-trip repr
-        writer.writerows(
-            zip(
-                X[:, 0].tolist(),
-                *X[:, 1:].T.astype(int).tolist(),
-                (label.value for label in labels),
-            )
+    decrease = np.asarray(decrease, dtype=bool)
+    if len(X) != len(decrease):
+        raise ValueError("features and labels differ in length")
+
+    def rows(block: slice):
+        return zip(
+            X[block, 0].tolist(),
+            *X[block, 1:].T.astype(int).tolist(),
+            direction_words(decrease[block]),
         )
 
-
-# The coded columns go through int(), so text such as "1.0" is rejected there.
-_FEATURE_CELLS = tuple(
-    zip(FEATURE_CSV_COLUMNS, (float, int, int, int, int, Direction.parse))
-)
+    write_csv(path, FEATURE_CSV_COLUMNS, rows, len(X))
 
 
-def load_feature_csv(path: str | Path) -> tuple[np.ndarray, list[Direction]]:
+def load_feature_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """
-    Load a feature CSV as the (n, 5) raw feature matrix and its direction labels.
+    Load a feature CSV as the (n, 5) raw feature matrix and its labels, as a
+    boolean mask that is True for decrease.
 
     Raises:
         EmptyFileError: the file has no header or no data rows.
@@ -187,17 +168,19 @@ def load_feature_csv(path: str | Path) -> tuple[np.ndarray, list[Direction]]:
         FeatureDependencyError: a row pairs the two engagement features in a
             way no transition can produce.
     """
-    lines, rows, labels = [], [], []
-    for line_num, (*values, label) in _read_csv(Path(path), _FEATURE_CELLS):
-        lines.append(line_num)
-        rows.append(values)
-        labels.append(label)
-    X = np.array(rows, dtype=float)
+    # The coded columns go through int(), so text such as "1.0" is rejected there.
+    cells = (
+        (FEATURE_NAMES[0], float, np.float64),
+        *((name, int, np.float64) for name in FEATURE_NAMES[1:]),
+        ("label", _word_in({d.value: d is Direction.DECREASE for d in Direction}), np.bool_),
+    )
+    (*columns, labels), lines = _read_columns(Path(path), cells)
+    X = np.column_stack(columns)
     _check_domain(X, lines)
     return X, labels
 
 
-def _check_domain(X: np.ndarray, lines: Sequence[int]) -> None:
+def _check_domain(X: np.ndarray, lines) -> None:
     """Reject the first cell outside its feature's domain, then impossible level pairs."""
     in_range = (X >= [-100.0, 0, 0, 0, 0]) & (X <= [np.inf, 1, 1, 2, 2])
     bad = ~(np.isfinite(X) & in_range)

@@ -305,10 +305,8 @@ def fit(
 # ---------------------------------------------------------------------------
 
 # Element budget of one block of folds: fit_folds solves budget // n folds at
-# a time, with at most four (block, n) temporaries alive, 96 KB each here.
-# Larger blocks cost fewer numpy calls per fold, but at 16384 a temporary
-# reaches 128 KB, glibc's default mmap threshold, so each allocation maps
-# fresh pages: that budget measured slower on the loocv workload.
+# a time in four (block, n) work buffers, 96 KB each here. Larger blocks cost
+# fewer numpy calls per fold, but 16384 measured slower on the loocv workload.
 _BLOCK_ELEMENTS = 12288
 
 
@@ -347,10 +345,13 @@ def fit_folds(
     n_iter = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
     size = max(1, _BLOCK_ELEMENTS // n)
+    # allocated once: temporaries freed on every objective call would let
+    # glibc trim and regrow the heap, a page fault per page each time
+    work = np.empty((4, size, n))
     for start in range(0, n, size):
         block = slice(start, min(start + size, n))
         fold = _FoldBlock(A, pairs, y, np.arange(block.start, block.stop),
-                          shift[block], scale[block], free[block], C)
+                          shift[block], scale[block], free[block], C, work)
         theta, n_iter[block], converged[block] = fold.solve(tol, max_iter)
         probability[block] = _sigmoid(np.einsum("ij,ij->i", theta, A[block]))
     return probability, n_iter, converged
@@ -359,8 +360,8 @@ def fit_folds(
 class _FoldBlock:
     """The loss, gradient and Hessian of a block of leave-one-out folds."""
 
-    def __init__(self, A, pairs, y, held_out, shift, scale, free, C):
-        self.A, self.pairs, self.y, self.held_out = A, pairs, y, held_out
+    def __init__(self, A, pairs, y, held_out, shift, scale, free, C, work):
+        self.A, self.pairs, self.y, self.held_out, self.work = A, pairs, y, held_out, work
         self.sign = 1.0 - 2.0 * y
         # a fixed coordinate's shift and scale are never used
         self.shift, self.scale = np.where(free, shift, 0.0), np.where(free, scale, 1.0)
@@ -373,26 +374,26 @@ class _FoldBlock:
         """Loss, gradient, Hessian and fold-coordinate gradient norm at theta."""
         rows, held_out = np.arange(len(folds)), self.held_out[folds]
         penalty, w = self.penalty[folds], theta[:, 1:]
-        # the held-out entries of each (block, n) temporary are zeroed in place,
-        # and buffers are reused, so at most four blocks are alive at once
-        logits = theta @ self.A.T
-        e = np.abs(logits)
+        # every (block, n) array is a work buffer; its held-out entries are
+        # zeroed in place
+        logits, e, terms, residual = (buffer[: len(folds)] for buffer in self.work)
+        np.matmul(theta, self.A.T, out=logits)
+        np.abs(logits, out=e)
         np.exp(np.negative(e, out=e), out=e)  # e^-|m|
         # softplus(m) - y*m == log1p(e^-|m|) + max((1 - 2y) m, 0), exact and stable
-        terms = np.multiply(logits, self.sign)
+        np.multiply(logits, self.sign, out=terms)
         np.maximum(terms, 0.0, out=terms)
-        terms += np.log1p(e)
+        terms += np.log1p(e, out=residual)
         terms[rows, held_out] = 0.0
         loss = terms.sum(axis=1) + 0.5 * np.einsum("ij,ij->i", penalty * w, w)
         denom = np.add(e, 1.0, out=terms)
-        residual = np.where(logits >= 0, 1.0, e)  # _sigmoid's arithmetic
-        del logits
+        np.copyto(residual, e)
+        np.copyto(residual, 1.0, where=logits >= 0)  # _sigmoid's arithmetic
         residual /= denom
         residual -= self.y
         residual[rows, held_out] = 0.0
         grad = residual @ self.A
         grad[:, 1:] += penalty * w
-        del residual
         weight = e  # p (1 - p) == e^-|m| / (1 + e^-|m|)^2 for either sign of m
         weight /= denom
         weight /= denom

@@ -28,15 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    DEFAULT_TARGET_S,
-    Dataset,
-    Direction,
-    EngagementLevel,
-    Provenance,
-    TrialRecord,
-    pair_consecutive,
-)
+from .data import DEFAULT_TARGET_S, Direction, EngagementLevel, TrialTable
 
 # Productions are truncated here; with the default noise level the bound is
 # effectively never hit (~1e-5 of draws even at 3 s noiseless time).
@@ -139,8 +131,8 @@ def participant_rng(seed: int, participant_index: int) -> np.random.Generator:
 
 def simulate_trial(
     params: SimParams,
-    engagement: EngagementLevel,
-    prev_engagement: EngagementLevel | None,
+    engagement: int,
+    prev_engagement: int | None,
     reference_ticks: float,
     rng: np.random.Generator,
 ) -> float:
@@ -204,7 +196,7 @@ def generate_trials(
     n_participants: int,
     n_trials: int = 2,
     engagement_assignment: str | list[EngagementLevel] = "random_uniform_9",
-) -> list[TrialRecord]:
+) -> TrialTable:
     """
     Simulate trial sequences for a cohort of synthetic participants.
 
@@ -215,6 +207,9 @@ def generate_trials(
     Self-reports are synthesized from the truth: reported_lower_than_30 is the
     actual side of the error flipped with report_flip_prob, and a participant
     drawn sensitive (sensitivity_prevalence) reports high engagement.
+
+    The table is participant-major: participant i's trials 1..n_trials are
+    its rows i * n_trials onwards.
     """
     if n_participants < 1:
         raise ValueError("n_participants must be >= 1")
@@ -227,54 +222,46 @@ def generate_trials(
             )
         fixed_levels = None
     else:
-        fixed_levels = [EngagementLevel(level) for level in engagement_assignment]
+        fixed_levels = [int(EngagementLevel(level)) for level in engagement_assignment]
         if len(fixed_levels) != n_trials:
             raise ValueError("fixed engagement sequence length must equal n_trials")
 
-    width = len(str(n_participants - 1))
-    trials: list[TrialRecord] = []
+    levels, produced, reported_lower = [], [], []
+    sensitive = np.empty(n_participants, dtype=bool)
     for i in range(n_participants):
         rng = participant_rng(params.rng_seed, i)
         if fixed_levels is None:
-            levels = [EngagementLevel(int(c)) for c in rng.integers(0, 3, size=n_trials)]
+            session = rng.integers(0, 3, size=n_trials).tolist()
         else:
-            levels = fixed_levels
-        sensitive = bool(rng.random() < params.sensitivity_prevalence)
+            session = fixed_levels
+        sensitive[i] = rng.random() < params.sensitivity_prevalence
         reference = float(params.reference_ticks)
-        prev_level: EngagementLevel | None = None
-        for t, level in enumerate(levels):
-            produced = simulate_trial(params, level, prev_level, reference, rng)
-            reported_lower = produced <= params.target_s
+        prev_level = None
+        for level in session:
+            produced_s = simulate_trial(params, level, prev_level, reference, rng)
+            lower = produced_s <= params.target_s
             if rng.random() < params.report_flip_prob:
-                reported_lower = not reported_lower
-            trials.append(
-                TrialRecord(
-                    participant_id=f"sim{i:0{width}d}",
-                    trial_index=t + 1,
-                    engagement=level,
-                    produced_time_s=produced,
-                    reported_lower_than_30=reported_lower,
-                    reported_high_engagement=sensitive,
-                )
-            )
+                lower = not lower
+            produced.append(produced_s)
+            reported_lower.append(lower)
             reference = update_reference_memory(
-                params, reference, produced, reported_lower, params.population_mean_s
+                params, reference, produced_s, lower, params.population_mean_s
             )
             prev_level = level
-    return trials
+        levels += session
 
-
-def generate_dataset(
-    params: SimParams,
-    n_participants: int,
-    n_trials: int = 2,
-    engagement_assignment: str | list[EngagementLevel] = "random_uniform_9",
-) -> Dataset:
-    """Simulate a cohort and pair its consecutive trials into a labeled dataset."""
-    trials = generate_trials(params, n_participants, n_trials, engagement_assignment)
-    return Dataset(
-        samples=tuple(pair_consecutive(trials)),
-        provenance=Provenance.SYNTHETIC,
+    width = len(str(n_participants - 1))
+    return TrialTable(
+        participant_ids=np.array(
+            [f"sim{i:0{width}d}" for i in range(n_participants)], dtype=object
+        ),
+        participant=np.repeat(np.arange(n_participants), n_trials),
+        trial_index=np.tile(np.arange(1, n_trials + 1), n_participants),
+        level=np.array(levels, dtype=np.int8),
+        produced_s=np.array(produced),
+        reported_lower=np.array(reported_lower),
+        reported_high=np.repeat(sensitive, n_trials),
+        nontiming_error=np.full(n_participants * n_trials, np.nan),
     )
 
 

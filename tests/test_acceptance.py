@@ -3,6 +3,7 @@ Acceptance suite: one test per release criterion, each printing a PASS/FAIL
 line (run with -s to see them). Tolerances are pinned here, not configurable.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -14,20 +15,18 @@ import pytest
 
 from timeshift.cli import main
 from timeshift.data import (
-    Dataset,
     Direction,
     EngagementLevel,
     MagnitudeLevel,
-    Provenance,
-    SamplePair,
-    TrialRecord,
+    pair_consecutive,
+    pair_deltas,
 )
 from timeshift.evaluation import (
+    balanced_indices,
     classify_actual_magnitude,
     classify_direction,
     classify_predicted_magnitude,
     loocv,
-    undersample,
 )
 from timeshift.explain import shap_matrix, shap_values
 from timeshift.features import build_features, identity_scaler
@@ -39,8 +38,8 @@ from timeshift.logistic import (
     pinned_model,
     predict_proba,
 )
-from timeshift.simulator import SimParams, attention_baseline, arousal_baseline, generate_dataset
-from tests.test_data import make_trial
+from timeshift.simulator import SimParams, attention_baseline, arousal_baseline, generate_trials
+from tests.test_data import directions, make_trial, pairs_of
 
 LOW, MED, HIGH = EngagementLevel.LOW, EngagementLevel.MEDIUM, EngagementLevel.HIGH
 
@@ -141,52 +140,46 @@ def test_criterion_3_shap_efficiency():
         assert time.perf_counter() - start < 1.0
 
 
+def generate_dataset(params, n_participants, n_trials=2):
+    """A simulated cohort's trials and their consecutive pairs."""
+    trials = generate_trials(params, n_participants, n_trials)
+    return trials, pair_consecutive(trials)
+
+
 def _relabeled_to_random(dataset, seed):
-    """Rewrite next-trial times so labels become a seeded 50/50 permutation."""
+    """Rewrite next-trial times so labels become a seeded 50/50 permutation;
+    returns the features and labels of the relabeled dataset."""
+    trials, pairs = dataset
     rng = np.random.default_rng(seed)
-    half = len(dataset) // 2
-    flags = rng.permutation([True] * half + [False] * (len(dataset) - half))
-    pairs = []
-    for sample, decrease in zip(dataset.samples, flags):
-        delta = abs(sample.delta_t_s) + 1.0
-        produced = sample.prev.produced_time_s + (-delta if decrease else delta)
-        nxt = sample.next
-        pairs.append(
-            SamplePair(
-                sample.prev,
-                TrialRecord(
-                    participant_id=nxt.participant_id,
-                    trial_index=nxt.trial_index,
-                    engagement=nxt.engagement,
-                    produced_time_s=max(produced, 0.6),
-                    reported_lower_than_30=nxt.reported_lower_than_30,
-                    reported_high_engagement=nxt.reported_high_engagement,
-                ),
-            )
-        )
-    return Dataset(samples=tuple(pairs), provenance=Provenance.SYNTHETIC)
+    half = len(pairs) // 2
+    flags = rng.permutation([True] * half + [False] * (len(pairs) - half))
+    produced = trials.produced_s.copy()
+    delta = np.abs(pair_deltas(trials, pairs)) + 1.0
+    prev = produced[pairs[:, 0]]
+    produced[pairs[:, 1]] = np.maximum(np.where(flags, prev - delta, prev + delta), 0.6)
+    trials = dataclasses.replace(trials, produced_s=produced)
+    return build_features(trials, pairs), pair_deltas(trials, pairs) < 0
 
 
 def test_criterion_4_evaluation_harness():
     with criterion(4, "undersampling is exact; LOOCV is chance-level on shuffled labels and deterministic"):
         class_layout = [True] * 353 + [False] * 633  # 353 decrease vs 633 increase
-        pairs = []
+        trials = []
         for i, decrease in enumerate(class_layout):
             produced = 40.0 if i % 2 else 25.0
-            pairs.append(
-                SamplePair(
-                    make_trial(pid=f"p{i}", produced=produced,
-                               engagement=EngagementLevel(i % 3)),
-                    make_trial(
-                        pid=f"p{i}", index=2,
-                        engagement=EngagementLevel((i + 1) % 3),
-                        produced=produced - 5 if decrease else produced + 5,
-                    ),
-                )
-            )
-        big = Dataset(samples=tuple(pairs), provenance=Provenance.SYNTHETIC)
-        balanced = undersample(big, seed=0)
-        labels = balanced.labels()
+            trials += [
+                make_trial(pid=f"p{i}", produced=produced,
+                           engagement=EngagementLevel(i % 3)),
+                make_trial(
+                    pid=f"p{i}", index=2,
+                    engagement=EngagementLevel((i + 1) % 3),
+                    produced=produced - 5 if decrease else produced + 5,
+                ),
+            ]
+        big = pairs_of(*trials)
+        big_labels = pair_deltas(*big) < 0
+        balanced = balanced_indices(big_labels, seed=0)
+        labels = directions(big_labels[balanced])
         assert len(balanced) == 706
         assert labels.count(Direction.DECREASE) == 353
         assert labels.count(Direction.INCREASE) == 353
@@ -197,7 +190,7 @@ def test_criterion_4_evaluation_harness():
                 SimParams(rng_seed=seed, sensitivity_prevalence=0.3), 200, 2
             )
             shuffled = _relabeled_to_random(base, seed)
-            accuracy = loocv(shuffled, C=12.06, seed=seed).metrics.accuracy
+            accuracy = loocv(*shuffled, C=12.06, seed=seed).metrics.accuracy
             if 0.40 <= accuracy <= 0.60:
                 in_band += 1
         assert in_band >= 18
@@ -205,8 +198,8 @@ def test_criterion_4_evaluation_harness():
         probe = _relabeled_to_random(
             generate_dataset(SimParams(rng_seed=5, sensitivity_prevalence=0.3), 60, 2), 5
         )
-        first = loocv(probe, C=12.06, seed=9)
-        second = loocv(probe, C=12.06, seed=9)
+        first = loocv(*probe, C=12.06, seed=9)
+        second = loocv(*probe, C=12.06, seed=9)
         assert [o.probability_of_decrease for o in first.outcomes] == [
             o.probability_of_decrease for o in second.outcomes
         ]
@@ -230,14 +223,16 @@ def test_criterion_5_baseline_mirror():
             regression_weight=0.0,
             arousal_gain=0.0,
         )
-        ds = generate_dataset(params, 500, 2)
-        strict_pairs = [
-            s for s in ds.samples if s.prev.engagement != s.next.engagement
-        ]
+        trials, pairs = generate_dataset(params, 500, 2)
+        samples = zip(
+            trials.level[pairs[:, 0]], trials.level[pairs[:, 1]],
+            directions(pair_deltas(trials, pairs) < 0),
+        )
+        strict_pairs = [(prev, nxt, label) for prev, nxt, label in samples if prev != nxt]
         assert strict_pairs
         assert all(
-            attention_baseline(s.prev.engagement, s.next.engagement) == s.label
-            for s in strict_pairs
+            attention_baseline(prev, nxt) == label
+            for prev, nxt, label in strict_pairs
         )
 
 
@@ -268,10 +263,10 @@ def test_criterion_6_magnitude_partition():
 def test_criterion_7_simulator_calibration():
     with criterion(7, "default simulator lands in the human calibration bands"):
         start = time.perf_counter()
-        ds = generate_dataset(SimParams(rng_seed=0), 1000, 2)
-        labels = ds.labels()
-        decrease_fraction = labels.count(Direction.DECREASE) / len(ds)
-        trial1_mean = float(np.mean([s.prev.produced_time_s for s in ds.samples]))
+        trials, pairs = generate_dataset(SimParams(rng_seed=0), 1000, 2)
+        labels = directions(pair_deltas(trials, pairs) < 0)
+        decrease_fraction = labels.count(Direction.DECREASE) / len(pairs)
+        trial1_mean = float(np.mean(trials.produced_s[pairs[:, 0]]))
         assert 0.25 <= decrease_fraction <= 0.50
         assert 28.0 <= trial1_mean <= 40.0
         assert time.perf_counter() - start < 5.0
@@ -283,12 +278,10 @@ def test_criterion_8_rel_error_sign_change():
 
         def rel_error_contribution(produced_s):
             rel_error = build_features(
-                [
-                    SamplePair(
-                        make_trial(produced=produced_s),
-                        make_trial(index=2, engagement=MED, produced=30.0),
-                    )
-                ]
+                *pairs_of(
+                    make_trial(produced=produced_s),
+                    make_trial(index=2, engagement=MED, produced=30.0),
+                )
             )[0, 0]
             z = (rel_error - model.scaler.means[0]) / model.scaler.std_devs[0]
             return model.coefficients[0] * z

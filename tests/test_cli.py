@@ -120,6 +120,23 @@ class TestExtract:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "EmptyFileError"
 
+    @pytest.mark.parametrize("command", ["extract", "evaluate"])
+    def test_no_consecutive_pair_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        # one trial per participant, and a gap: no stage could read the result
+        trials = tmp_path / "trials.csv"
+        trials.write_text(
+            TRIAL_HEADER + "\n"
+            "p1,1,low,45.0,false,true,\n"
+            "p2,1,high,50.0,false,false,\n"
+            "p2,3,high,50.0,false,false,\n"
+        )
+        out = tmp_path / "out"
+        assert main([command, "--input", str(trials), "--output", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "TooFewSamplesError"
+        assert "no consecutive trial pairs" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.csv"]
+
     def test_missing_input_exits_2(self, tmp_path):
         assert (
             main(
@@ -304,6 +321,29 @@ MALFORMED_INPUTS = {
                        "MalformedRowError", ["line 3", "nontiming_task_error"]),
     "trials_not_utf8": ("trials", _trial_rows("X,2,low,31,false,false,").replace(b"X", b"\xff"),
                         "MalformedRowError", ["line 3", "UTF-8"]),
+    "trial_index_1.0": ("trials", _trial_rows("p1,1.0,low,31,false,false,"),
+                        "MalformedRowError", ["line 3", "trial_index is not valid: '1.0'"]),
+    "trial_index_0": ("trials", _trial_rows("p1,0,low,31,false,false,"),
+                      "MalformedRowError", ["line 3", "trial_index must be >= 1, got 0"]),
+    "engagement_loud": ("trials", _trial_rows("p1,2,loud,31,false,false,"),
+                        "MalformedRowError", ["line 3", "engagement_level is not valid: 'loud'"]),
+    "produced_negative_two_line_id": (
+        "trials", _trial_rows('"p\n2",2,low,-1,false,false,'),
+        "MalformedRowError", ["line 4", "produced_time_s must be finite and > 0, got -1.0"]),
+    "produced_nan_two_line_id": (
+        "trials", _trial_rows('"p\n2",2,low,nan,false,false,'),
+        "MalformedRowError", ["line 4", "produced_time_s must be finite and > 0, got nan"]),
+    "lower_yes": ("trials", _trial_rows("p1,2,low,31,yes,false,"),
+                  "MalformedRowError", ["line 3", "reported_lower_than_30 is not valid: 'yes'"]),
+    "high_maybe": ("trials", _trial_rows("p1,2,low,31,false,maybe,"),
+                   "MalformedRowError",
+                   ["line 3", "reported_high_engagement is not valid: 'maybe'"]),
+    "nontiming_negative": ("trials", _trial_rows("p1,2,low,31,false,false,-2"),
+                           "MalformedRowError",
+                           ["line 3", "nontiming_task_error must be >= 0, got -2.0"]),
+    "bad_row_after_blank_lines": (
+        "trials", _trial_rows("p1,2,low,31,false,false,\n\n\np1,3,low,abc,false,false,"),
+        "MalformedRowError", ["line 6", "produced_time_s is not valid: 'abc'"]),
     "model_missing_key": ("model", json.dumps({k: v for k, v in _MODEL.items() if k != "C"}).encode(),
                           "ConfigError", ["'C'"]),
     "model_not_json": ("model", b"{nope", "ConfigError", ["model"]),

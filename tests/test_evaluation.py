@@ -1,15 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import timeshift.evaluation
 import timeshift.logistic
 from timeshift.data import (
-    Dataset,
     Direction,
     EngagementLevel,
     MagnitudeLevel,
-    Provenance,
-    SamplePair,
+    pair_deltas,
 )
 from timeshift.errors import (
     FoldSingleClassError,
@@ -22,6 +22,7 @@ from timeshift.evaluation import (
     MetricsReport,
     PredictionOutcome,
     Thresholds,
+    balanced_indices,
     baseline_rows,
     classify_actual_magnitude,
     classify_direction,
@@ -30,12 +31,11 @@ from timeshift.evaluation import (
     loocv,
     magnitude_confusion,
     metrics,
-    undersample,
 )
 from timeshift.features import build_features, fit_scaler, transform
 from timeshift.logistic import fit, predict_proba
-from timeshift.simulator import SimParams, generate_dataset
-from tests.test_data import make_trial
+from timeshift.simulator import SimParams
+from tests.test_data import directions, make_trial, pairs_of, simulated
 
 LOW, MED, HIGH = EngagementLevel.LOW, EngagementLevel.MEDIUM, EngagementLevel.HIGH
 
@@ -50,25 +50,36 @@ def labeled_pair(
     rep_high=False,
     delta=5.0,
 ):
-    """Pair with a chosen label; features depend only on prev and next_eng."""
+    """Two trials with a chosen label; features depend only on prev and next_eng."""
     next_produced = prev_produced - delta if decrease else prev_produced + delta
-    return SamplePair(
+    return (
         make_trial(pid=pid, index=1, engagement=prev_eng, produced=prev_produced,
                    lower=lower, rep_high=rep_high),
         make_trial(pid=pid, index=2, engagement=next_eng, produced=next_produced),
     )
 
 
+def dataset(pairs):
+    """Trials and pairs of labeled_pair results, one participant each."""
+    return pairs_of(*(trial for pair in pairs for trial in pair))
+
+
+def features_and_labels(ds):
+    """The raw feature matrix of a (trials, pairs) dataset and its decrease mask."""
+    trials, pairs = ds
+    return build_features(trials, pairs), pair_deltas(trials, pairs) < 0
+
+
 def per_fold_reference(ds, C):
     """Each fold refitted alone: fit_scaler + fit, a constant column left at 0."""
-    X = build_features(ds.samples)
-    y = np.array([s.label == Direction.DECREASE for s in ds.samples], dtype=float)
+    X, decrease = features_and_labels(ds)
+    y = decrease.astype(float)
     probabilities = []
-    for i in range(len(ds)):
-        train = np.arange(len(ds)) != i
+    for i in range(len(y)):
+        train = np.arange(len(y)) != i
         varying = np.ptp(X[train], axis=0) > 0
         # fit_scaler rejects a constant column: scale a stand-in, zeroed below
-        scaler = fit_scaler(np.where(varying, X[train], np.arange(len(ds) - 1)[:, None]))
+        scaler = fit_scaler(np.where(varying, X[train], np.arange(len(y) - 1)[:, None]))
         z = np.where(varying, transform(X, scaler), 0.0)
         model = fit(z[train], y[train], C=C)
         probabilities.append(predict_proba(model, z[i]))
@@ -77,16 +88,20 @@ def per_fold_reference(ds, C):
 
 def sensitive_only(ds, rows):
     """The same dataset with high_visual_sensitivity set on the given rows only."""
-    samples = [
-        labeled_pair(
-            s.sample_id, s.prev.produced_time_s, s.label == Direction.DECREASE,
-            prev_eng=s.prev.engagement, next_eng=s.next.engagement,
-            lower=s.prev.reported_lower_than_30, rep_high=i in rows,
-            delta=abs(s.delta_t_s),
-        )
-        for i, s in enumerate(ds.samples)
-    ]
-    return Dataset(samples=tuple(samples), provenance=ds.provenance)
+    trials, pairs = ds
+    reported_high = np.zeros(len(trials), dtype=bool)
+    reported_high[pairs[rows, 0]] = True
+    return dataclasses.replace(trials, reported_high=reported_high), pairs
+
+
+def relabeled(ds, decrease):
+    """Two-trial participants' next times moved so labels become decrease."""
+    trials, pairs = ds
+    produced = trials.produced_s.copy()
+    prev = produced[pairs[:, 0]]
+    delta = np.abs(pair_deltas(trials, pairs)) + 1.0
+    produced[pairs[:, 1]] = np.maximum(np.where(decrease, prev - delta, prev + delta), 0.6)
+    return dataclasses.replace(trials, produced_s=produced), pairs
 
 
 def varied_dataset(labels, seed=0):
@@ -108,7 +123,7 @@ def varied_dataset(labels, seed=0):
                 delta=float(rng.uniform(1, 12)),
             )
         )
-    return Dataset(samples=tuple(pairs), provenance=Provenance.SYNTHETIC)
+    return dataset(pairs)
 
 
 class TestClassification:
@@ -183,37 +198,35 @@ class TestClassification:
 
 class TestUndersample:
     def test_balances_majority(self):
-        ds = varied_dataset([False] * 100 + [True] * 50)
-        balanced = undersample(ds, seed=1)
-        labels = balanced.labels()
+        _, decrease = features_and_labels(varied_dataset([False] * 100 + [True] * 50))
+        balanced = balanced_indices(decrease, seed=1)
+        labels = directions(decrease[balanced])
         assert len(balanced) == 100
         assert labels.count(Direction.DECREASE) == 50
         assert labels.count(Direction.INCREASE) == 50
 
     def test_paper_counts(self):
-        ds = varied_dataset([False] * 633 + [True] * 353)
-        balanced = undersample(ds, seed=0)
+        _, decrease = features_and_labels(varied_dataset([False] * 633 + [True] * 353))
+        balanced = balanced_indices(decrease, seed=0)
         assert len(balanced) == 706
 
     def test_balanced_input_is_fixed_point(self):
-        ds = varied_dataset([True, False] * 20)
-        balanced = undersample(ds, seed=5)
-        assert sorted(s.sample_id for s in balanced.samples) == sorted(
-            s.sample_id for s in ds.samples
-        )
+        _, decrease = features_and_labels(varied_dataset([True, False] * 20))
+        balanced = balanced_indices(decrease, seed=5)
+        assert sorted(balanced) == list(range(len(decrease)))
 
     def test_deterministic_and_subset(self):
-        ds = varied_dataset([False] * 40 + [True] * 15)
-        a = undersample(ds, seed=9)
-        b = undersample(ds, seed=9)
-        assert a == b
-        original = set(s.sample_id for s in ds.samples)
-        assert all(s.sample_id in original for s in a.samples)
+        _, decrease = features_and_labels(varied_dataset([False] * 40 + [True] * 15))
+        a = balanced_indices(decrease, seed=9)
+        b = balanced_indices(decrease, seed=9)
+        assert a.tolist() == b.tolist()
+        original = set(range(len(decrease)))
+        assert all(i in original for i in a.tolist())
 
     def test_single_class_rejected(self):
-        ds = varied_dataset([True] * 10)
+        _, decrease = features_and_labels(varied_dataset([True] * 10))
         with pytest.raises(SingleClassError):
-            undersample(ds, seed=0)
+            balanced_indices(decrease, seed=0)
 
 
 class TestMetrics:
@@ -285,14 +298,13 @@ class TestLoocv:
                     rep_high=(prev_eng == LOW and i % 3 == 0),
                 )
             )
-        ds = Dataset(samples=tuple(pairs), provenance=Provenance.SYNTHETIC)
-        result = loocv(ds, C=100.0, seed=0)
+        result = loocv(*features_and_labels(dataset(pairs)), C=100.0, seed=0)
         assert result.metrics.accuracy == 1.0
 
     def test_deterministic(self):
-        ds = varied_dataset([True, False] * 15, seed=4)
-        a = loocv(ds, C=12.06, seed=7)
-        b = loocv(ds, C=12.06, seed=7)
+        X, y = features_and_labels(varied_dataset([True, False] * 15, seed=4))
+        a = loocv(X, y, C=12.06, seed=7)
+        b = loocv(X, y, C=12.06, seed=7)
         assert [o.probability_of_decrease for o in a.outcomes] == [
             o.probability_of_decrease for o in b.outcomes
         ]
@@ -300,45 +312,36 @@ class TestLoocv:
     def test_held_out_label_cannot_leak(self):
         ds = varied_dataset([True, False] * 12, seed=6)
         target = 3
-        baseline = loocv(ds, C=12.06, seed=0).outcomes[target].probability_of_decrease
+        X, y = features_and_labels(ds)
+        baseline = loocv(X, y, C=12.06, seed=0).outcomes[target].probability_of_decrease
 
         # flip the held-out sample's label by moving its next trial's produced
         # time; features (prev trial + next engagement) stay identical
-        sample = ds.samples[target]
-        flipped_next = make_trial(
-            pid=sample.next.participant_id,
-            index=sample.next.trial_index,
-            engagement=sample.next.engagement,
-            produced=(
-                sample.prev.produced_time_s + 5
-                if sample.label == Direction.DECREASE
-                else max(sample.prev.produced_time_s - 5, 1.0)
-            ),
-            lower=sample.next.reported_lower_than_30,
-            rep_high=sample.next.reported_high_engagement,
-        )
-        poisoned_samples = list(ds.samples)
-        poisoned_samples[target] = SamplePair(sample.prev, flipped_next)
-        poisoned = Dataset(samples=tuple(poisoned_samples), provenance=ds.provenance)
-        assert poisoned.samples[target].label != sample.label
+        flip = y.copy()
+        flip[target] = not y[target]
+        poisoned = relabeled(ds, flip)
+        X_poisoned, y_poisoned = features_and_labels(poisoned)
+        assert np.array_equal(X_poisoned, X)
+        assert y_poisoned[target] != y[target]
 
-        flipped = loocv(poisoned, C=12.06, seed=0).outcomes[target].probability_of_decrease
+        flipped = loocv(X_poisoned, y_poisoned, C=12.06, seed=0)
+        flipped = flipped.outcomes[target].probability_of_decrease
         assert flipped == baseline
 
     def test_nonconverged_folds_counted_not_warned(self, monkeypatch):
-        ds = varied_dataset([True, False] * 6, seed=3)
-        assert loocv(ds).nonconverged == 0
+        X, y = features_and_labels(varied_dataset([True, False] * 6, seed=3))
+        assert loocv(X, y).nonconverged == 0
         # a warning escaping loocv would fail this test (pytest turns it into an error)
         monkeypatch.setattr(timeshift.evaluation, "_MAX_ITER", 1)
-        assert loocv(ds).nonconverged == len(ds)
+        assert loocv(X, y).nonconverged == len(y)
 
     def test_batched_folds_match_per_fold_refits(self):
         # several blocks of folds and a short last one
-        ds = generate_dataset(SimParams(rng_seed=8, sensitivity_prevalence=0.3), 300, 2)
-        n = len(ds)
+        ds = simulated(SimParams(rng_seed=8, sensitivity_prevalence=0.3), 300, 2)
+        n = len(ds[1])
         block = timeshift.logistic._BLOCK_ELEMENTS // n
         assert n // block >= 3 and n % block
-        result = loocv(ds, C=12.06, seed=0)
+        result = loocv(*features_and_labels(ds), C=12.06, seed=0)
         assert (result.fallbacks, result.nonconverged, result.constant_fold_columns) == (0, 0, 0)
         np.testing.assert_allclose(
             result.probabilities, per_fold_reference(ds, C=12.06), rtol=0, atol=1e-9
@@ -347,8 +350,8 @@ class TestLoocv:
         assert result.n_iter.min() >= 1
 
     def test_fallback_fold_refitted_and_counted(self, monkeypatch):
-        ds = varied_dataset([True, False] * 12, seed=6)
-        expected = loocv(ds).probabilities
+        X, y = features_and_labels(varied_dataset([True, False] * 12, seed=6))
+        expected = loocv(X, y).probabilities
         batched = timeshift.evaluation.fit_folds
 
         def stalls_on_fold_4(*args, **kwargs):
@@ -357,15 +360,15 @@ class TestLoocv:
             return probability, n_iter, converged
 
         monkeypatch.setattr(timeshift.evaluation, "fit_folds", stalls_on_fold_4)
-        result = loocv(ds)
+        result = loocv(X, y)
         assert (result.fallbacks, result.nonconverged) == (1, 0)
         np.testing.assert_allclose(result.probabilities, expected, rtol=0, atol=1e-12)
 
     def test_constant_fold_column_gets_zero_weight(self):
         # only sample 0 is sensitive: the column is constant in its fold alone
         ds = sensitive_only(varied_dataset([True, False] * 10, seed=2), rows=[0])
-        assert np.flatnonzero(build_features(ds.samples)[:, 2]).tolist() == [0]
-        result = loocv(ds)
+        assert np.flatnonzero(build_features(*ds)[:, 2]).tolist() == [0]
+        result = loocv(*features_and_labels(ds))
         assert (result.constant_fold_columns, result.fallbacks) == (1, 0)
         np.testing.assert_allclose(
             result.probabilities, per_fold_reference(ds, C=12.06), rtol=0, atol=1e-9
@@ -373,9 +376,9 @@ class TestLoocv:
 
     def test_cohort_constant_column_counts_every_fold(self):
         ds = sensitive_only(varied_dataset([True, False] * 10, seed=2), rows=[])
-        assert not build_features(ds.samples)[:, 2].any()
-        result = loocv(ds)
-        assert (result.constant_fold_columns, result.fallbacks) == (len(ds), 0)
+        assert not build_features(*ds)[:, 2].any()
+        result = loocv(*features_and_labels(ds))
+        assert (result.constant_fold_columns, result.fallbacks) == (len(ds[1]), 0)
         np.testing.assert_allclose(
             result.probabilities, per_fold_reference(ds, C=12.06), rtol=0, atol=1e-9
         )
@@ -383,42 +386,21 @@ class TestLoocv:
     def test_minimum_size_enforced(self):
         ds = varied_dataset([True, False] * 4)
         with pytest.raises(TooFewSamplesError):
-            loocv(ds)
+            loocv(*features_and_labels(ds))
 
     def test_fold_single_class_detected(self):
         # exactly one decrease: its own fold trains on increases only
         ds = varied_dataset([True] + [False] * 11)
         with pytest.raises(FoldSingleClassError):
-            loocv(ds)
+            loocv(*features_and_labels(ds))
 
     def test_randomized_labels_score_near_chance(self):
         params = SimParams(rng_seed=3, sensitivity_prevalence=0.3)
-        ds = generate_dataset(params, 60, 2)
+        ds = simulated(params, 60, 2)
         rng = np.random.default_rng(3)
         labels = rng.permutation([True] * 30 + [False] * 30)
-        pairs = []
-        for sample, decrease in zip(ds.samples, labels):
-            delta = abs(sample.delta_t_s) + 1.0
-            produced = (
-                sample.prev.produced_time_s - delta
-                if decrease
-                else sample.prev.produced_time_s + delta
-            )
-            pairs.append(
-                SamplePair(
-                    sample.prev,
-                    make_trial(
-                        pid=sample.next.participant_id,
-                        index=sample.next.trial_index,
-                        engagement=sample.next.engagement,
-                        produced=max(produced, 0.6),
-                        lower=sample.next.reported_lower_than_30,
-                        rep_high=sample.next.reported_high_engagement,
-                    ),
-                )
-            )
-        shuffled = Dataset(samples=tuple(pairs), provenance=Provenance.SYNTHETIC)
-        result = loocv(shuffled, C=12.06, seed=0)
+        shuffled = features_and_labels(relabeled(ds, labels))
+        result = loocv(*shuffled, C=12.06, seed=0)
         assert 0.3 <= result.metrics.accuracy <= 0.7
 
 
@@ -469,12 +451,12 @@ class TestMagnitudeConfusion:
 
 class TestCompareBaselines:
     def test_report_shape(self):
-        ds = varied_dataset([True, False] * 15)
-        rows = baseline_rows(ds)
+        trials, pairs = varied_dataset([True, False] * 15)
+        rows = baseline_rows(trials, pairs)
         assert [name for name, _ in rows] == ["attention", "arousal"]
         for _, row in rows:
             assert isinstance(row, MetricsReport)
-            assert row.n == len(ds.samples)
+            assert row.n == len(pairs)
             for value in (row.precision, row.recall, row.accuracy):
                 assert 0.0 <= value <= 1.0
 
@@ -487,14 +469,9 @@ class TestCompareBaselines:
             arousal_gain=0.0,
             sensitivity_prevalence=0.5,
         )
-        ds = generate_dataset(params, 300, 2)
-        strict = Dataset(
-            samples=tuple(
-                s for s in ds.samples if s.prev.engagement != s.next.engagement
-            ),
-            provenance=Provenance.SYNTHETIC,
-        )
-        rows = dict(baseline_rows(strict))
+        trials, pairs = simulated(params, 300, 2)
+        strict = pairs[trials.level[pairs[:, 0]] != trials.level[pairs[:, 1]]]
+        rows = dict(baseline_rows(trials, strict))
         assert rows["attention"].accuracy == 1.0
         assert rows["arousal"].accuracy == 0.0
 
@@ -508,13 +485,8 @@ class TestCompareBaselines:
             gate_width_by_engagement=(1.0, 1.0, 1.0),
             sensitivity_prevalence=0.5,
         )
-        ds = generate_dataset(params, 300, 2)
-        strict = Dataset(
-            samples=tuple(
-                s for s in ds.samples if s.prev.engagement != s.next.engagement
-            ),
-            provenance=Provenance.SYNTHETIC,
-        )
-        rows = dict(baseline_rows(strict))
+        trials, pairs = simulated(params, 300, 2)
+        strict = pairs[trials.level[pairs[:, 0]] != trials.level[pairs[:, 1]]]
+        rows = dict(baseline_rows(trials, strict))
         assert rows["arousal"].accuracy == 1.0
         assert rows["attention"].accuracy == 0.0

@@ -156,15 +156,16 @@ class TestAggregateShap:
         # synthetic cohort scored by the pinned model: among samples with
         # previous production > 45 s the prior-timing feature dominates
         from timeshift.features import build_features, fit_scaler, transform
-        from timeshift.simulator import SimParams, generate_dataset
+        from timeshift.simulator import SimParams
+        from tests.test_data import simulated
 
-        ds = generate_dataset(SimParams(rng_seed=17, sensitivity_prevalence=0.3), 400, 2)
-        X = build_features(ds.samples)
+        trials, pairs = simulated(SimParams(rng_seed=17, sensitivity_prevalence=0.3), 400, 2)
+        X = build_features(trials, pairs)
         scaler = fit_scaler(X)
         Z = transform(X, scaler)
         model = pinned_model(scaler)
         _, phi, _ = shap_matrix(model, Z)
-        produced = np.array([s.prev.produced_time_s for s in ds.samples])
+        produced = trials.produced_s[pairs[:, 0]]
         summaries = aggregate_shap(phi[produced > 45.0])
         by_name = {s.feature: s.mean_phi for s in summaries}
         rel_error_mean = by_name["t1_rel_error"]

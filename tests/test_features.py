@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from timeshift.data import Direction, EngagementLevel, SamplePair
+from timeshift.data import EngagementLevel, pair_consecutive
 from timeshift.errors import (
     ConstantColumnError,
     EmptyFileError,
@@ -22,13 +22,25 @@ from timeshift.features import (
     transform,
     write_feature_csv,
 )
-from timeshift.simulator import SimParams, generate_dataset
-from tests.test_data import make_trial
+from timeshift.simulator import SimParams, generate_trials
+from tests.test_data import make_trial, pairs_of, trial_table
 
 
 def pair_features(prev, nxt, target_s=30.0):
     """The feature row of one pair, through the matrix builder."""
-    return build_features([SamplePair(prev, nxt)], target_s)[0]
+    return build_features(*pairs_of(prev, nxt), target_s)[0]
+
+
+def transition_pairs(transitions, **prev_fields):
+    """One participant per (prev, next) engagement transition, and its pair."""
+    return pairs_of(*(
+        trial
+        for k, (prev, nxt) in enumerate(transitions)
+        for trial in (
+            make_trial(pid=f"p{k}", engagement=prev, **prev_fields),
+            make_trial(pid=f"p{k}", index=2, engagement=nxt, produced=33),
+        )
+    ))
 
 
 def next_trial(engagement=EngagementLevel.MEDIUM, produced=30.0):
@@ -45,10 +57,10 @@ class TestRelError:
 
     def test_non_positive_rejected(self):
         with pytest.raises(NonPositiveTimeError):
-            make_trial(produced=0.0)
-        pair = SamplePair(make_trial(), next_trial())
+            trial_table([make_trial(produced=0.0)])
+        trials, pairs = pairs_of(make_trial(), next_trial())
         with pytest.raises(NonPositiveTimeError):
-            build_features([pair], target_s=-1.0)
+            build_features(trials, pairs, target_s=-1.0)
 
     def test_custom_target(self):
         rel_error = pair_features(make_trial(produced=20.0), next_trial(), target_s=10.0)[0]
@@ -93,67 +105,58 @@ class TestChangeInEngagement:
         assert change_code(prev, next) == expected
 
     def test_all_nine_transitions(self):
-        pairs = [
-            SamplePair(make_trial(engagement=prev), next_trial(engagement=nxt))
-            for prev, nxt in itertools.product(EngagementLevel, repeat=2)
-        ]
-        codes = build_features(pairs)[:, 4]
-        for pair, code in zip(pairs, codes):
-            prev, nxt = pair.prev.engagement, pair.next.engagement
+        transitions = list(itertools.product(EngagementLevel, repeat=2))
+        codes = build_features(*transition_pairs(transitions))[:, 4]
+        for (prev, nxt), code in zip(transitions, codes):
             assert code == (0 if nxt < prev else 2 if nxt > prev else 1)
 
 
 class TestBuildFeatures:
     def test_sensitive_low_to_high(self):
-        pair = SamplePair(
+        pair = pairs_of(
             make_trial(engagement=EngagementLevel.LOW, produced=45, rep_high=True),
             make_trial(index=2, engagement=EngagementLevel.HIGH, produced=50),
         )
-        assert build_features([pair]).tolist() == [[50.0, 0, 1, 2, 2]]
+        assert build_features(*pair).tolist() == [[50.0, 0, 1, 2, 2]]
 
     def test_high_to_low(self):
-        pair = SamplePair(
+        pair = pairs_of(
             make_trial(engagement=EngagementLevel.HIGH, produced=30, lower=True),
             make_trial(index=2, engagement=EngagementLevel.LOW, produced=20),
         )
-        assert build_features([pair]).tolist() == [[0.0, 1, 0, 0, 0]]
+        assert build_features(*pair).tolist() == [[0.0, 1, 0, 0, 0]]
 
     def test_medium_stay(self):
-        pair = SamplePair(
+        pair = pairs_of(
             make_trial(engagement=EngagementLevel.MEDIUM, produced=12, lower=True),
             make_trial(index=2, engagement=EngagementLevel.MEDIUM, produced=20),
         )
-        assert build_features([pair]).tolist() == [[-60.0, 1, 0, 1, 1]]
+        assert build_features(*pair).tolist() == [[-60.0, 1, 0, 1, 1]]
 
     def test_matches_per_pair_reference(self):
         # each column against its scalar per-pair formula, bit for bit
         params = SimParams(rng_seed=5, sensitivity_prevalence=0.3)
-        ds = generate_dataset(params, 300, 3)
+        trials = generate_trials(params, 300, 3)
+        pairs = pair_consecutive(trials)
         expected = []
-        for p in ds.samples:
-            prev, nxt = p.prev.engagement, p.next.engagement
+        for i, j in pairs.tolist():
+            prev, nxt = EngagementLevel(trials.level[i]), EngagementLevel(trials.level[j])
             expected.append(
                 [
-                    (p.prev.produced_time_s - 25.0) / 25.0 * 100.0,
-                    int(p.prev.reported_lower_than_30),
-                    int(prev == EngagementLevel.LOW and p.prev.reported_high_engagement),
+                    (trials.produced_s[i].item() - 25.0) / 25.0 * 100.0,
+                    int(trials.reported_lower[i]),
+                    int(prev == EngagementLevel.LOW and trials.reported_high[i]),
                     int(nxt),
                     0 if nxt < prev else 2 if nxt > prev else 1,
                 ]
             )
-        assert build_features(ds.samples, target_s=25.0).tolist() == expected
-        assert build_features([]).shape == (0, 5)
+        assert build_features(trials, pairs, target_s=25.0).tolist() == expected
+        assert build_features(trials, pairs[:0]).shape == (0, 5)
 
     def test_dependency_holds_for_all_transitions(self):
         # every real engagement transition satisfies the V2/Change constraint
-        pairs = [
-            SamplePair(
-                make_trial(engagement=prev, produced=28),
-                make_trial(index=2, engagement=nxt, produced=33),
-            )
-            for prev, nxt in itertools.product(EngagementLevel, repeat=2)
-        ]
-        for v2, change in build_features(pairs)[:, 3:]:
+        transitions = itertools.product(EngagementLevel, repeat=2)
+        for v2, change in build_features(*transition_pairs(transitions, produced=28))[:, 3:]:
             if change == 0:
                 assert v2 != 2
             if change == 2:
@@ -181,11 +184,11 @@ class TestFeatureVector:
                 load_feature_csv(path)
 
     def test_as_array_order(self):
-        pair = SamplePair(
+        pair = pairs_of(
             make_trial(engagement=EngagementLevel.LOW, produced=45, lower=True),
             make_trial(index=2, engagement=EngagementLevel.HIGH, produced=50),
         )
-        assert build_features([pair]).tolist() == [[50.0, 1.0, 0.0, 2.0, 2.0]]
+        assert build_features(*pair).tolist() == [[50.0, 1.0, 0.0, 2.0, 2.0]]
         assert len(FEATURE_NAMES) == 5
 
 
@@ -250,12 +253,21 @@ class TestScaler:
 class TestFeatureCsv:
     def test_roundtrip(self, tmp_path):
         X = np.array([[50.0, 0, 1, 2, 2], [-60.0, 1, 0, 1, 1]])
-        labels = [Direction.DECREASE, Direction.INCREASE]
+        labels = [True, False]  # decrease, increase
         path = tmp_path / "features.csv"
         write_feature_csv(X, labels, path)
         loaded_X, loaded_labels = load_feature_csv(path)
         assert loaded_X.tolist() == X.tolist()
-        assert loaded_labels == labels
+        assert loaded_labels.tolist() == labels
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet exports often start with a UTF-8 byte-order mark
+        path = tmp_path / "features.csv"
+        header = ",".join(FEATURE_CSV_COLUMNS)
+        path.write_bytes(("\ufeff" + header + "\n50.0,0,1,2,2,decrease\n").encode())
+        X, labels = load_feature_csv(path)
+        assert X.tolist() == [[50.0, 0, 1, 2, 2]]
+        assert labels.tolist() == [True]
 
     def test_dependency_violation_rejected_on_load(self, tmp_path):
         path = write_rows(tmp_path / "features.csv", "0.0,0,0,2,0,increase")

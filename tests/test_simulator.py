@@ -3,17 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from timeshift.data import Direction, EngagementLevel
+from timeshift.data import Direction, EngagementLevel, pair_deltas
 from timeshift.simulator import (
     SimParams,
     arousal_baseline,
     attention_baseline,
-    generate_dataset,
     generate_trials,
     participant_rng,
     simulate_trial,
     update_reference_memory,
 )
+from tests.test_data import assert_same_table, simulated
 
 LOW, MED, HIGH = EngagementLevel.LOW, EngagementLevel.MEDIUM, EngagementLevel.HIGH
 
@@ -155,38 +155,37 @@ class TestReferenceMemoryUpdate:
 class TestGenerateDataset:
     def test_noiseless_fixed_point(self):
         params = noiseless(memory_correction_weight=0.0, regression_weight=0.0)
-        ds = generate_dataset(params, 1, 2, engagement_assignment=[LOW, LOW])
-        assert len(ds) == 1
-        assert ds.samples[0].delta_t_s == pytest.approx(0.0, abs=1e-12)
+        trials, pairs = simulated(params, 1, 2, engagement_assignment=[LOW, LOW])
+        assert len(pairs) == 1
+        assert pair_deltas(trials, pairs)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_same_seed_identical(self):
-        a = generate_dataset(SimParams(rng_seed=99), 40)
-        b = generate_dataset(SimParams(rng_seed=99), 40)
-        assert a == b
+        a = generate_trials(SimParams(rng_seed=99), 40)
+        b = generate_trials(SimParams(rng_seed=99), 40)
+        assert_same_table(a, b)
 
     def test_different_seeds_differ(self):
-        a = generate_dataset(SimParams(rng_seed=1), 40)
-        b = generate_dataset(SimParams(rng_seed=2), 40)
-        assert a != b
+        a = generate_trials(SimParams(rng_seed=1), 40)
+        b = generate_trials(SimParams(rng_seed=2), 40)
+        assert not np.array_equal(a.produced_s, b.produced_s)
 
     def test_default_calibration_band(self):
-        ds = generate_dataset(SimParams(rng_seed=0), 1000, 2)
-        frac = sum(1 for lab in ds.labels() if lab == Direction.DECREASE) / len(ds)
+        trials, pairs = simulated(SimParams(rng_seed=0), 1000, 2)
+        frac = np.count_nonzero(pair_deltas(trials, pairs) < 0) / len(pairs)
         assert 0.25 <= frac <= 0.50
 
     def test_row_counts_and_ids(self):
-        trials = generate_trials(SimParams(rng_seed=4), 7, 3)
+        trials, pairs = simulated(SimParams(rng_seed=4), 7, 3)
         assert len(trials) == 21
-        assert len({t.participant_id for t in trials}) == 7
-        ds = generate_dataset(SimParams(rng_seed=4), 7, 3)
-        assert len(ds) == 14  # two pairs per participant
+        assert len(set(trials.participant_ids[trials.participant])) == 7
+        assert len(pairs) == 14  # two pairs per participant
 
     def test_fixed_assignment_applied(self):
         trials = generate_trials(
             SimParams(rng_seed=0), 3, 2, engagement_assignment=[MED, HIGH]
         )
-        assert all(t.engagement == MED for t in trials if t.trial_index == 1)
-        assert all(t.engagement == HIGH for t in trials if t.trial_index == 2)
+        assert all(trials.level[trials.trial_index == 1] == MED)
+        assert all(trials.level[trials.trial_index == 2] == HIGH)
 
     def test_substreams_are_order_independent(self):
         one = participant_rng(7, 3).normal(size=4)
@@ -199,13 +198,15 @@ class TestGenerateDataset:
         params = noiseless(
             memory_correction_weight=0.0, regression_weight=0.0, arousal_gain=0.0
         )
-        ds = generate_dataset(params, 200, 2)
-        strict = [s for s in ds.samples if s.prev.engagement != s.next.engagement]
+        trials, pairs = simulated(params, 200, 2)
+        prev, nxt = trials.level[pairs[:, 0]], trials.level[pairs[:, 1]]
+        labels = np.where(pair_deltas(trials, pairs) < 0, Direction.DECREASE, Direction.INCREASE)
+        strict = [(p, q, label) for p, q, label in zip(prev, nxt, labels) if p != q]
         assert strict  # the draw must contain strict transitions
         hits = sum(
             1
-            for s in strict
-            if attention_baseline(s.prev.engagement, s.next.engagement) == s.label
+            for p, q, label in strict
+            if attention_baseline(p, q) == label
         )
         assert hits == len(strict)
 
