@@ -57,31 +57,27 @@ class Thresholds:
 DEFAULT_THRESHOLDS = Thresholds()
 
 
-def classify_direction(p: float) -> Direction:
+# Classifier outputs by band. Each classifier takes a value or an array of
+# them and returns a member or an object array of members.
+_DIRECTIONS = np.array([Direction.INCREASE, Direction.DECREASE], dtype=object)
+_MAGNITUDES = np.array(MAGNITUDE_ORDER, dtype=object)
+
+
+def classify_direction(p):
     """Decrease iff the probability of decrease exceeds 0.5 (0.5 -> increase)."""
-    return Direction.DECREASE if p > 0.5 else Direction.INCREASE
+    return _DIRECTIONS[np.greater(p, 0.5).astype(np.intp)]
 
 
-def classify_predicted_magnitude(
-    p: float, thresholds: Thresholds = DEFAULT_THRESHOLDS
-) -> MagnitudeLevel:
+def classify_predicted_magnitude(p, thresholds: Thresholds = DEFAULT_THRESHOLDS):
     """Band the predicted probability; boundary values stay in the middle band."""
-    if p > thresholds.prob_high:
-        return MagnitudeLevel.HIGH_DECREASE
-    if p < thresholds.prob_low:
-        return MagnitudeLevel.HIGH_INCREASE
-    return MagnitudeLevel.SMALL_CHANGE
+    band = 1 + np.greater(p, thresholds.prob_high).astype(np.intp)
+    return _MAGNITUDES[band - np.less(p, thresholds.prob_low)]
 
 
-def classify_actual_magnitude(
-    delta_t: float, thresholds: Thresholds = DEFAULT_THRESHOLDS
-) -> MagnitudeLevel:
+def classify_actual_magnitude(delta_t, thresholds: Thresholds = DEFAULT_THRESHOLDS):
     """Band the actual change; |delta_t| equal to the bound is a small change."""
-    if delta_t > thresholds.delta_small:
-        return MagnitudeLevel.HIGH_INCREASE
-    if delta_t < -thresholds.delta_small:
-        return MagnitudeLevel.HIGH_DECREASE
-    return MagnitudeLevel.SMALL_CHANGE
+    band = 1 + np.less(delta_t, -thresholds.delta_small).astype(np.intp)
+    return _MAGNITUDES[band - np.greater(delta_t, thresholds.delta_small)]
 
 
 @dataclass(frozen=True)
@@ -332,8 +328,9 @@ def magnitude_confusion(
     if len(outcomes) != len(deltas):
         raise LengthMismatchError(f"{len(outcomes)} outcomes vs {len(deltas)} deltas")
     counts = [[0, 0, 0] for _ in range(3)]
-    for outcome, delta in zip(outcomes, deltas):
-        row = MAGNITUDE_ORDER.index(classify_actual_magnitude(delta, thresholds))
+    actual = classify_actual_magnitude(np.asarray(deltas, dtype=float), thresholds)
+    for outcome, level in zip(outcomes, actual):
+        row = MAGNITUDE_ORDER.index(level)
         col = MAGNITUDE_ORDER.index(outcome.predicted_magnitude)
         counts[row][col] += 1
 

@@ -30,11 +30,9 @@ import numpy as np
 
 from .data import DEFAULT_TARGET_S, Direction, EngagementLevel, TrialTable
 
-# Productions are truncated here; with the default noise level the bound is
+# Productions are clamped here; with the default noise level the bound is
 # effectively never hit (~1e-5 of draws even at 3 s noiseless time).
 MIN_PRODUCED_S = 0.5
-
-_RESAMPLE_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class SimParams:
     update. Its default is calibrated, not measured: engaging stimuli and the
     correction dynamics skew productions long, and 45 s keeps default
     synthetic data increase-dominant (~60/40) with a mean trial-to-trial drift
-    of about +2.7 s.
+    of about +2.8 s.
 
     report_flip_prob is the chance a participant misreports the side of their
     error; sensitivity_prevalence is the fraction of participants who report
@@ -107,9 +105,6 @@ class SimParams:
         elif self.reference_ticks <= 0:
             raise ValueError("reference_ticks must be > 0")
 
-    def gate(self, level: EngagementLevel) -> float:
-        return self.gate_width_by_engagement[int(level)]
-
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
 
@@ -118,52 +113,30 @@ class SimParams:
         return cls(**json.loads(text))
 
 
-def participant_rng(seed: int, participant_index: int) -> np.random.Generator:
-    """
-    Independent PCG64 substream for one participant.
-
-    Seeding the generator with the (seed, index) entropy pair makes streams
-    order-independent, so participants can be simulated in parallel or in any
-    order with identical results.
-    """
-    return np.random.default_rng([seed, participant_index])
-
-
-def simulate_trial(
-    params: SimParams,
-    engagement: int,
-    prev_engagement: int | None,
-    reference_ticks: float,
-    rng: np.random.Generator,
-) -> float:
+def simulate_trial(params: SimParams, engagement, prev_engagement, reference_ticks, z):
     """
     Produce one interval: ticks gated into the counter until the reference is met.
 
     The clock rate is the base rate, sped up by arousal_gain per level of
     engagement *increase* relative to the previous trial (arousal is transient,
-    tied to the change rather than the absolute level). Timing noise is
-    multiplicative Gaussian with CV = weber_fraction, truncated to keep the
-    produced time positive.
+    tied to the change rather than the absolute level; None means no previous
+    trial). Timing noise is multiplicative Gaussian with CV = weber_fraction,
+    applied to the standard normal draw z, and the produced time is clamped
+    at MIN_PRODUCED_S. Every argument but params may be an array of
+    participants.
     """
     rate = params.base_clock_rate_hz
     if prev_engagement is not None:
-        rise = max(0, int(engagement) - int(prev_engagement))
-        rate *= 1.0 + params.arousal_gain * rise
-    noiseless = reference_ticks / (rate * params.gate(engagement))
-    for _ in range(_RESAMPLE_CAP):
-        produced = noiseless * (1.0 + rng.normal(0.0, params.weber_fraction))
-        if produced > MIN_PRODUCED_S:
-            return produced
-    return MIN_PRODUCED_S
+        rise = np.maximum(0, np.subtract(engagement, prev_engagement, dtype=float))
+        rate = rate * (1.0 + params.arousal_gain * rise)
+    gate = np.take(params.gate_width_by_engagement, engagement)
+    noiseless = reference_ticks / (rate * gate)
+    return np.maximum(noiseless * (1.0 + params.weber_fraction * z), MIN_PRODUCED_S)
 
 
 def update_reference_memory(
-    params: SimParams,
-    old_reference_ticks: float,
-    last_produced_s: float,
-    reported_lower: bool,
-    population_mean_s: float,
-) -> float:
+    params: SimParams, old_reference_ticks, last_produced_s, reported_lower, population_mean_s
+):
     """
     Recalibrate the reference memory after a trial.
 
@@ -178,17 +151,27 @@ def update_reference_memory(
     who believes they undershot aims longer next time, and vice versa, with a
     step proportional to how far the last production actually was from the
     target. The produced time is clamped to [0, 2 * target] first so the
-    corrected value can never leave that range.
+    corrected value can never leave that range. Ticks, time and report may be
+    arrays of participants.
     """
     low_throughput = params.base_clock_rate_hz * params.gate_width_by_engagement[0]
     s_old = old_reference_ticks / low_throughput
     target = params.target_s
-    step = abs(min(max(last_produced_s, 0.0), 2.0 * target) - target)
-    corrected = target + step if reported_lower else target - step
+    step = np.abs(np.clip(last_produced_s, 0.0, 2.0 * target) - target)
+    corrected = np.where(reported_lower, target + step, target - step)
     w_c = params.memory_correction_weight
     w_r = params.regression_weight
     s_new = (1.0 - w_c - w_r) * s_old + w_c * corrected + w_r * population_mean_s
-    return max(s_new, MIN_PRODUCED_S) * low_throughput
+    return np.maximum(s_new, MIN_PRODUCED_S) * low_throughput
+
+
+# The kinds of variate, each drawn from its own stream keyed by (rng_seed, kind).
+_LEVELS, _SENSITIVITY, _NOISE, _FLIPS = range(4)
+
+
+def _stream(seed: int, kind: int) -> np.random.Generator:
+    """The counter-based (Philox) stream of one kind of variate."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, kind])))
 
 
 def generate_trials(
@@ -208,6 +191,11 @@ def generate_trials(
     actual side of the error flipped with report_flip_prob, and a participant
     drawn sensitive (sensitivity_prevalence) reports high engagement.
 
+    Each kind of variate (levels, sensitivity, timing noise, report flips)
+    has its own stream, drawn participant-major: participant i's trials
+    depend only on (rng_seed, i, n_trials), so a cohort is the head of any
+    larger one. Trials then run one index at a time across participants.
+
     The table is participant-major: participant i's trials 1..n_trials are
     its rows i * n_trials onwards.
     """
@@ -215,51 +203,48 @@ def generate_trials(
         raise ValueError("n_participants must be >= 1")
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2")
+    shape = (n_participants, n_trials)
     if isinstance(engagement_assignment, str):
         if engagement_assignment != "random_uniform_9":
             raise ValueError(
                 f"unknown engagement assignment: {engagement_assignment!r}"
             )
-        fixed_levels = None
+        levels = _stream(params.rng_seed, _LEVELS).integers(0, 3, shape, dtype=np.int8)
     else:
-        fixed_levels = [int(EngagementLevel(level)) for level in engagement_assignment]
-        if len(fixed_levels) != n_trials:
+        fixed = [int(EngagementLevel(level)) for level in engagement_assignment]
+        if len(fixed) != n_trials:
             raise ValueError("fixed engagement sequence length must equal n_trials")
+        levels = np.broadcast_to(np.array(fixed, dtype=np.int8), shape)
+    sensitive = (
+        _stream(params.rng_seed, _SENSITIVITY).random(n_participants)
+        < params.sensitivity_prevalence
+    )
+    noise = _stream(params.rng_seed, _NOISE).standard_normal(shape)
+    flips = _stream(params.rng_seed, _FLIPS).random(shape) < params.report_flip_prob
 
-    levels, produced, reported_lower = [], [], []
-    sensitive = np.empty(n_participants, dtype=bool)
-    for i in range(n_participants):
-        rng = participant_rng(params.rng_seed, i)
-        if fixed_levels is None:
-            session = rng.integers(0, 3, size=n_trials).tolist()
-        else:
-            session = fixed_levels
-        sensitive[i] = rng.random() < params.sensitivity_prevalence
-        reference = float(params.reference_ticks)
-        prev_level = None
-        for level in session:
-            produced_s = simulate_trial(params, level, prev_level, reference, rng)
-            lower = produced_s <= params.target_s
-            if rng.random() < params.report_flip_prob:
-                lower = not lower
-            produced.append(produced_s)
-            reported_lower.append(lower)
-            reference = update_reference_memory(
-                params, reference, produced_s, lower, params.population_mean_s
-            )
-            prev_level = level
-        levels += session
+    produced = np.empty(shape)
+    reported_lower = np.empty(shape, dtype=bool)
+    reference = np.full(n_participants, float(params.reference_ticks))
+    prev_level = None
+    for t in range(n_trials):
+        level = levels[:, t]
+        produced[:, t] = simulate_trial(params, level, prev_level, reference, noise[:, t])
+        reported_lower[:, t] = (produced[:, t] <= params.target_s) ^ flips[:, t]
+        reference = update_reference_memory(
+            params, reference, produced[:, t], reported_lower[:, t], params.population_mean_s
+        )
+        prev_level = level
 
     width = len(str(n_participants - 1))
     return TrialTable(
         participant_ids=np.array(
-            [f"sim{i:0{width}d}" for i in range(n_participants)], dtype=object
+            ["sim%0*d" % (width, i) for i in range(n_participants)], dtype=object
         ),
         participant=np.repeat(np.arange(n_participants), n_trials),
         trial_index=np.tile(np.arange(1, n_trials + 1), n_participants),
-        level=np.array(levels, dtype=np.int8),
-        produced_s=np.array(produced),
-        reported_lower=np.array(reported_lower),
+        level=levels.ravel(),
+        produced_s=produced.ravel(),
+        reported_lower=reported_lower.ravel(),
         reported_high=np.repeat(sensitive, n_trials),
         nontiming_error=np.full(n_participants * n_trials, np.nan),
     )

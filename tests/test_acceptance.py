@@ -260,16 +260,25 @@ def test_criterion_6_magnitude_partition():
                 assert direction == Direction.INCREASE
 
 
+def assert_calibration_bands(seed):
+    trials, pairs = generate_dataset(SimParams(rng_seed=seed), 1000, 2)
+    labels = directions(pair_deltas(trials, pairs) < 0)
+    decrease_fraction = labels.count(Direction.DECREASE) / len(pairs)
+    trial1_mean = float(np.mean(trials.produced_s[pairs[:, 0]]))
+    assert 0.25 <= decrease_fraction <= 0.50
+    assert 28.0 <= trial1_mean <= 40.0
+
+
 def test_criterion_7_simulator_calibration():
     with criterion(7, "default simulator lands in the human calibration bands"):
         start = time.perf_counter()
-        trials, pairs = generate_dataset(SimParams(rng_seed=0), 1000, 2)
-        labels = directions(pair_deltas(trials, pairs) < 0)
-        decrease_fraction = labels.count(Direction.DECREASE) / len(pairs)
-        trial1_mean = float(np.mean(trials.produced_s[pairs[:, 0]]))
-        assert 0.25 <= decrease_fraction <= 0.50
-        assert 28.0 <= trial1_mean <= 40.0
+        assert_calibration_bands(0)
         assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_criterion_7_bands_hold_across_seeds(seed):
+    assert_calibration_bands(seed)
 
 
 def test_criterion_8_rel_error_sign_change():

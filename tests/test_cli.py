@@ -503,10 +503,11 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("flags", [[], ["--no-undersample"]])
     def test_cohort_constant_column_is_evaluated(self, tmp_path, flags):
-        # default prevalence, 60 participants, seed 5: no one is sensitive
+        # no one is sensitive, so high_visual_sensitivity is constant in every fold
+        config = write_config(tmp_path, sim={"sensitivity_prevalence": 0})
         trials = tmp_path / "trials.csv"
-        assert main(["simulate", "--seed", "5", "--participants", "60", "--trials", "2",
-                     "--output", str(trials)]) == 0
+        assert main(["simulate", "--config", str(config), "--seed", "5", "--participants",
+                     "60", "--trials", "2", "--output", str(trials)]) == 0
         report_path = tmp_path / "report.json"
         assert main(["evaluate", "--seed", "5", "--input", str(trials),
                      "--output", str(report_path), *flags]) == 0

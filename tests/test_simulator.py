@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 
 from timeshift.data import Direction, EngagementLevel, pair_deltas
 from timeshift.simulator import (
+    MIN_PRODUCED_S,
     SimParams,
     arousal_baseline,
     attention_baseline,
     generate_trials,
-    participant_rng,
     simulate_trial,
     update_reference_memory,
 )
@@ -36,25 +37,43 @@ def reference_update_oracle(params, old_ticks, last_s, reported_lower, pop_mean)
     return s * scale
 
 
+def head_of(trials, n_participants, n_trials):
+    """
+    The first n_participants of a participant-major simulated table, with the
+    ids padded to the width a cohort of that size uses ("sim3", not "sim03").
+    """
+    rows = slice(0, n_participants * n_trials)
+    columns = {field.name: getattr(trials, field.name)[rows] for field in dataclasses.fields(trials)}
+    width = len(str(n_participants - 1))
+    columns["participant_ids"] = np.array(
+        [f"sim{int(pid[3:]):0{width}d}" for pid in trials.participant_ids[:n_participants]],
+        dtype=object,
+    )
+    return dataclasses.replace(trials, **columns)
+
+
 class TestSimulateTrial:
     def test_low_baseline_is_target(self):
         params = noiseless()
         rng = np.random.default_rng(0)
-        produced = simulate_trial(params, LOW, None, params.reference_ticks, rng)
+        z = rng.standard_normal()
+        produced = simulate_trial(params, LOW, None, params.reference_ticks, z)
         assert produced == pytest.approx(30.0, abs=1e-12)
 
     def test_narrower_gate_lengthens_production(self):
         params = noiseless(gate_width_by_engagement=(0.8, 0.7, 0.6))
         rng = np.random.default_rng(0)
-        low = simulate_trial(params, LOW, None, params.reference_ticks, rng)
-        high = simulate_trial(params, HIGH, None, params.reference_ticks, rng)
+        z = rng.standard_normal(2)
+        low = simulate_trial(params, LOW, None, params.reference_ticks, z[0])
+        high = simulate_trial(params, HIGH, None, params.reference_ticks, z[1])
         assert low == pytest.approx(30.0)
         assert high == pytest.approx(40.0)
 
     def test_arousal_shortens_on_rise(self):
         params = noiseless(gate_width_by_engagement=(1.0, 1.0, 1.0), arousal_gain=0.5)
         rng = np.random.default_rng(0)
-        produced = simulate_trial(params, HIGH, LOW, params.reference_ticks, rng)
+        z = rng.standard_normal()
+        produced = simulate_trial(params, HIGH, LOW, params.reference_ticks, z)
         assert produced == pytest.approx(15.0)  # 30 / (1 + 0.5 * 2)
 
     def test_noiseless_formula_exact(self):
@@ -72,7 +91,8 @@ class TestSimulateTrial:
             for level in EngagementLevel:
                 rate = base * (1 + gain * int(level))  # transition from LOW
                 expected = params.reference_ticks / (rate * gates[int(level)])
-                produced = simulate_trial(params, level, LOW, params.reference_ticks, rng)
+                z = rng.standard_normal()
+                produced = simulate_trial(params, level, LOW, params.reference_ticks, z)
                 assert produced == pytest.approx(expected, abs=1e-12)
 
     def test_production_monotone_in_gate_and_rate(self):
@@ -80,9 +100,8 @@ class TestSimulateTrial:
         rng = np.random.default_rng(2)
         last_by_rate = None
         for base in (5.0, 10.0, 15.0, 20.0):
-            produced = simulate_trial(
-                noiseless(base_clock_rate_hz=base), LOW, None, reference, rng
-            )
+            z = rng.standard_normal()
+            produced = simulate_trial(noiseless(base_clock_rate_hz=base), LOW, None, reference, z)
             if last_by_rate is not None:
                 assert produced <= last_by_rate
             last_by_rate = produced
@@ -93,17 +112,17 @@ class TestSimulateTrial:
                 LOW,
                 None,
                 reference,
-                rng,
+                rng.standard_normal(),
             )
             if last_by_gate is not None:
                 assert produced <= last_by_gate
             last_by_gate = produced
 
     def test_noise_keeps_production_positive(self):
-        params = SimParams(weber_fraction=5.0)  # absurd noise to stress truncation
+        params = SimParams(weber_fraction=5.0)  # absurd noise to stress the clamp
         rng = np.random.default_rng(3)
-        for _ in range(500):
-            assert simulate_trial(params, LOW, None, params.reference_ticks, rng) > 0
+        for z in rng.standard_normal(500):
+            assert simulate_trial(params, LOW, None, params.reference_ticks, z) > 0
 
 
 class TestReferenceMemoryUpdate:
@@ -188,11 +207,29 @@ class TestGenerateDataset:
         assert all(trials.level[trials.trial_index == 2] == HIGH)
 
     def test_substreams_are_order_independent(self):
-        one = participant_rng(7, 3).normal(size=4)
-        # drawing participant 0 first must not disturb participant 3's stream
-        participant_rng(7, 0).normal(size=100)
-        two = participant_rng(7, 3).normal(size=4)
-        assert np.array_equal(one, two)
+        # participant i's trials depend only on (seed, i, n_trials): adding
+        # participants after it must not disturb any column of its rows
+        for assignment in ("random_uniform_9", [MED, LOW, HIGH]):
+            small = generate_trials(SimParams(rng_seed=7), 10, 3, assignment)
+            large = generate_trials(SimParams(rng_seed=7), 25, 3, assignment)
+            assert_same_table(small, head_of(large, 10, 3))
+
+    def test_clamp_keeps_the_stream_layout_fixed(self):
+        params = SimParams(rng_seed=7, weber_fraction=5.0)  # many draws below the bound
+        small = generate_trials(params, 10, 3)
+        large = generate_trials(params, 25, 3)
+        assert_same_table(small, head_of(large, 10, 3))
+        assert np.all(large.produced_s >= MIN_PRODUCED_S)
+        assert np.any(large.produced_s == MIN_PRODUCED_S)
+
+    def test_kinds_do_not_share_a_stream(self):
+        # fixed levels skip the level draws; the sensitivity draws must not move
+        drawn = generate_trials(SimParams(rng_seed=7, sensitivity_prevalence=0.5), 40, 3)
+        fixed = generate_trials(
+            SimParams(rng_seed=7, sensitivity_prevalence=0.5), 40, 3, [LOW, LOW, LOW]
+        )
+        assert drawn.reported_high.any() and not drawn.reported_high.all()
+        assert np.array_equal(drawn.reported_high, fixed.reported_high)
 
     def test_attention_dominated_data_is_perfectly_predicted(self):
         params = noiseless(
