@@ -18,7 +18,7 @@ import math
 import os
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
@@ -49,6 +49,14 @@ TRIAL_CSV_COLUMNS = (
 )
 
 DEFAULT_TARGET_S = 30.0
+
+
+def require_finite(instance) -> None:
+    """Raise ValueError naming the first float field of a dataclass that is NaN or infinite."""
+    for field in fields(instance):
+        value = getattr(instance, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 class EngagementLevel(enum.IntEnum):

@@ -17,7 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Direction, EngagementLevel, MagnitudeLevel, TrialTable, pair_deltas
+from .data import (
+    Direction, EngagementLevel, MagnitudeLevel, TrialTable, pair_deltas, require_finite,
+)
 from .errors import (
     FoldSingleClassError,
     LengthMismatchError,
@@ -46,6 +48,7 @@ class Thresholds:
     delta_small: float = 5.0
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 < self.prob_low < 0.5 < self.prob_high < 1.0:
             raise ValueError(
                 "thresholds must satisfy 0 < prob_low < 0.5 < prob_high < 1"
@@ -92,14 +95,18 @@ class PredictionOutcome:
     def from_probability(
         cls, p: float, thresholds: Thresholds = DEFAULT_THRESHOLDS
     ) -> "PredictionOutcome":
-        # a certain fold (|logit| above ~37) rounds to exactly 0.0 or 1.0
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability must lie in [0, 1], got {p}")
-        return cls(
-            probability_of_decrease=p,
-            direction=classify_direction(p),
-            predicted_magnitude=classify_predicted_magnitude(p, thresholds),
-        )
+        return _outcomes(np.array([p], dtype=float), thresholds)[0]
+
+
+def _outcomes(probabilities: np.ndarray, thresholds: Thresholds) -> tuple[PredictionOutcome, ...]:
+    """One outcome per probability, banded as whole arrays; each must lie in [0, 1]."""
+    # a certain fold (|logit| above ~37) rounds to exactly 0.0 or 1.0
+    outside = probabilities[~((probabilities >= 0.0) & (probabilities <= 1.0))]
+    if outside.size:
+        raise ValueError(f"probability must lie in [0, 1], got {outside[0]}")
+    directions = classify_direction(probabilities)
+    magnitudes = classify_predicted_magnitude(probabilities, thresholds)
+    return tuple(map(PredictionOutcome, probabilities.tolist(), directions, magnitudes))
 
 
 @dataclass(frozen=True)
@@ -255,9 +262,7 @@ def loocv(
             n_iter[i] = model.n_iter
             nonconverged += not model.converged
 
-    outcomes = tuple(
-        PredictionOutcome.from_probability(p, thresholds) for p in probabilities.tolist()
-    )
+    outcomes = _outcomes(probabilities, thresholds)
     return LoocvResult(
         outcomes=outcomes,
         metrics=metrics([o.direction for o in outcomes], y),

@@ -12,8 +12,10 @@ reference C=12.06 plugs in directly. The optimizer is deterministic damped
 Newton with Armijo backtracking (the Hessian is a 6x6, so exact second-order
 steps are cheap and reach the tight gradient tolerance that quasi-Newton
 updates stall above), falling back to steepest descent whenever the Hessian
-solve is unusable. Same inputs give a bit-identical model. fit_folds runs the
-same iteration for every leave-one-out fold of one design at once.
+solve is unusable. Same inputs give a bit-identical model. There is one
+solver, for a block of problems over one design: fit is the block of one
+problem, with no held-out row, and fit_folds solves every leave-one-out fold
+of the design in blocks. nll_loss and gradient evaluate that same objective.
 
 The module also carries the pinned reference model: intercept 0.016 and weights
 (0.662, -0.191, -0.241, -0.187, 0.177) over the five standardized features.
@@ -66,6 +68,9 @@ PINNED_SCALER_APPROX = ScalerStats(
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
+# Newton stops once the gradient infinity-norm, in the problem's own
+# coordinates, is below this.
+_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -144,18 +149,15 @@ def labels_to_array(y) -> np.ndarray:
 
 def nll_loss(model: LogisticModel, Z: np.ndarray, y) -> float:
     """
-    Summed negative log-likelihood plus ||w||^2/(2C), intercept unpenalized.
+    Summed negative log-likelihood plus ||w||^2/(2C), intercept unpenalized:
+    the objective fit minimizes.
 
     Evaluated in softplus form, sum(softplus(logit) - y * logit), which equals
     clamping the probabilities away from 0/1 inside the logs over the whole
     trustworthy range but stays exact (and smooth, which the line search
     needs) at extreme logits where a clamped log would saturate.
     """
-    theta = np.concatenate(([model.intercept], model.coefficients))
-    loss, _ = _loss_and_grad(
-        theta, np.asarray(Z, dtype=float), labels_to_array(y), model.inverse_reg_c
-    )
-    return loss
+    return float(_at(model, Z, y)[0][0])
 
 
 def gradient(model: LogisticModel, Z: np.ndarray, y) -> np.ndarray:
@@ -163,52 +165,29 @@ def gradient(model: LogisticModel, Z: np.ndarray, y) -> np.ndarray:
     Gradient of nll_loss: [d/db, d/dw_0 ... d/dw_4] with
     d/db = sum(p - y) and d/dw_j = sum((p - y) z_j) + w_j / C.
     """
-    theta = np.concatenate(([model.intercept], model.coefficients))
-    _, grad = _loss_and_grad(
-        theta, np.asarray(Z, dtype=float), labels_to_array(y), model.inverse_reg_c
-    )
-    return grad
+    return _at(model, Z, y)[1][0]
 
 
-def _loss_and_grad(
-    theta: np.ndarray, Z: np.ndarray, y: np.ndarray, C: float
-) -> tuple[float, np.ndarray]:
-    b, w = theta[0], theta[1:]
-    logits = b + Z @ w
-    # softplus(m) - y*m == -[y log p + (1-y) log(1-p)], exact and stable
-    loss = float(np.sum(np.logaddexp(0.0, logits) - y * logits))
-    loss += float(w @ w) / (2.0 * C)
-    residual = _sigmoid(logits) - y
-    grad = np.empty_like(theta)
-    grad[0] = residual.sum()
-    grad[1:] = Z.T @ residual + w / C
-    return loss, grad
-
-
-def _hessian(theta: np.ndarray, A: np.ndarray, C: float) -> np.ndarray:
-    """Exact Hessian over the augmented design A = [1 | Z]; intercept unpenalized."""
-    p = _sigmoid(A @ theta)
-    weights = p * (1.0 - p)
-    H = (A * weights[:, None]).T @ A
-    H[1:, 1:] += np.eye(A.shape[1] - 1) / C
-    return H
+def _at(model: LogisticModel, Z: np.ndarray, y):
+    """The solver's objective at the model's parameters, over all of Z."""
+    theta = np.array([[model.intercept, *model.coefficients]])
+    whole = _whole(np.asarray(Z, dtype=float), labels_to_array(y), model.inverse_reg_c)
+    return whole.objective(theta, np.arange(1))
 
 
 def fit(
     Z: np.ndarray,
     y,
     C: float = PINNED_C,
-    tol: float = 1e-8,
     max_iter: int = 5000,
     scaler: ScalerStats | None = None,
     trained_on: str = "",
     seed: int | None = None,
-    trace: list | None = None,
 ) -> LogisticModel:
     """
     Fit by deterministic damped Newton from (b, w) = 0.
 
-    Stops when the gradient infinity-norm drops below tol. Hitting max_iter
+    Stops when the gradient infinity-norm drops below 1e-8. Hitting max_iter
     first emits NonConvergenceWarning and returns the last iterate with
     converged=False rather than raising; the objective is convex, so the
     returned parameters are still the best ones seen.
@@ -218,9 +197,6 @@ def fit(
         y: labels; 1/True/Direction.DECREASE count as the positive class.
         C: inverse regularization strength.
         scaler: statistics to attach to the model (identity if omitted).
-        trace: diagnostic; receives the objective value of every accepted
-            iterate (Armijo backtracking keeps the sequence non-increasing,
-            up to float resolution in the final machine-precision steps).
 
     Raises:
         SingleClassError: only one class present in y.
@@ -237,77 +213,48 @@ def fit(
     if y_arr.min() == y_arr.max():
         raise SingleClassError("both classes are required to fit")
 
-    theta = np.zeros(N_FEATURES + 1)
-    A = np.hstack([np.ones((Z.shape[0], 1)), Z])
-    loss, grad = _loss_and_grad(theta, Z, y_arr, C)
-    if trace is not None:
-        trace.append(loss)
-
-    n_steps = 0
-    converged = bool(np.max(np.abs(grad)) < tol)
-    while not converged and n_steps < max_iter:
-        try:
-            direction = np.linalg.solve(_hessian(theta, A, C), -grad)
-        except np.linalg.LinAlgError:
-            direction = -grad
-        descent = float(grad @ direction)
-        if descent >= 0 or not np.all(np.isfinite(direction)):
-            direction = -grad  # fallback: steepest descent
-            descent = float(grad @ direction)
-
-        step = 1.0
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            theta_new = theta + step * direction
-            loss_new, grad_new = _loss_and_grad(theta_new, Z, y_arr, C)
-            predicted = _ARMIJO_C1 * step * descent
-            if loss_new <= loss + predicted:
-                accepted = True
-                break
-            # endgame: the predicted decrease is below the float resolution of
-            # the loss, so Armijo is blind; accept on gradient-norm progress
-            if abs(predicted) < 8 * np.finfo(float).eps * (1.0 + abs(loss)) and (
-                np.max(np.abs(grad_new)) < np.max(np.abs(grad))
-            ):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted or np.array_equal(theta_new, theta):
-            break  # no representable progress left
-
-        theta, loss, grad = theta_new, loss_new, grad_new
-        if trace is not None:
-            trace.append(loss)
-        n_steps += 1
-        converged = bool(np.max(np.abs(grad)) < tol)
-
+    theta, n_iter, norm = _whole(Z, y_arr, C).solve(max_iter)
+    converged = bool(norm[0] < _TOL)
     if not converged:
         warnings.warn(
-            f"optimizer stopped after {n_steps} iterations with "
-            f"gradient norm {np.max(np.abs(grad)):.3e} > tol {tol:.1e}",
+            f"optimizer stopped after {n_iter[0]} iterations with "
+            f"gradient norm {norm[0]:.3e} > tol {_TOL:.1e}",
             NonConvergenceWarning,
         )
 
     return LogisticModel(
-        intercept=float(theta[0]),
-        coefficients=tuple(theta[1:]),
+        intercept=float(theta[0, 0]),
+        coefficients=tuple(theta[0, 1:]),
         scaler=scaler if scaler is not None else identity_scaler(),
         inverse_reg_c=C,
         converged=converged,
-        n_iter=n_steps,
+        n_iter=int(n_iter[0]),
         trained_on=trained_on,
         seed=seed,
     )
 
 
 # ---------------------------------------------------------------------------
-# Leave-one-out folds, solved together
+# The damped Newton solver, for a block of problems over one design
 # ---------------------------------------------------------------------------
 
 # Element budget of one block of folds: fit_folds solves budget // n folds at
 # a time in four (block, n) work buffers, 96 KB each here. Larger blocks cost
 # fewer numpy calls per fold, but 16384 measured slower on the loocv workload.
 _BLOCK_ELEMENTS = 12288
+
+
+def _design(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The augmented design A = [1 | Z] and the rows of vec(a a^T) for the Hessian."""
+    A = np.hstack([np.ones((len(Z), 1)), Z])
+    return A, (A[:, :, None] * A[:, None, :]).reshape(len(Z), -1)
+
+
+def _whole(Z: np.ndarray, y: np.ndarray, C: float) -> "_Block":
+    """All of Z as one problem: no held-out row, Z's own coordinates, no fixed column."""
+    one = (1, N_FEATURES)
+    return _Block(*_design(Z), y, np.empty((1, 0), dtype=np.intp), np.zeros(one), np.ones(one),
+                  np.ones(one, dtype=bool), C, np.empty((4, 1, len(y))))
 
 
 def fit_folds(
@@ -317,7 +264,6 @@ def fit_folds(
     scale: np.ndarray,
     free: np.ndarray,
     C: float,
-    tol: float = 1e-8,
     max_iter: int = 5000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
@@ -330,17 +276,15 @@ def fit_folds(
     each Newton step of a block of folds is a few matrix products and one
     batched solve. A coordinate where free[k] is False (a column constant
     within fold k) keeps weight 0. Newton steps are invariant under the
-    change of coordinates, so every fold starts from zero as fit does, keeps
-    its Armijo backtracking and endgame rule, and tests tol on its gradient
-    mapped back to its own coordinates.
+    change of coordinates, so every fold starts from zero as fit does and
+    tests fit's tolerance on its gradient mapped back to its own coordinates.
 
     Returns:
         Each fold's probability for its held-out row, its Newton steps and
-        whether its gradient norm fell below tol within max_iter steps.
+        whether its gradient norm fell below the tolerance within max_iter steps.
     """
     n = len(y)
-    A = np.hstack([np.ones((n, 1)), Z])
-    pairs = (A[:, :, None] * A[:, None, :]).reshape(n, -1)  # rows of vec(a a^T)
+    A, pairs = _design(Z)
     probability = np.empty(n)
     n_iter = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
@@ -350,15 +294,21 @@ def fit_folds(
     work = np.empty((4, size, n))
     for start in range(0, n, size):
         block = slice(start, min(start + size, n))
-        fold = _FoldBlock(A, pairs, y, np.arange(block.start, block.stop),
-                          shift[block], scale[block], free[block], C, work)
-        theta, n_iter[block], converged[block] = fold.solve(tol, max_iter)
+        held_out = np.arange(block.start, block.stop)[:, None]
+        folds = _Block(A, pairs, y, held_out, shift[block], scale[block], free[block], C, work)
+        theta, n_iter[block], norm = folds.solve(max_iter)
+        converged[block] = norm < _TOL
         probability[block] = _sigmoid(np.einsum("ij,ij->i", theta, A[block]))
     return probability, n_iter, converged
 
 
-class _FoldBlock:
-    """The loss, gradient and Hessian of a block of leave-one-out folds."""
+class _Block:
+    """
+    The loss, gradient and Hessian of a block of problems over one design A:
+    problem k drops the rows held_out[k] (one per fold, none for fit), reads
+    its features as (Z - shift[k]) / scale[k] and keeps weight 0 where
+    free[k] is False.
+    """
 
     def __init__(self, A, pairs, y, held_out, shift, scale, free, C, work):
         self.A, self.pairs, self.y, self.held_out, self.work = A, pairs, y, held_out, work
@@ -371,8 +321,8 @@ class _FoldBlock:
         self.fixed = None if free.all() else ~self.free
 
     def objective(self, theta: np.ndarray, folds: np.ndarray):
-        """Loss, gradient, Hessian and fold-coordinate gradient norm at theta."""
-        rows, held_out = np.arange(len(folds)), self.held_out[folds]
+        """Loss, gradient, Hessian and own-coordinate gradient norm at theta."""
+        rows, held_out = np.arange(len(folds))[:, None], self.held_out[folds]
         penalty, w = self.penalty[folds], theta[:, 1:]
         # every (block, n) array is a work buffer; its held-out entries are
         # zeroed in place
@@ -407,18 +357,23 @@ class _FoldBlock:
             hess *= free[:, :, None] & free[:, None, :]
             every = np.arange(N_FEATURES + 1)
             hess[:, every, every] += self.fixed[folds]
-        # d/dw_fold = (d/dv - shift * d/dc) / scale
+        # d/dw_own = (d/dv - shift * d/dc) / scale
         grad_w = (grad[:, 1:] - self.shift[folds] * grad[:, :1]) / self.scale[folds]
         norm = np.maximum(np.abs(grad[:, 0]), np.abs(grad_w).max(axis=1))
         return loss, grad, hess, norm
 
-    def solve(self, tol: float, max_iter: int):
-        """fit's Newton loop, run for every fold of the block at once."""
+    def solve(self, max_iter: int):
+        """
+        Damped Newton from zero for every problem of the block at once: a
+        Newton step (steepest descent where it is unusable) with Armijo
+        backtracking, until the gradient norm is below _TOL or max_iter steps.
+        Returns the parameters, the steps taken and the final gradient norms.
+        """
         folds = np.arange(len(self.held_out))
         theta = np.zeros((len(folds), N_FEATURES + 1))
         loss, grad, hess, norm = self.objective(theta, folds)
         n_iter = np.zeros(len(folds), dtype=int)
-        active = norm >= tol
+        active = norm >= _TOL
         for _ in range(max_iter):
             live = np.flatnonzero(active)
             if not live.size:
@@ -437,7 +392,8 @@ class _FoldBlock:
                 trial = theta[k] + step[pending, None] * direction[pending]
                 t_loss, t_grad, t_hess, t_norm = self.objective(trial, k)
                 predicted = _ARMIJO_C1 * step[pending] * descent[pending]
-                # fit's endgame rule when Armijo is below the loss resolution
+                # endgame: the predicted decrease is below the float resolution
+                # of the loss, so Armijo is blind; accept on gradient-norm progress
                 blind = np.abs(predicted) < 8 * np.finfo(float).eps * (1.0 + np.abs(loss[k]))
                 ok = (t_loss <= loss[k] + predicted) | (blind & (t_norm < norm[k]))
                 moved = ok & (trial != theta[k]).any(axis=1)
@@ -451,12 +407,12 @@ class _FoldBlock:
                     break
                 step[pending] *= 0.5
             active[live[pending]] = False  # the line search found no step
-            active &= norm >= tol
-        return theta, n_iter, norm < tol
+            active &= norm >= _TOL
+        return theta, n_iter, norm
 
 
 def _newton_directions(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve each H d = -g; a singular H gets -g, as in fit."""
+    """Solve each H d = -g; a singular H gets -g."""
     try:
         return np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:

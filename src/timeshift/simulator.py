@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DEFAULT_TARGET_S, Direction, EngagementLevel, TrialTable
+from .data import DEFAULT_TARGET_S, Direction, EngagementLevel, TrialTable, require_finite
 
 # Productions are clamped here; with the default noise level the bound is
 # effectively never hit (~1e-5 of draws even at 3 s noiseless time).
@@ -72,6 +72,7 @@ class SimParams:
     sensitivity_prevalence: float = 0.06
 
     def __post_init__(self):
+        require_finite(self)
         if self.base_clock_rate_hz <= 0:
             raise ValueError("base_clock_rate_hz must be > 0")
         # type() rather than isinstance(): JSON true must not pass as seed 1

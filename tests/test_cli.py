@@ -403,6 +403,22 @@ MALFORMED_CONFIGS = {
     "unknown_sim_key": ("train", '{"sim": {"weber": 0.1}}', [], "sim section: weber"),
     "unknown_threshold_key": ("train", '{"thresholds": {"low": 0.3}}', [],
                               "thresholds section: low"),
+    # non-finite numbers are named, not passed on to band or simulate with
+    "delta_small_nan": ("train", '{"thresholds": {"delta_small": NaN}}', [],
+                        "delta_small must be finite"),
+    "delta_small_inf": ("train", '{"thresholds": {"delta_small": Infinity}}', [],
+                        "delta_small must be finite"),
+    "arousal_gain_inf": ("simulate", '{"sim": {"arousal_gain": Infinity}}', [],
+                         "arousal_gain must be finite"),
+    "clock_rate_inf": ("simulate", '{"sim": {"base_clock_rate_hz": Infinity}}', [],
+                       "base_clock_rate_hz must be finite"),
+    "weber_fraction_nan": ("simulate", '{"sim": {"weber_fraction": NaN}}', [],
+                           "weber_fraction must be finite"),
+    "reference_ticks_nan": ("simulate", '{"sim": {"reference_ticks": NaN}}', [],
+                            "reference_ticks must be finite"),
+    "target_s_nan": ("simulate", '{"sim": {"target_s": NaN}}', [], "target_s must be finite"),
+    "population_mean_nan": ("simulate", '{"sim": {"population_mean_s": NaN}}', [],
+                            "population_mean_s must be finite"),
 }
 
 

@@ -183,6 +183,18 @@ class TestGradient:
         model = fit(Z, y, C=5.0)
         assert np.max(np.abs(gradient(model, Z, y))) < 1e-6
 
+    @pytest.mark.parametrize("logit", [-800.0, 800.0])
+    def test_extreme_logits_are_exact(self, logit):
+        # softplus(m) - y*m is exactly |m| for one row of each class, where a
+        # clamped log would saturate near 34.5; p rounds to exactly 0 or 1
+        m = make_model(0.0, (logit, 0, 0, 0, 0), C=1.0)
+        Z = np.zeros((2, 5))
+        Z[:, 0] = 1.0
+        y = [1, 0]
+        assert nll_loss(m, Z, y) == abs(logit) + logit**2 / 2
+        sign = math.copysign(1.0, logit)
+        np.testing.assert_array_equal(gradient(m, Z, y), [sign, sign + logit, 0, 0, 0, 0])
+
     def test_symmetric_setup_zeroes_intercept_gradient(self):
         Z = np.zeros((10, 5))
         y = np.array([0, 1] * 5, dtype=float)
@@ -219,10 +231,13 @@ class TestFit:
     def test_loss_never_increases_between_iterates(self):
         rng = np.random.default_rng(6)
         Z, y = random_instance(rng, 150)
-        trace: list = []
-        fit(Z, y, C=2.0, trace=trace)
-        assert len(trace) >= 2
-        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+        final = fit(Z, y, C=2.0)
+        with pytest.warns(NonConvergenceWarning):  # every iterate before the last
+            iterates = [fit(Z, y, C=2.0, max_iter=k) for k in range(final.n_iter)]
+        losses = [nll_loss(m, Z, y) for m in [*iterates, final]]
+        assert len(losses) >= 2
+        assert [m.n_iter for m in iterates] == list(range(final.n_iter))
+        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_fitted_loss_beats_origin(self):
         rng = np.random.default_rng(7)
