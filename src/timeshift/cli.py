@@ -348,7 +348,6 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
         build_features(trials, pairs, config.target_interval_s),
         deltas < 0,
         C=config.C,
-        seed=config.seed,
         thresholds=config.thresholds,
     )
     magnitude_counts, five_cells = magnitude_confusion(
@@ -408,7 +407,6 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
         ],
         "nonconverged_folds": result.nonconverged,
         "fold_n_iter": {"min": int(result.n_iter.min()), "max": int(result.n_iter.max())},
-        "fallback_folds": result.fallbacks,
         "constant_fold_columns": result.constant_fold_columns,
         "per_sample_csv": per_sample_path.name,
     }

@@ -52,11 +52,18 @@ DEFAULT_TARGET_S = 30.0
 
 
 def require_finite(instance) -> None:
-    """Raise ValueError naming the first float field of a dataclass that is NaN or infinite."""
+    """
+    Raise ValueError naming the first field of a dataclass, or value in a
+    list or tuple field, that is a bool (JSON true is not the number 1) or a
+    NaN or infinite float.
+    """
     for field in fields(instance):
         value = getattr(instance, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value}")
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(item, bool):
+                raise ValueError(f"{field.name} must be a number, got {item}")
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ValueError(f"{field.name} must be finite, got {item}")
 
 
 class EngagementLevel(enum.IntEnum):

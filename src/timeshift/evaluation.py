@@ -11,7 +11,6 @@ extreme class.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,12 +22,11 @@ from .data import (
 from .errors import (
     FoldSingleClassError,
     LengthMismatchError,
-    NonConvergenceWarning,
     SingleClassError,
     TooFewSamplesError,
 )
 from .features import constant_columns
-from .logistic import fit, fit_folds, labels_to_array, predict_proba
+from .logistic import fit_folds, labels_to_array
 from .simulator import arousal_baseline, attention_baseline
 
 # Row/column order of the 3x3 magnitude confusion matrix.
@@ -200,8 +198,8 @@ class LoocvResult:
     """
     Per-sample outcomes in sample order and their metrics, with each fold's
     probability and Newton steps as arrays. nonconverged counts the folds whose
-    fit stopped at the iteration cap, fallbacks the folds refitted one by one
-    and constant_fold_columns the folds with a column constant within them.
+    solve stopped at the iteration cap and constant_fold_columns the folds with
+    a column constant within them.
     """
 
     outcomes: tuple[PredictionOutcome, ...]
@@ -209,19 +207,13 @@ class LoocvResult:
     nonconverged: int
     probabilities: np.ndarray
     n_iter: np.ndarray
-    fallbacks: int
     constant_fold_columns: int
-
-
-# Newton step cap of every fold, batched or refitted: fit's default.
-_MAX_ITER = 5000
 
 
 def loocv(
     X: np.ndarray,
     y,
     C: float = 12.06,
-    seed: int = 0,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> LoocvResult:
     """
@@ -231,10 +223,9 @@ def loocv(
     Each sample is predicted by a scaler and model fitted on the other n-1
     samples only, so the held-out sample never leaks into standardization or
     training. All folds are solved together by fit_folds, each from zero to
-    fit's gradient tolerance in its own coordinates; a fold still above it is
-    refitted alone with fit (a fallback). A column constant within a fold
-    keeps weight 0 in that fold's model instead of failing the run. A fold
-    model that does not converge is still used and counted in nonconverged.
+    fit's gradient tolerance in its own coordinates. A column constant within
+    a fold keeps weight 0 in that fold's model instead of failing the run. A
+    fold that does not converge is still used and counted in nonconverged.
 
     Raises:
         TooFewSamplesError: fewer than 10 samples.
@@ -250,26 +241,14 @@ def loocv(
             raise FoldSingleClassError(int(members[0]) if len(members) else 0)
 
     Z, shift, scale, free = _fold_scalers(X)
-    probabilities, n_iter, converged = fit_folds(
-        Z, y, shift, scale, free, C, max_iter=_MAX_ITER
-    )
-    fallbacks = np.flatnonzero(~converged)
-    nonconverged = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonConvergenceWarning)
-        for i in fallbacks:
-            probabilities[i], model = _refit_fold(X, y, i, free[i], C, seed)
-            n_iter[i] = model.n_iter
-            nonconverged += not model.converged
-
+    probabilities, n_iter, converged = fit_folds(Z, y, shift, scale, free, C)
     outcomes = _outcomes(probabilities, thresholds)
     return LoocvResult(
         outcomes=outcomes,
         metrics=metrics([o.direction for o in outcomes], y),
-        nonconverged=nonconverged,
+        nonconverged=int(np.count_nonzero(~converged)),
         probabilities=probabilities,
         n_iter=n_iter,
-        fallbacks=len(fallbacks),
         constant_fold_columns=int((~free).any(axis=1).sum()),
     )
 
@@ -297,16 +276,6 @@ def _fold_scalers(X: np.ndarray):
     scale = np.sqrt(np.maximum((np.sum(Z * Z, axis=0) - Z * Z) / (n - 1) - shift**2, 0.0))
     free &= ~constant_columns(mean + shift * std, scale * std)
     return Z, shift, scale, free
-
-
-def _refit_fold(X: np.ndarray, y: np.ndarray, i: int, free: np.ndarray, C: float, seed: int):
-    """Fold i alone: fit_scaler's statistics (constant columns zeroed), fit from zero."""
-    train = np.arange(len(y)) != i
-    means = X[train].mean(axis=0)
-    stds = np.where(free, X[train].std(axis=0), 1.0)
-    Z = (X - means) / stds * free
-    model = fit(Z[train], y[train], C=C, seed=seed, max_iter=_MAX_ITER)
-    return predict_proba(model, Z[i]), model
 
 
 # ---------------------------------------------------------------------------

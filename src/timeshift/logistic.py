@@ -446,10 +446,25 @@ def model_to_json(model: LogisticModel) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+# The JSON types of a model file's scalar fields (README "Model JSON"); a
+# bool is not a number here, and a number or a string is not a bool.
+_MODEL_FIELD_TYPES = {
+    "intercept": ((int, float), "a number"),
+    "C": ((int, float), "a number"),
+    "converged": ((bool,), "a boolean"),
+    "n_iter": ((int,), "an integer"),
+    "trained_on": ((str,), "a string"),
+    "seed": ((int, type(None)), "an integer or null"),
+}
+
+
 def model_from_json(text: str) -> LogisticModel:
     """Parse a saved model; text that is not one raises ConfigError."""
     try:
         payload = json.loads(text)
+        for key, (types, kind) in _MODEL_FIELD_TYPES.items():
+            if key in payload and type(payload[key]) not in types:
+                raise ConfigError(f"model field {key} must be {kind}, got {payload[key]!r}")
         return LogisticModel(
             intercept=payload["intercept"],
             coefficients=tuple(payload["coefficients"]),

@@ -190,7 +190,7 @@ def test_criterion_4_evaluation_harness():
                 SimParams(rng_seed=seed, sensitivity_prevalence=0.3), 200, 2
             )
             shuffled = _relabeled_to_random(base, seed)
-            accuracy = loocv(*shuffled, C=12.06, seed=seed).metrics.accuracy
+            accuracy = loocv(*shuffled, C=12.06).metrics.accuracy
             if 0.40 <= accuracy <= 0.60:
                 in_band += 1
         assert in_band >= 18
@@ -198,8 +198,8 @@ def test_criterion_4_evaluation_harness():
         probe = _relabeled_to_random(
             generate_dataset(SimParams(rng_seed=5, sensitivity_prevalence=0.3), 60, 2), 5
         )
-        first = loocv(*probe, C=12.06, seed=9)
-        second = loocv(*probe, C=12.06, seed=9)
+        first = loocv(*probe, C=12.06)
+        second = loocv(*probe, C=12.06)
         assert [o.probability_of_decrease for o in first.outcomes] == [
             o.probability_of_decrease for o in second.outcomes
         ]

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -10,7 +11,9 @@ import timeshift.evaluation
 from timeshift.cli import main
 from timeshift.errors import NonConvergenceWarning
 from timeshift.features import identity_scaler
-from timeshift.logistic import fit, load_model, model_to_json, pinned_model, save_model
+from timeshift.logistic import (
+    fit, fit_folds, load_model, model_to_json, pinned_model, save_model,
+)
 
 TRIAL_HEADER = (
     "participant_id,trial_index,engagement_level,produced_time_s,"
@@ -371,6 +374,26 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         assert fragment in err["message"]
 
 
+# a scalar model.json field of the wrong JSON type (README "Model JSON")
+@pytest.mark.parametrize("field, value", [
+    ("converged", "false"), ("C", True), ("intercept", True),
+    ("n_iter", "many"), ("seed", "x"), ("trained_on", 5),
+])
+def test_mistyped_model_field_exits_2(tmp_path, capsys, field, value):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**_MODEL, field: value}))
+    features = tmp_path / "features.csv"
+    features.write_bytes(_feature_rows("2.0,0,0,0,0,decrease"))
+    common = ["--model", str(model), "--features", str(features)]
+    for argv in (["predict", *common, "--output", str(tmp_path / "o.csv")],
+                 ["explain", *common, "--output-dir", str(tmp_path / "shap")]):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"model field {field} must be" in err["message"]
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "shap").exists()
+
+
 # (command, config file text or None, flags, fragment of the message)
 MALFORMED_CONFIGS = {
     "not_an_object": ("simulate", "[1, 2]", [], "JSON object"),
@@ -419,6 +442,17 @@ MALFORMED_CONFIGS = {
     "target_s_nan": ("simulate", '{"sim": {"target_s": NaN}}', [], "target_s must be finite"),
     "population_mean_nan": ("simulate", '{"sim": {"population_mean_s": NaN}}', [],
                             "population_mean_s must be finite"),
+    # JSON true is not the number 1
+    "delta_small_bool": ("train", '{"thresholds": {"delta_small": true}}', [],
+                         "delta_small must be a number"),
+    "weber_fraction_bool": ("simulate", '{"sim": {"weber_fraction": true}}', [],
+                            "weber_fraction must be a number"),
+    "reference_ticks_bool": ("simulate", '{"sim": {"reference_ticks": true}}', [],
+                             "reference_ticks must be a number"),
+    "report_flip_prob_bool": ("simulate", '{"sim": {"report_flip_prob": true}}', [],
+                              "report_flip_prob must be a number"),
+    "gate_width_bool": ("simulate", '{"sim": {"gate_width_by_engagement": [true, 0.85, 0.7]}}',
+                        [], "gate_width_by_engagement must be a number"),
 }
 
 
@@ -485,7 +519,6 @@ class TestEvaluate:
             "high_increase_extreme_miss", "high_decrease_extreme_miss",
         }
         assert report["nonconverged_folds"] == 0
-        assert report["fallback_folds"] == 0
         assert 1 <= report["fold_n_iter"]["min"] <= report["fold_n_iter"]["max"]
         assert 0 <= report["constant_fold_columns"] <= report["n"]
         per_sample = report_path.with_suffix(".per_sample.csv")
@@ -529,11 +562,13 @@ class TestEvaluate:
                      "--output", str(report_path), *flags]) == 0
         report = json.loads(report_path.read_text())
         assert report["constant_fold_columns"] == report["n"] > 0
-        assert report["fallback_folds"] == report["nonconverged_folds"] == 0
+        assert report["nonconverged_folds"] == 0
 
     def test_nonconverged_folds_exit_3(self, tmp_path, trials, monkeypatch, capsys):
         config, trials = trials
-        monkeypatch.setattr(timeshift.evaluation, "_MAX_ITER", 1)
+        monkeypatch.setattr(
+            timeshift.evaluation, "fit_folds", functools.partial(fit_folds, max_iter=1)
+        )
         capsys.readouterr()
         report_path = tmp_path / "report.json"
         argv = ["evaluate", "--config", str(config), "--input", str(trials),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from timeshift.evaluation import (
     metrics,
 )
 from timeshift.features import build_features, fit_scaler, transform
-from timeshift.logistic import fit, predict_proba
+from timeshift.logistic import fit, fit_folds, predict_proba
 from timeshift.simulator import SimParams
 from tests.test_data import directions, make_trial, pairs_of, simulated
 
@@ -298,13 +299,13 @@ class TestLoocv:
                     rep_high=(prev_eng == LOW and i % 3 == 0),
                 )
             )
-        result = loocv(*features_and_labels(dataset(pairs)), C=100.0, seed=0)
+        result = loocv(*features_and_labels(dataset(pairs)), C=100.0)
         assert result.metrics.accuracy == 1.0
 
     def test_deterministic(self):
         X, y = features_and_labels(varied_dataset([True, False] * 15, seed=4))
-        a = loocv(X, y, C=12.06, seed=7)
-        b = loocv(X, y, C=12.06, seed=7)
+        a = loocv(X, y, C=12.06)
+        b = loocv(X, y, C=12.06)
         assert [o.probability_of_decrease for o in a.outcomes] == [
             o.probability_of_decrease for o in b.outcomes
         ]
@@ -313,7 +314,7 @@ class TestLoocv:
         ds = varied_dataset([True, False] * 12, seed=6)
         target = 3
         X, y = features_and_labels(ds)
-        baseline = loocv(X, y, C=12.06, seed=0).outcomes[target].probability_of_decrease
+        baseline = loocv(X, y, C=12.06).outcomes[target].probability_of_decrease
 
         # flip the held-out sample's label by moving its next trial's produced
         # time; features (prev trial + next engagement) stay identical
@@ -324,7 +325,7 @@ class TestLoocv:
         assert np.array_equal(X_poisoned, X)
         assert y_poisoned[target] != y[target]
 
-        flipped = loocv(X_poisoned, y_poisoned, C=12.06, seed=0)
+        flipped = loocv(X_poisoned, y_poisoned, C=12.06)
         flipped = flipped.outcomes[target].probability_of_decrease
         assert flipped == baseline
 
@@ -332,7 +333,9 @@ class TestLoocv:
         X, y = features_and_labels(varied_dataset([True, False] * 6, seed=3))
         assert loocv(X, y).nonconverged == 0
         # a warning escaping loocv would fail this test (pytest turns it into an error)
-        monkeypatch.setattr(timeshift.evaluation, "_MAX_ITER", 1)
+        monkeypatch.setattr(
+            timeshift.evaluation, "fit_folds", functools.partial(fit_folds, max_iter=1)
+        )
         assert loocv(X, y).nonconverged == len(y)
 
     def test_batched_folds_match_per_fold_refits(self):
@@ -341,35 +344,31 @@ class TestLoocv:
         n = len(ds[1])
         block = timeshift.logistic._BLOCK_ELEMENTS // n
         assert n // block >= 3 and n % block
-        result = loocv(*features_and_labels(ds), C=12.06, seed=0)
-        assert (result.fallbacks, result.nonconverged, result.constant_fold_columns) == (0, 0, 0)
-        np.testing.assert_allclose(
-            result.probabilities, per_fold_reference(ds, C=12.06), rtol=0, atol=1e-9
-        )
-        assert [o.probability_of_decrease for o in result.outcomes] == result.probabilities.tolist()
-        assert result.n_iter.min() >= 1
-
-    def test_fallback_fold_refitted_and_counted(self, monkeypatch):
-        X, y = features_and_labels(varied_dataset([True, False] * 12, seed=6))
-        expected = loocv(X, y).probabilities
-        batched = timeshift.evaluation.fit_folds
-
-        def stalls_on_fold_4(*args, **kwargs):
-            probability, n_iter, converged = batched(*args, **kwargs)
-            probability[4], converged[4] = 0.5, False
-            return probability, n_iter, converged
-
-        monkeypatch.setattr(timeshift.evaluation, "fit_folds", stalls_on_fold_4)
-        result = loocv(X, y)
-        assert (result.fallbacks, result.nonconverged) == (1, 0)
-        np.testing.assert_allclose(result.probabilities, expected, rtol=0, atol=1e-12)
+        # and the same cohort where one forgotten 4,000 s first production
+        # dominates t1_rel_error: the batched solve is the only fold solver
+        trials, pairs = ds
+        produced = trials.produced_s.copy()
+        produced[pairs[0, 0]] = 4000.0
+        outlier = dataclasses.replace(trials, produced_s=produced), pairs
+        for cohort in (ds, outlier):
+            result = loocv(*features_and_labels(cohort), C=12.06)
+            assert (result.nonconverged, result.constant_fold_columns) == (0, 0)
+            np.testing.assert_allclose(
+                result.probabilities, per_fold_reference(cohort, C=12.06), rtol=0, atol=1e-9
+            )
+            assert [o.probability_of_decrease for o in result.outcomes] == (
+                result.probabilities.tolist()
+            )
+            assert result.n_iter.min() >= 1
+        X = features_and_labels(outlier)[0]
+        assert X[0, 0] == np.abs(X[:, 0]).max() > 100 * np.abs(X[1:, 0]).max()
 
     def test_constant_fold_column_gets_zero_weight(self):
         # only sample 0 is sensitive: the column is constant in its fold alone
         ds = sensitive_only(varied_dataset([True, False] * 10, seed=2), rows=[0])
         assert np.flatnonzero(build_features(*ds)[:, 2]).tolist() == [0]
         result = loocv(*features_and_labels(ds))
-        assert (result.constant_fold_columns, result.fallbacks) == (1, 0)
+        assert result.constant_fold_columns == 1
         np.testing.assert_allclose(
             result.probabilities, per_fold_reference(ds, C=12.06), rtol=0, atol=1e-9
         )
@@ -378,7 +377,7 @@ class TestLoocv:
         ds = sensitive_only(varied_dataset([True, False] * 10, seed=2), rows=[])
         assert not build_features(*ds)[:, 2].any()
         result = loocv(*features_and_labels(ds))
-        assert (result.constant_fold_columns, result.fallbacks) == (len(ds[1]), 0)
+        assert result.constant_fold_columns == len(ds[1])
         np.testing.assert_allclose(
             result.probabilities, per_fold_reference(ds, C=12.06), rtol=0, atol=1e-9
         )
@@ -402,7 +401,7 @@ class TestLoocv:
         rng = np.random.default_rng(3)
         labels = rng.permutation([True] * 100 + [False] * 100)
         shuffled = features_and_labels(relabeled(ds, labels))
-        result = loocv(*shuffled, C=12.06, seed=0)
+        result = loocv(*shuffled, C=12.06)
         assert 0.3 <= result.metrics.accuracy <= 0.7
 
 
