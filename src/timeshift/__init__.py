@@ -52,7 +52,6 @@ from .logistic import (
 )
 from .evaluation import (
     MetricsReport,
-    PredictionOutcome,
     Thresholds,
     balanced_indices,
     classify_actual_magnitude,
@@ -63,8 +62,6 @@ from .evaluation import (
     metrics,
 )
 from .explain import (
-    ShapAttribution,
     aggregate_shap,
     shap_matrix,
-    shap_values,
 )

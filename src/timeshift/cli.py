@@ -37,22 +37,16 @@ from .data import (
 )
 from .errors import ConfigError, NonConvergenceWarning, TimeshiftError, TooFewSamplesError
 from .evaluation import (
+    MAGNITUDE_WORDS,
     Thresholds,
+    actual_bands,
     balanced_indices,
     baseline_rows,
-    classify_direction,
-    classify_actual_magnitude,
-    classify_predicted_magnitude,
     loocv,
     magnitude_confusion,
+    predicted_bands,
 )
-from .explain import (
-    aggregate_shap,
-    shap_matrix,
-    shap_values,
-    waterfall_payload,
-    write_scatter_csv,
-)
+from .explain import aggregate_shap, shap_matrix, waterfall_payload, write_scatter_csv
 from .features import (
     FEATURE_NAMES,
     build_features,
@@ -246,12 +240,6 @@ def _report(payload: dict) -> None:
     sys.stderr.write(json.dumps(payload) + "\n")
 
 
-def _values(members) -> list[str]:
-    """The CSV words of an array of Direction or MagnitudeLevel members."""
-    # _value_ is a plain attribute; .value is a descriptor, several times slower per row
-    return [member._value_ for member in members]
-
-
 def _load_pairs(path: Path) -> tuple[TrialTable, np.ndarray]:
     """The trials of a trial CSV and their consecutive pairs; no pair is an error."""
     trials = load_trials(path)
@@ -344,14 +332,10 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     if config.undersample:
         pairs = pairs[balanced_indices(pair_deltas(trials, pairs) < 0, config.seed)]
     deltas = pair_deltas(trials, pairs)
-    result = loocv(
-        build_features(trials, pairs, config.target_interval_s),
-        deltas < 0,
-        C=config.C,
-        thresholds=config.thresholds,
-    )
+    X = build_features(trials, pairs, config.target_interval_s)
+    result = loocv(X, deltas < 0, C=config.C)
     magnitude_counts, five_cells = magnitude_confusion(
-        result.outcomes, deltas, config.thresholds
+        result.probabilities, deltas, config.thresholds
     )
 
     # a sample's id is "<participant id>:<trial index of its next trial>"
@@ -363,11 +347,11 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
         return zip(
             map("{}:{}".format, ids[block], index[block].tolist()),
             p.tolist(),
-            _values(classify_direction(p)),
+            direction_words(result.outcomes[block]),
             direction_words(block_deltas < 0),
             block_deltas.tolist(),
-            _values(classify_predicted_magnitude(p, config.thresholds)),
-            _values(classify_actual_magnitude(block_deltas, config.thresholds)),
+            MAGNITUDE_WORDS[predicted_bands(p, config.thresholds)].tolist(),
+            MAGNITUDE_WORDS[actual_bands(block_deltas, config.thresholds)].tolist(),
         )
 
     per_sample_path = Path(args.per_sample or output.with_suffix(".per_sample.csv"))
@@ -425,9 +409,9 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
         return zip(
             range(block.start, block.start + len(p)),
             p.tolist(),
-            _values(classify_direction(p)),
+            direction_words(p > 0.5),
             direction_words(decrease[block]),
-            _values(classify_predicted_magnitude(p, config.thresholds)),
+            MAGNITUDE_WORDS[predicted_bands(p, config.thresholds)].tolist(),
         )
 
     write_csv(
@@ -468,7 +452,7 @@ def cmd_explain(config: RunConfig, args: argparse.Namespace) -> int:
         output_dir / "shap_waterfall.json",
         # a one-row call keeps the waterfall logit bit-identical to w @ z
         {
-            **waterfall_payload(shap_values(model, Z[row]), X[row]),
+            **waterfall_payload(*shap_matrix(model, Z[row:row + 1]), X[row]),
             **_manifest(config, row=row),
         },
     )

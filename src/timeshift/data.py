@@ -15,6 +15,7 @@ import csv
 import enum
 import logging
 import math
+import numbers
 import os
 from array import array
 from contextlib import contextmanager
@@ -54,14 +55,17 @@ DEFAULT_TARGET_S = 30.0
 def require_finite(instance) -> None:
     """
     Raise ValueError naming the first field of a dataclass, or value in a
-    list or tuple field, that is a bool (JSON true is not the number 1) or a
+    list or tuple field, that is not a number (a string, a bool: JSON true is
+    not the number 1, or None where the field's default is not None) or is a
     NaN or infinite float.
     """
     for field in fields(instance):
         value = getattr(instance, field.name)
+        if value is None and field.default is None:
+            continue
         for item in value if isinstance(value, (list, tuple)) else (value,):
-            if isinstance(item, bool):
-                raise ValueError(f"{field.name} must be a number, got {item}")
+            if isinstance(item, bool) or not isinstance(item, numbers.Real):
+                raise ValueError(f"{field.name} must be a number, got {item!r}")
             if isinstance(item, float) and not math.isfinite(item):
                 raise ValueError(f"{field.name} must be finite, got {item}")
 

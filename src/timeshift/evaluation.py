@@ -6,13 +6,13 @@ Direction is read off the predicted probability of decrease at 0.5; the
 magnitude bands interpret an extreme probability (beyond 0.4/0.6) as a large
 change and a probability near 0.5 as a small one, mirrored against the actual
 change thresholded at +/-5 seconds. Every boundary value falls into the less
-extreme class.
+extreme class. Whole columns are banded at once: a band is an integer code
+into MAGNITUDE_ORDER, and predictions and labels are boolean decrease masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,12 +29,14 @@ from .features import constant_columns
 from .logistic import fit_folds, labels_to_array
 from .simulator import arousal_baseline, attention_baseline
 
-# Row/column order of the 3x3 magnitude confusion matrix.
+# Row/column order of the 3x3 magnitude confusion matrix; a band code indexes
+# it and its CSV words.
 MAGNITUDE_ORDER = (
     MagnitudeLevel.HIGH_INCREASE,
     MagnitudeLevel.SMALL_CHANGE,
     MagnitudeLevel.HIGH_DECREASE,
 )
+MAGNITUDE_WORDS = np.array([level.value for level in MAGNITUDE_ORDER])
 
 
 @dataclass(frozen=True)
@@ -58,53 +60,37 @@ class Thresholds:
 DEFAULT_THRESHOLDS = Thresholds()
 
 
-# Classifier outputs by band. Each classifier takes a value or an array of
-# them and returns a member or an object array of members.
-_DIRECTIONS = np.array([Direction.INCREASE, Direction.DECREASE], dtype=object)
-_MAGNITUDES = np.array(MAGNITUDE_ORDER, dtype=object)
+def _bands(x, low, high):
+    """Band code of each value: 0 below low, 2 above high, 1 from low to high."""
+    return 1 + (x > high) - (x < low)
 
 
-def classify_direction(p):
+def predicted_bands(p, thresholds: Thresholds = DEFAULT_THRESHOLDS):
+    """Band codes of probabilities of decrease; a boundary value stays in the middle band."""
+    return _bands(p, thresholds.prob_low, thresholds.prob_high)
+
+
+def actual_bands(delta_t, thresholds: Thresholds = DEFAULT_THRESHOLDS):
+    """
+    Band codes of actual changes, banded as -delta_t so that a large drop is
+    HIGH_DECREASE; |delta_t| equal to the bound is a small change.
+    """
+    return _bands(np.negative(delta_t), -thresholds.delta_small, thresholds.delta_small)
+
+
+def classify_direction(p: float) -> Direction:
     """Decrease iff the probability of decrease exceeds 0.5 (0.5 -> increase)."""
-    return _DIRECTIONS[np.greater(p, 0.5).astype(np.intp)]
+    return Direction.DECREASE if p > 0.5 else Direction.INCREASE
 
 
-def classify_predicted_magnitude(p, thresholds: Thresholds = DEFAULT_THRESHOLDS):
-    """Band the predicted probability; boundary values stay in the middle band."""
-    band = 1 + np.greater(p, thresholds.prob_high).astype(np.intp)
-    return _MAGNITUDES[band - np.less(p, thresholds.prob_low)]
+def classify_predicted_magnitude(p: float, thresholds: Thresholds = DEFAULT_THRESHOLDS):
+    """The MagnitudeLevel of one probability of decrease."""
+    return MAGNITUDE_ORDER[predicted_bands(p, thresholds)]
 
 
-def classify_actual_magnitude(delta_t, thresholds: Thresholds = DEFAULT_THRESHOLDS):
-    """Band the actual change; |delta_t| equal to the bound is a small change."""
-    band = 1 + np.less(delta_t, -thresholds.delta_small).astype(np.intp)
-    return _MAGNITUDES[band - np.greater(delta_t, thresholds.delta_small)]
-
-
-@dataclass(frozen=True)
-class PredictionOutcome:
-    """Probability of decrease with its direction and magnitude readings."""
-
-    probability_of_decrease: float
-    direction: Direction
-    predicted_magnitude: MagnitudeLevel
-
-    @classmethod
-    def from_probability(
-        cls, p: float, thresholds: Thresholds = DEFAULT_THRESHOLDS
-    ) -> "PredictionOutcome":
-        return _outcomes(np.array([p], dtype=float), thresholds)[0]
-
-
-def _outcomes(probabilities: np.ndarray, thresholds: Thresholds) -> tuple[PredictionOutcome, ...]:
-    """One outcome per probability, banded as whole arrays; each must lie in [0, 1]."""
-    # a certain fold (|logit| above ~37) rounds to exactly 0.0 or 1.0
-    outside = probabilities[~((probabilities >= 0.0) & (probabilities <= 1.0))]
-    if outside.size:
-        raise ValueError(f"probability must lie in [0, 1], got {outside[0]}")
-    directions = classify_direction(probabilities)
-    magnitudes = classify_predicted_magnitude(probabilities, thresholds)
-    return tuple(map(PredictionOutcome, probabilities.tolist(), directions, magnitudes))
+def classify_actual_magnitude(delta_t: float, thresholds: Thresholds = DEFAULT_THRESHOLDS):
+    """The MagnitudeLevel of one actual change in seconds."""
+    return MAGNITUDE_ORDER[actual_bands(delta_t, thresholds)]
 
 
 @dataclass(frozen=True)
@@ -126,7 +112,7 @@ class MetricsReport:
 def balanced_indices(labels, seed: int) -> np.ndarray:
     """
     Ascending row indices that downsample the majority class to exact balance;
-    labels are read by labels_to_array (Direction, bool or 0/1).
+    labels are read by labels_to_array (bool or 0/1).
 
     Sampling is uniform without replacement and deterministic per seed; every
     minority row is kept.
@@ -147,7 +133,7 @@ def balanced_indices(labels, seed: int) -> np.ndarray:
 def metrics(predictions, actual) -> MetricsReport:
     """
     Precision, recall, accuracy and f1 with the decrease class as positive.
-    Both label sequences are read by labels_to_array (Direction, bool or 0/1).
+    Both label sequences are read by labels_to_array (bool or 0/1).
 
     A degenerate predictor that never predicts the positive class gets
     precision 0 with undefined_precision=True instead of an error.
@@ -196,13 +182,13 @@ def confusion_2x2(predictions, actual) -> tuple[tuple[int, int], tuple[int, int]
 @dataclass(frozen=True)
 class LoocvResult:
     """
-    Per-sample outcomes in sample order and their metrics, with each fold's
-    probability and Newton steps as arrays. nonconverged counts the folds whose
-    solve stopped at the iteration cap and constant_fold_columns the folds with
-    a column constant within them.
+    Each fold's predicted decrease (probability > 0.5), probability and Newton
+    steps as arrays in sample order, and the metrics of the predictions.
+    nonconverged counts the folds whose solve stopped at the iteration cap and
+    constant_fold_columns the folds with a column constant within them.
     """
 
-    outcomes: tuple[PredictionOutcome, ...]
+    outcomes: np.ndarray
     metrics: MetricsReport
     nonconverged: int
     probabilities: np.ndarray
@@ -210,12 +196,7 @@ class LoocvResult:
     constant_fold_columns: int
 
 
-def loocv(
-    X: np.ndarray,
-    y,
-    C: float = 12.06,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> LoocvResult:
+def loocv(X: np.ndarray, y, C: float = 12.06) -> LoocvResult:
     """
     Exact leave-one-out cross-validation of the (n, 5) raw feature matrix X
     with labels y (as labels_to_array reads them).
@@ -229,7 +210,9 @@ def loocv(
 
     Raises:
         TooFewSamplesError: fewer than 10 samples.
+        SingleClassError: only one class is present.
         FoldSingleClassError: some training fold loses one class entirely.
+        ValueError: a fold's probability lies outside [0, 1].
     """
     X = np.asarray(X, dtype=float)
     y = labels_to_array(y)
@@ -237,15 +220,21 @@ def loocv(
     if n < 10:
         raise TooFewSamplesError(f"LOOCV needs >= 10 samples, got {n}")
     for members in (np.flatnonzero(y == 1.0), np.flatnonzero(y == 0.0)):
-        if len(members) <= 1:  # the fold without its one member is single-class
-            raise FoldSingleClassError(int(members[0]) if len(members) else 0)
+        if not len(members):
+            raise SingleClassError("LOOCV requires both classes")
+        if len(members) == 1:  # the fold without its one member is single-class
+            raise FoldSingleClassError(int(members[0]))
 
     Z, shift, scale, free = _fold_scalers(X)
     probabilities, n_iter, converged = fit_folds(Z, y, shift, scale, free, C)
-    outcomes = _outcomes(probabilities, thresholds)
+    # a certain fold (|logit| above ~37) rounds to exactly 0.0 or 1.0
+    outside = probabilities[~((probabilities >= 0.0) & (probabilities <= 1.0))]
+    if outside.size:
+        raise ValueError(f"probability must lie in [0, 1], got {outside[0]}")
+    decrease = probabilities > 0.5
     return LoocvResult(
-        outcomes=outcomes,
-        metrics=metrics([o.direction for o in outcomes], y),
+        outcomes=decrease,
+        metrics=metrics(decrease, y),
         nonconverged=int(np.count_nonzero(~converged)),
         probabilities=probabilities,
         n_iter=n_iter,
@@ -283,12 +272,13 @@ def _fold_scalers(X: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def magnitude_confusion(
-    outcomes: Sequence[PredictionOutcome],
-    deltas: Sequence[float],
+    probabilities,
+    deltas,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> tuple[tuple[tuple[int, int, int], ...], dict[str, tuple[int, float]]]:
     """
-    Cross-tabulate actual versus predicted magnitude bands.
+    Cross-tabulate actual versus predicted magnitude bands of aligned
+    probabilities of decrease and actual changes.
 
     Returns the 3x3 counts (rows = actual, columns = predicted, both in
     MAGNITUDE_ORDER) and the five headline cells: the three diagonal hits and
@@ -297,20 +287,18 @@ def magnitude_confusion(
     says high increase, how often is that right".
 
     Raises:
-        LengthMismatchError: outcomes and deltas differ in length.
+        LengthMismatchError: probabilities and deltas differ in length.
     """
-    if len(outcomes) != len(deltas):
-        raise LengthMismatchError(f"{len(outcomes)} outcomes vs {len(deltas)} deltas")
-    counts = [[0, 0, 0] for _ in range(3)]
-    actual = classify_actual_magnitude(np.asarray(deltas, dtype=float), thresholds)
-    for outcome, level in zip(outcomes, actual):
-        row = MAGNITUDE_ORDER.index(level)
-        col = MAGNITUDE_ORDER.index(outcome.predicted_magnitude)
-        counts[row][col] += 1
+    probabilities = np.asarray(probabilities, dtype=float)
+    deltas = np.asarray(deltas, dtype=float)
+    if len(probabilities) != len(deltas):
+        raise LengthMismatchError(f"{len(probabilities)} probabilities vs {len(deltas)} deltas")
+    cells = 3 * actual_bands(deltas, thresholds) + predicted_bands(probabilities, thresholds)
+    table = np.bincount(cells, minlength=9).reshape(3, 3)
+    counts, column_totals = table.tolist(), table.sum(axis=0).tolist()
 
     def cell(row: int, col: int) -> tuple[int, float]:
-        column_total = sum(r[col] for r in counts)
-        share = counts[row][col] / column_total if column_total else 0.0
+        share = counts[row][col] / column_totals[col] if column_totals[col] else 0.0
         return counts[row][col], share
 
     five_cells = {
@@ -327,9 +315,11 @@ def baseline_rows(trials: TrialTable, pairs: np.ndarray) -> tuple[tuple[str, Met
     """Metric rows of the attention and arousal rules on the pairs, in that order."""
     prev, nxt = trials.level[pairs[:, 0]], trials.level[pairs[:, 1]]
     actual = pair_deltas(trials, pairs) < 0
-    # each rule's call on the nine transitions, looked up per pair
+    # each rule's decrease call on the nine transitions, looked up per pair
     tables = [
-        (name, np.array([[rule(p, q) for q in EngagementLevel] for p in EngagementLevel]))
+        (name, np.array([
+            [rule(p, q) == Direction.DECREASE for q in EngagementLevel] for p in EngagementLevel
+        ]))
         for name, rule in (("attention", attention_baseline), ("arousal", arousal_baseline))
     ]
     return tuple((name, metrics(table[prev, nxt], actual)) for name, table in tables)

@@ -12,6 +12,9 @@ sampling, and the efficiency identity base + sum(phi) = output logit holds to
 rounding error. Probabilities shown in reports are the sigmoid of the logit
 endpoints, matching how prediction plots are usually displayed.
 
+Attributions come as whole matrices from shap_matrix; a single sample's
+waterfall is a one-row call, which keeps its logit bit-identical to w @ z.
+
 The background is the expectation point the attribution is measured against;
 by default it is the training-set mean, which is the zero vector when the
 scaler was fit on that same data. Reports label the background so the choice
@@ -29,48 +32,6 @@ import numpy as np
 from .data import write_csv
 from .features import FEATURE_NAMES, N_FEATURES
 from .logistic import LogisticModel, _sigmoid
-
-
-@dataclass(frozen=True)
-class ShapAttribution:
-    """Additive log-odds contributions of one sample's five features."""
-
-    base_logit: float
-    phi: tuple[float, ...]
-    output_logit: float
-    output_probability: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
-        if len(self.phi) != N_FEATURES:
-            raise ValueError(f"expected {N_FEATURES} contributions")
-        if abs(self.base_logit + sum(self.phi) - self.output_logit) > 1e-9:
-            raise ValueError("attribution violates efficiency")
-
-    def ranked_features(self) -> list[int]:
-        """Feature indices by |phi| descending, ties in canonical order."""
-        return sorted(range(N_FEATURES), key=lambda j: (-abs(self.phi[j]), j))
-
-
-def shap_values(
-    model: LogisticModel,
-    z: np.ndarray | Sequence[float],
-    background_means: np.ndarray | Sequence[float] | None = None,
-) -> ShapAttribution:
-    """
-    Exact attribution of one standardized sample against a background: row 0
-    of a one-row shap_matrix call.
-    """
-    base, phi, logits = shap_matrix(
-        model, np.reshape(z, (1, N_FEATURES)), background_means
-    )
-    logit = float(logits[0])
-    return ShapAttribution(
-        base_logit=base,
-        phi=tuple(phi[0]),
-        output_logit=logit,
-        output_probability=float(_sigmoid(logit)),
-    )
 
 
 def shap_matrix(
@@ -162,22 +123,30 @@ def write_scatter_csv(
 
 
 def waterfall_payload(
-    attribution: ShapAttribution, raw_values: np.ndarray | Sequence[float]
+    base: float, phi: np.ndarray, logits: np.ndarray, raw_values: np.ndarray | Sequence[float]
 ) -> dict:
     """
-    JSON-ready single-sample breakdown, entries ordered by |phi| descending.
+    JSON-ready breakdown of one sample from a one-row shap_matrix result;
+    entries ordered by |phi| descending, ties in canonical feature order.
+
+    Raises:
+        ValueError: phi is not one row of five contributions, or
+            base + sum(phi) misses the output logit by more than 1e-9.
     """
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (1, N_FEATURES):
+        raise ValueError(f"expected one row of {N_FEATURES} contributions")
+    contributions = phi[0].tolist()
+    logit = float(logits[0])
+    if abs(base + sum(contributions) - logit) > 1e-9:
+        raise ValueError("attribution violates efficiency")
     raw = np.asarray(raw_values, dtype=float)
     return {
-        "base": attribution.base_logit,
+        "base": base,
         "entries": [
-            {
-                "feature": FEATURE_NAMES[j],
-                "value": float(raw[j]),
-                "phi": attribution.phi[j],
-            }
-            for j in attribution.ranked_features()
+            {"feature": FEATURE_NAMES[j], "value": float(raw[j]), "phi": contributions[j]}
+            for j in sorted(range(N_FEATURES), key=lambda j: (-abs(contributions[j]), j))
         ],
-        "output_logit": attribution.output_logit,
-        "output_probability": attribution.output_probability,
+        "output_logit": logit,
+        "output_probability": float(_sigmoid(logit)),
     }

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Direction, atomic_write
+from .data import atomic_write
 from .errors import (
     ConfigError,
     NonConvergenceWarning,
@@ -139,12 +139,8 @@ def predict_proba(model: LogisticModel, z: np.ndarray) -> float | np.ndarray:
 
 
 def labels_to_array(y) -> np.ndarray:
-    """0/1 float labels: 1, True and Direction.DECREASE are the positive class."""
-    arr = np.asarray(y)
-    positive = arr == 1
-    if arr.dtype == object:
-        positive |= arr == Direction.DECREASE
-    return positive.astype(float)
+    """0/1 float labels: 1 and True are the positive class (decrease)."""
+    return (np.asarray(y) == 1).astype(float)
 
 
 def nll_loss(model: LogisticModel, Z: np.ndarray, y) -> float:
@@ -194,7 +190,7 @@ def fit(
 
     Args:
         Z: (n, 5) standardized feature matrix.
-        y: labels; 1/True/Direction.DECREASE count as the positive class.
+        y: labels; 1 and True count as the positive class.
         C: inverse regularization strength.
         scaler: statistics to attach to the model (identity if omitted).
 

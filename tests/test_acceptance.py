@@ -28,7 +28,7 @@ from timeshift.evaluation import (
     classify_predicted_magnitude,
     loocv,
 )
-from timeshift.explain import shap_matrix, shap_values
+from timeshift.explain import shap_matrix, waterfall_payload
 from timeshift.features import build_features, identity_scaler
 from timeshift.logistic import (
     LogisticModel,
@@ -132,10 +132,13 @@ def test_criterion_3_shap_efficiency():
         assert np.abs(base + phi.sum(axis=1) - logits).max() < 1e-9
         assert np.all(phi[:, 2] == 0.0)  # zero-weight feature never gets credit
 
-        for i in range(0, 10_000, 997):  # spot-check the scalar path
-            single = shap_values(model, Z[i], background_means=background)
-            assert abs(single.base_logit + sum(single.phi) - single.output_logit) < 1e-9
-            assert single.phi[2] == 0.0
+        for i in range(0, 10_000, 997):  # spot-check the one-row path
+            single = waterfall_payload(
+                *shap_matrix(model, Z[i:i + 1], background_means=background), Z[i]
+            )
+            phi = {entry["feature"]: entry["phi"] for entry in single["entries"]}
+            assert abs(single["base"] + sum(phi.values()) - single["output_logit"]) < 1e-9
+            assert phi["high_visual_sensitivity"] == 0.0
 
         assert time.perf_counter() - start < 1.0
 
@@ -200,9 +203,7 @@ def test_criterion_4_evaluation_harness():
         )
         first = loocv(*probe, C=12.06)
         second = loocv(*probe, C=12.06)
-        assert [o.probability_of_decrease for o in first.outcomes] == [
-            o.probability_of_decrease for o in second.outcomes
-        ]
+        assert first.probabilities.tolist() == second.probabilities.tolist()
 
 
 def test_criterion_5_baseline_mirror():

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,9 +11,22 @@ import pytest
 import timeshift.evaluation
 from timeshift.cli import main
 from timeshift.errors import NonConvergenceWarning
+from timeshift.evaluation import (
+    Thresholds,
+    classify_actual_magnitude,
+    classify_direction,
+    classify_predicted_magnitude,
+)
 from timeshift.features import identity_scaler
 from timeshift.logistic import (
-    fit, fit_folds, load_model, model_to_json, pinned_model, save_model,
+    LogisticModel,
+    fit,
+    fit_folds,
+    load_model,
+    model_to_json,
+    pinned_model,
+    predict_proba,
+    save_model,
 )
 
 TRIAL_HEADER = (
@@ -36,6 +50,21 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+# Non-default bands: 0.4 and 0.6 fall outside the middle band, 0.45, 0.5 and 0.55 in it.
+THRESHOLDS = Thresholds(prob_low=0.45, prob_high=0.55, delta_small=2.0)
+
+
+def assert_rows_banded(rows, thresholds):
+    """Every CSV row's words are the classify_* values of its own numbers."""
+    for row in rows:
+        p = float(row["probability"])
+        assert row["direction_pred"] == classify_direction(p).value
+        assert row["magnitude_pred"] == classify_predicted_magnitude(p, thresholds).value
+        if "delta_t" in row:
+            delta = float(row["delta_t"])
+            assert row["magnitude_actual"] == classify_actual_magnitude(delta, thresholds).value
 
 
 class TestSimulate:
@@ -253,6 +282,45 @@ class TestPredictAndExplain:
         assert "background" in aggregate
         assert (out_dir / "shap_scatter.csv").exists()
 
+    def test_nondefault_thresholds_band_every_row(self, tmp_path):
+        # z = (logit, 0, 0, 0, 0) under weight (1, 0, 0, 0, 0): predict's logit is exact
+        model = LogisticModel(
+            intercept=0.0,
+            coefficients=(1.0, 0.0, 0.0, 0.0, 0.0),
+            scaler=identity_scaler(),
+            inverse_reg_c=1.0,
+        )
+
+        def logit_of(p):
+            """A logit whose probability, as predict computes it, is exactly p."""
+            x = math.log(p / (1 - p))
+            for _ in range(100):  # a few ulps from the analytic value
+                q = predict_proba(model, [x, 0.0, 0.0, 0.0, 0.0])
+                if q == p:
+                    return x
+                x = float(np.nextafter(x, math.inf if q < p else -math.inf))
+            raise AssertionError(f"no logit gives exactly {p}")
+
+        targets = (0.4, 0.45, 0.5, 0.55, 0.6)
+        logits = [-3.0, -0.3, *map(logit_of, targets), 0.3, 3.0]
+        features = tmp_path / "features.csv"
+        features.write_text(FEATURE_HEADER + "\n" + "".join(
+            f"{x!r},0,0,0,0,{'decrease' if i % 2 else 'increase'}\n"
+            for i, x in enumerate(logits)
+        ))
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        config = write_config(tmp_path, thresholds=dataclasses.asdict(THRESHOLDS))
+        out = tmp_path / "outcomes.csv"
+        assert main(["predict", "--config", str(config), "--model", str(model_path),
+                     "--features", str(features), "--output", str(out)]) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert set(targets) <= {float(row["probability"]) for row in rows}
+        assert_rows_banded(rows, THRESHOLDS)
+        magnitudes = [row["magnitude_pred"] for row in rows]
+        assert magnitudes == ["high_increase"] * 3 + ["small_change"] * 3 + ["high_decrease"] * 3
+
     def test_row_out_of_range_exits_2(self, tmp_path, pinned_setup):
         model_path, features = pinned_setup
         code = main(
@@ -453,6 +521,15 @@ MALFORMED_CONFIGS = {
                               "report_flip_prob must be a number"),
     "gate_width_bool": ("simulate", '{"sim": {"gate_width_by_engagement": [true, 0.85, 0.7]}}',
                         [], "gate_width_by_engagement must be a number"),
+    # a string or null is not a number either, except null for reference_ticks
+    "prob_low_text": ("train", '{"thresholds": {"prob_low": "0.3"}}', [],
+                      "prob_low must be a number"),
+    "delta_small_null": ("train", '{"thresholds": {"delta_small": null}}', [],
+                         "delta_small must be a number"),
+    "reference_ticks_text": ("simulate", '{"sim": {"reference_ticks": "x"}}', [],
+                             "reference_ticks must be a number"),
+    "gate_width_text": ("simulate", '{"sim": {"gate_width_by_engagement": "abc"}}', [],
+                        "gate_width_by_engagement must be a number"),
 }
 
 
@@ -549,6 +626,46 @@ class TestEvaluate:
             rows = {row["id"]: row for row in csv.DictReader(fh)}
         assert rows["sim00:2"]["probability"] == "1.0"
         assert rows["sim00:2"]["direction_pred"] == "decrease"
+
+    def test_nondefault_thresholds_band_every_row(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            thresholds=dataclasses.asdict(THRESHOLDS),
+            undersample=False,
+            sim={"n_participants": 60, "n_trials": 2, "sensitivity_prevalence": 0.4},
+        )
+        trials = tmp_path / "trials.csv"
+        assert main(["simulate", "--config", str(config), "--output", str(trials)]) == 0
+        # the first two participants change by exactly +delta_small and -delta_small
+        lines = trials.read_text().splitlines()
+        for line_num, produced in zip(range(1, 5), ("30.0", "32.0", "30.0", "28.0")):
+            cells = lines[line_num].split(",")
+            cells[3] = produced
+            lines[line_num] = ",".join(cells)
+        trials.write_text("\n".join(lines) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--config", str(config), "--input", str(trials),
+                     "--output", str(report_path)]) == 0
+        with report_path.with_suffix(".per_sample.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 60
+        assert_rows_banded(rows, THRESHOLDS)
+        edges = [row for row in rows if abs(float(row["delta_t"])) == THRESHOLDS.delta_small]
+        assert [row["magnitude_actual"] for row in edges] == ["small_change"] * 2
+
+    def test_single_class_cohort_exits_2(self, tmp_path, capsys):
+        # every participant slows down: no decrease anywhere in the cohort
+        rows = [TRIAL_HEADER] + [
+            f"p{i},{index},{level},{produced},false,false,"
+            for i in range(12)
+            for index, level, produced in ((1, "low", 20 + i), (2, "high", 40 + i))
+        ]
+        trials = tmp_path / "trials.csv"
+        trials.write_text("\n".join(rows) + "\n")
+        argv = ["evaluate", "--input", str(trials), "--output", str(tmp_path / "r.json"),
+                "--no-undersample"]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "SingleClassError"
 
     @pytest.mark.parametrize("flags", [[], ["--no-undersample"]])
     def test_cohort_constant_column_is_evaluated(self, tmp_path, flags):

@@ -21,7 +21,6 @@ from timeshift.errors import (
 from timeshift.evaluation import (
     DEFAULT_THRESHOLDS,
     MetricsReport,
-    PredictionOutcome,
     Thresholds,
     balanced_indices,
     baseline_rows,
@@ -175,20 +174,12 @@ class TestClassification:
             if mag == MagnitudeLevel.HIGH_INCREASE:
                 assert direction == Direction.INCREASE
 
-    def test_outcome_factory(self):
-        outcome = PredictionOutcome.from_probability(0.91)
-        assert outcome.direction == Direction.DECREASE
-        assert outcome.predicted_magnitude == MagnitudeLevel.HIGH_DECREASE
+    def test_certain_probabilities_band_to_extremes(self):
         # a certain fold model rounds to exactly 0 or 1
-        certain = PredictionOutcome.from_probability(1.0)
-        assert certain.direction == Direction.DECREASE
-        assert certain.predicted_magnitude == MagnitudeLevel.HIGH_DECREASE
-        certain = PredictionOutcome.from_probability(0.0)
-        assert certain.direction == Direction.INCREASE
-        assert certain.predicted_magnitude == MagnitudeLevel.HIGH_INCREASE
-        for bad in (1.5, -0.1, float("nan")):
-            with pytest.raises(ValueError):
-                PredictionOutcome.from_probability(bad)
+        assert classify_direction(1.0) == Direction.DECREASE
+        assert classify_predicted_magnitude(1.0) == MagnitudeLevel.HIGH_DECREASE
+        assert classify_direction(0.0) == Direction.INCREASE
+        assert classify_predicted_magnitude(0.0) == MagnitudeLevel.HIGH_INCREASE
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -232,28 +223,19 @@ class TestUndersample:
 
 class TestMetrics:
     def test_all_correct(self):
-        labels = [Direction.DECREASE, Direction.INCREASE] * 4
+        labels = [True, False] * 4
         report = metrics(labels, labels)
         assert (report.precision, report.recall, report.accuracy) == (1.0, 1.0, 1.0)
 
     def test_complement_has_zero_accuracy(self):
-        actual = [Direction.DECREASE, Direction.INCREASE] * 4
-        flipped = [
-            Direction.INCREASE if a == Direction.DECREASE else Direction.DECREASE
-            for a in actual
-        ]
+        actual = [True, False] * 4
+        flipped = [not a for a in actual]
         assert metrics(flipped, actual).accuracy == 0.0
 
     def test_confusion_arithmetic(self):
         # TP=59, FP=37, FN=41, TN=63
-        predictions = (
-            [Direction.DECREASE] * 59 + [Direction.DECREASE] * 37
-            + [Direction.INCREASE] * 41 + [Direction.INCREASE] * 63
-        )
-        actual = (
-            [Direction.DECREASE] * 59 + [Direction.INCREASE] * 37
-            + [Direction.DECREASE] * 41 + [Direction.INCREASE] * 63
-        )
+        predictions = [True] * 59 + [True] * 37 + [False] * 41 + [False] * 63
+        actual = [True] * 59 + [False] * 37 + [True] * 41 + [False] * 63
         report = metrics(predictions, actual)
         assert report.precision == pytest.approx(0.615, abs=1e-3)
         assert report.recall == pytest.approx(0.590, abs=1e-3)
@@ -261,21 +243,21 @@ class TestMetrics:
         assert confusion_2x2(predictions, actual) == ((59, 41), (37, 63))
 
     def test_report_carries_its_confusion(self):
-        predictions = [Direction.DECREASE] * 3 + [Direction.INCREASE] * 5
-        actual = [Direction.DECREASE, Direction.INCREASE] * 4
+        predictions = [True] * 3 + [False] * 5
+        actual = [True, False] * 4
         report = metrics(predictions, actual)
         assert report.confusion == confusion_2x2(predictions, actual) == ((2, 2), (1, 3))
 
     def test_undefined_precision_flagged(self):
-        predictions = [Direction.INCREASE] * 6
-        actual = [Direction.DECREASE] * 3 + [Direction.INCREASE] * 3
+        predictions = [False] * 6
+        actual = [True] * 3 + [False] * 3
         report = metrics(predictions, actual)
         assert report.precision == 0.0
         assert report.undefined_precision
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            metrics([Direction.DECREASE], [])
+            metrics([True], [])
 
 
 class TestLoocv:
@@ -306,15 +288,13 @@ class TestLoocv:
         X, y = features_and_labels(varied_dataset([True, False] * 15, seed=4))
         a = loocv(X, y, C=12.06)
         b = loocv(X, y, C=12.06)
-        assert [o.probability_of_decrease for o in a.outcomes] == [
-            o.probability_of_decrease for o in b.outcomes
-        ]
+        assert a.probabilities.tolist() == b.probabilities.tolist()
 
     def test_held_out_label_cannot_leak(self):
         ds = varied_dataset([True, False] * 12, seed=6)
         target = 3
         X, y = features_and_labels(ds)
-        baseline = loocv(X, y, C=12.06).outcomes[target].probability_of_decrease
+        baseline = loocv(X, y, C=12.06).probabilities[target]
 
         # flip the held-out sample's label by moving its next trial's produced
         # time; features (prev trial + next engagement) stay identical
@@ -325,8 +305,7 @@ class TestLoocv:
         assert np.array_equal(X_poisoned, X)
         assert y_poisoned[target] != y[target]
 
-        flipped = loocv(X_poisoned, y_poisoned, C=12.06)
-        flipped = flipped.outcomes[target].probability_of_decrease
+        flipped = loocv(X_poisoned, y_poisoned, C=12.06).probabilities[target]
         assert flipped == baseline
 
     def test_nonconverged_folds_counted_not_warned(self, monkeypatch):
@@ -356,9 +335,7 @@ class TestLoocv:
             np.testing.assert_allclose(
                 result.probabilities, per_fold_reference(cohort, C=12.06), rtol=0, atol=1e-9
             )
-            assert [o.probability_of_decrease for o in result.outcomes] == (
-                result.probabilities.tolist()
-            )
+            assert np.array_equal(result.outcomes, result.probabilities > 0.5)
             assert result.n_iter.min() >= 1
         X = features_and_labels(outlier)[0]
         assert X[0, 0] == np.abs(X[:, 0]).max() > 100 * np.abs(X[1:, 0]).max()
@@ -392,6 +369,22 @@ class TestLoocv:
         ds = varied_dataset([True] + [False] * 11)
         with pytest.raises(FoldSingleClassError):
             loocv(*features_and_labels(ds))
+        # no decrease at all: the cohort, not a fold, lacks a class
+        ds = varied_dataset([False] * 12)
+        with pytest.raises(SingleClassError):
+            loocv(*features_and_labels(ds))
+
+    def test_probability_outside_unit_interval_rejected(self, monkeypatch):
+        X, y = features_and_labels(varied_dataset([True, False] * 6, seed=3))
+        for bad in (1.5, -0.1, float("nan")):
+            def bad_folds(*args, bad=bad, **kwargs):
+                probabilities, n_iter, converged = fit_folds(*args, **kwargs)
+                probabilities[4] = bad
+                return probabilities, n_iter, converged
+
+            monkeypatch.setattr(timeshift.evaluation, "fit_folds", bad_folds)
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                loocv(X, y)
 
     def test_randomized_labels_score_near_chance(self):
         params = SimParams(rng_seed=3, sensitivity_prevalence=0.3)
@@ -407,17 +400,13 @@ class TestLoocv:
 
 class TestMagnitudeConfusion:
     def test_all_center(self):
-        outcomes = [PredictionOutcome.from_probability(0.5)] * 4
-        counts, _ = magnitude_confusion(outcomes, [0.0] * 4)
+        counts, _ = magnitude_confusion([0.5] * 4, [0.0] * 4)
         assert counts[1][1] == 4
         assert sum(map(sum, counts)) == 4
 
     def test_hit_and_extreme_cells(self):
-        outcomes = [
-            PredictionOutcome.from_probability(0.35),  # predicted high increase
-            PredictionOutcome.from_probability(0.70),  # predicted high decrease
-        ]
-        counts, five_cells = magnitude_confusion(outcomes, [8.0, 8.0])
+        # predicted high increase, then predicted high decrease
+        counts, five_cells = magnitude_confusion([0.35, 0.70], [8.0, 8.0])
         # actual high increase row: one correct, one extreme miss
         assert counts[0][0] == 1
         assert counts[0][2] == 1
@@ -428,26 +417,31 @@ class TestMagnitudeConfusion:
         rng = np.random.default_rng(13)
         probs = rng.uniform(0.01, 0.99, 300)
         deltas = rng.normal(0, 8, 300)
-        outcomes = [PredictionOutcome.from_probability(float(p)) for p in probs]
-        counts, five_cells = magnitude_confusion(outcomes, list(deltas))
+        counts, five_cells = magnitude_confusion(probs, list(deltas))
         assert sum(map(sum, counts)) == 300
+        levels = (
+            MagnitudeLevel.HIGH_INCREASE,
+            MagnitudeLevel.SMALL_CHANGE,
+            MagnitudeLevel.HIGH_DECREASE,
+        )
         actual_counts = [
             sum(1 for d in deltas if classify_actual_magnitude(float(d)) == level)
-            for level in (
-                MagnitudeLevel.HIGH_INCREASE,
-                MagnitudeLevel.SMALL_CHANGE,
-                MagnitudeLevel.HIGH_DECREASE,
-            )
+            for level in levels
+        ]
+        predicted_counts = [
+            sum(1 for p in probs if classify_predicted_magnitude(float(p)) == level)
+            for level in levels
         ]
         assert [sum(row) for row in counts] == actual_counts
         # five-cell shares are relative to predicted-column totals
         col = [sum(column) for column in zip(*counts)]
+        assert col == predicted_counts
         count, share = five_cells["high_increase_hit"]
         assert share == pytest.approx(count / col[0])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            magnitude_confusion([PredictionOutcome.from_probability(0.5)], [])
+            magnitude_confusion([0.5], [])
 
 
 class TestCompareBaselines:

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from timeshift.explain import (
-    ShapAttribution,
     aggregate_shap,
     shap_matrix,
-    shap_values,
     waterfall_payload,
     write_scatter_csv,
 )
@@ -25,21 +23,28 @@ def make_model(intercept, coefficients):
     )
 
 
+def one_row(model, z, background_means=None):
+    """Base logit, contributions and output logit of one standardized sample."""
+    base, phi, logits = shap_matrix(model, np.reshape(z, (1, 5)), background_means)
+    return base, phi[0], logits[0]
+
+
 class TestShapValues:
     def test_background_point_has_zero_attribution(self):
         rng = np.random.default_rng(0)
         model = make_model(0.2, rng.normal(size=5))
         bg = rng.normal(size=5)
-        attribution = shap_values(model, bg, background_means=bg)
-        assert attribution.phi == (0.0,) * 5
-        assert attribution.output_logit == pytest.approx(attribution.base_logit)
+        base, phi, logit = one_row(model, bg, background_means=bg)
+        assert phi.tolist() == [0.0] * 5
+        assert logit == pytest.approx(base)
 
     def test_pinned_unit_rel_error(self):
-        attribution = shap_values(pinned_model(), np.array([1.0, 0, 0, 0, 0]))
-        assert attribution.phi[0] == pytest.approx(0.662)
-        assert attribution.phi[1:] == (0.0,) * 4
-        assert attribution.output_logit == pytest.approx(0.678)
-        assert attribution.output_probability == pytest.approx(0.6633, abs=1e-4)
+        base, phi, logit = one_row(pinned_model(), np.array([1.0, 0, 0, 0, 0]))
+        assert phi[0] == pytest.approx(0.662)
+        assert phi[1:].tolist() == [0.0] * 4
+        assert logit == pytest.approx(0.678)
+        payload = waterfall_payload(*shap_matrix(pinned_model(), np.eye(5)[:1]), np.zeros(5))
+        assert payload["output_probability"] == pytest.approx(0.6633, abs=1e-4)
 
     def test_sensitivity_flag_matches_reference_scale(self):
         # a True flag at 6% prevalence standardizes to (1-q)/sqrt(q(1-q))
@@ -47,20 +52,21 @@ class TestShapValues:
         z_true = (1 - q) / math.sqrt(q * (1 - q))
         z = np.zeros(5)
         z[2] = z_true
-        attribution = shap_values(pinned_model(), z)
-        assert attribution.phi[2] == pytest.approx(-0.241 * z_true, abs=1e-12)
-        assert attribution.phi[2] == pytest.approx(-0.95, abs=0.01)
+        _, phi, _ = one_row(pinned_model(), z)
+        assert phi[2] == pytest.approx(-0.241 * z_true, abs=1e-12)
+        assert phi[2] == pytest.approx(-0.95, abs=0.01)
 
     def test_efficiency_on_random_samples(self):
         rng = np.random.default_rng(1)
         model = make_model(rng.normal(), rng.normal(size=5))
         bg = rng.normal(size=5) * 0.5
-        for _ in range(500):
-            z = rng.normal(size=5) * 3
-            a = shap_values(model, z, background_means=bg)
-            assert abs(a.base_logit + sum(a.phi) - a.output_logit) < 1e-9
-            assert a.output_probability == pytest.approx(
-                predict_proba(model, z), abs=1e-12
+        Z = rng.normal(size=(500, 5)) * 3
+        base, phi, logits = shap_matrix(model, Z, background_means=bg)
+        assert np.abs(base + phi.sum(axis=1) - logits).max() < 1e-9
+        for i in range(0, 500, 50):
+            payload = waterfall_payload(*shap_matrix(model, Z[i:i + 1], bg), Z[i])
+            assert payload["output_probability"] == pytest.approx(
+                predict_proba(model, Z[i]), abs=1e-12
             )
 
     def test_matrix_path_matches_scalar_path(self):
@@ -70,56 +76,56 @@ class TestShapValues:
         bg = rng.normal(size=5) * 0.3
         base, phi, logits = shap_matrix(model, Z, background_means=bg)
         for i in range(40):
-            single = shap_values(model, Z[i], background_means=bg)
-            assert single.base_logit == pytest.approx(base)
-            assert np.allclose(single.phi, phi[i], atol=1e-12)
-            assert single.output_logit == pytest.approx(logits[i])
+            single_base, single_phi, single_logit = one_row(model, Z[i], background_means=bg)
+            assert single_base == pytest.approx(base)
+            assert np.allclose(single_phi, phi[i], atol=1e-12)
+            assert single_logit == pytest.approx(logits[i])
 
     def test_dummy_feature_gets_zero(self):
         model = make_model(0.5, (1.2, 0.0, -0.7, 0.0, 0.3))
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            attribution = shap_values(model, rng.normal(size=5) * 4)
-            assert attribution.phi[1] == 0.0
-            assert attribution.phi[3] == 0.0
+        _, phi, _ = shap_matrix(model, rng.normal(size=(100, 5)) * 4)
+        assert not phi[:, 1].any()
+        assert not phi[:, 3].any()
 
     def test_split_weight_symmetry(self):
         # duplicated feature with the weight split in half gets equal credit
         model = make_model(0.0, (0.4, 0.4, 0, 0, 0))
         z = np.array([1.7, 1.7, 0.2, -0.5, 3.0])
-        attribution = shap_values(model, z)
-        assert attribution.phi[0] == attribution.phi[1]
+        _, phi, _ = one_row(model, z)
+        assert phi[0] == phi[1]
 
     def test_additivity_per_coordinate(self):
         rng = np.random.default_rng(4)
         model = make_model(0.3, rng.normal(size=5))
         z = rng.normal(size=5)
-        base_attr = shap_values(model, z)
+        _, base_phi, _ = one_row(model, z)
         for j in range(5):
             bumped = z.copy()
             bumped[j] += 1.5
-            attribution = shap_values(model, bumped)
+            _, phi, _ = one_row(model, bumped)
             for k in range(5):
                 if k == j:
-                    assert attribution.phi[k] != pytest.approx(base_attr.phi[k])
+                    assert phi[k] != pytest.approx(base_phi[k])
                 else:
-                    assert attribution.phi[k] == pytest.approx(base_attr.phi[k])
+                    assert phi[k] == pytest.approx(base_phi[k])
 
     def test_ranked_features_deterministic(self):
-        attribution = ShapAttribution(
-            base_logit=0.0,
-            phi=(0.5, -0.5, 0.1, 0.0, -0.7),
-            output_logit=-0.6,
-            output_probability=1 / (1 + math.exp(0.6)),
-        )
-        assert attribution.ranked_features() == [4, 0, 1, 2, 3]
+        phi = np.array([[0.5, -0.5, 0.1, 0.0, -0.7]])
+        payload = waterfall_payload(0.0, phi, np.array([-0.6]), np.arange(5.0))
+        order = [FEATURE_NAMES.index(e["feature"]) for e in payload["entries"]]
+        assert order == [4, 0, 1, 2, 3]
+        assert [e["value"] for e in payload["entries"]] == [4.0, 0.0, 1.0, 2.0, 3.0]
+        assert payload["output_probability"] == pytest.approx(1 / (1 + math.exp(0.6)))
 
     def test_efficiency_enforced_at_construction(self):
-        with pytest.raises(ValueError):
-            ShapAttribution(
-                base_logit=0.0, phi=(1, 0, 0, 0, 0), output_logit=5.0,
-                output_probability=0.9,
-            )
+        with pytest.raises(ValueError, match="efficiency"):
+            waterfall_payload(0.0, np.array([[1.0, 0, 0, 0, 0]]), np.array([5.0]), np.zeros(5))
+
+    def test_one_row_of_five_required(self):
+        for phi in (np.zeros((2, 5)), np.zeros((1, 4)), np.zeros(5)):
+            with pytest.raises(ValueError, match="one row"):
+                waterfall_payload(0.0, phi, np.zeros(len(phi)), np.zeros(5))
 
 
 class TestAggregateShap:
@@ -202,8 +208,9 @@ class TestExports:
             ]
 
     def test_waterfall_payload_structure(self):
-        attribution = shap_values(pinned_model(), np.zeros(5))
-        payload = waterfall_payload(attribution, np.array([15.0, 0, 0, 1, 1]))
+        payload = waterfall_payload(
+            *shap_matrix(pinned_model(), np.zeros((1, 5))), np.array([15.0, 0, 0, 1, 1])
+        )
         assert set(payload) == {"base", "entries", "output_logit", "output_probability"}
         assert [e["feature"] for e in payload["entries"]] == list(FEATURE_NAMES)
         assert all(e["phi"] == 0.0 for e in payload["entries"])

@@ -264,16 +264,6 @@ class TestFit:
         assert not model.converged
         assert model.n_iter == 1
 
-    def test_direction_labels_accepted(self):
-        from timeshift.data import Direction
-
-        Z = np.random.default_rng(10).normal(size=(40, 5))
-        y_bool = np.random.default_rng(11).integers(0, 2, 40).astype(bool)
-        labels = [Direction.DECREASE if v else Direction.INCREASE for v in y_bool]
-        a = fit(Z, y_bool.astype(float), C=2.0)
-        b = fit(Z, labels, C=2.0)
-        assert a.coefficients == b.coefficients
-
 
 class TestFitFolds:
     def test_singular_hessian_gets_steepest_descent(self):
