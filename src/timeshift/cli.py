@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +27,7 @@ from .data import (
     EngagementLevel,
     TrialTable,
     atomic_write,
+    check_fields,
     direction_words,
     load_trials,
     pair_consecutive,
@@ -76,25 +76,23 @@ class RunConfig:
     C: float = 12.06
     thresholds: Thresholds = Thresholds()
     sim: SimParams | None = None
-    sim_n_participants: int = 1000
-    sim_n_trials: int = 2
+    sim_n_participants: int = dataclasses.field(default=1000, metadata={"key": "n_participants"})
+    sim_n_trials: int = dataclasses.field(default=2, metadata={"key": "n_trials"})
     sim_engagement_assignment: str | list[EngagementLevel] = "random_uniform_9"
     undersample: bool = True
 
     def __post_init__(self):
-        # type() rather than isinstance(): JSON true/false must not pass as 1/0
+        check_fields(self)
         for name, value, least in (
             ("seed", self.seed, 0),
             ("participants", self.sim_n_participants, 1),
             ("trials", self.sim_n_trials, 2),
         ):
-            if type(value) is not int or value < least:
+            if value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         for name, value in (("target_interval_s", self.target_interval_s), ("C", self.C)):
-            if type(value) not in (int, float) or not math.isfinite(value) or value <= 0:
-                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
-        if type(self.undersample) is not bool:
-            raise ConfigError(f"undersample must be a boolean, got {self.undersample!r}")
+            if value <= 0:
+                raise ConfigError(f"{name} must be > 0, got {value!r}")
         assignment = self.sim_engagement_assignment
         if assignment != "random_uniform_9" and (
             not isinstance(assignment, list) or len(assignment) != self.sim_n_trials
@@ -120,7 +118,7 @@ class RunConfig:
         }
         if self.sim is not None:
             payload["sim"] = {
-                **json.loads(self.sim.to_json()),
+                **dataclasses.asdict(self.sim),
                 "n_participants": self.sim_n_participants,
                 "n_trials": self.sim_n_trials,
                 "engagement_assignment": (
@@ -153,10 +151,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     payload: dict = {}
     if args.config:
         try:
-            payload = json.loads(Path(args.config).read_text())
+            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -172,12 +170,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     )
     c_value = args.C if getattr(args, "C", None) is not None else payload.get("C", 12.06)
 
-    try:
-        thresholds = Thresholds(**payload.get("thresholds", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid thresholds: {exc}") from None
-
-    sim = None
     sim_section = payload.get("sim", {})
     if not isinstance(sim_section, dict):
         raise ConfigError(f"sim must be a JSON object, got {sim_section!r}")
@@ -197,26 +189,25 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "simulate":
         sim_section.setdefault("rng_seed", seed)
         sim_section.setdefault("target_s", target)
-        try:
-            sim = SimParams(**sim_section)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid sim parameters: {exc}") from None
 
     undersample_flag = payload.get("undersample", True)
     if getattr(args, "no_undersample", False):
         undersample_flag = False
 
-    return RunConfig(
-        seed=seed,
-        target_interval_s=target,
-        C=c_value,
-        thresholds=thresholds,
-        sim=sim,
-        sim_n_participants=n_participants,
-        sim_n_trials=n_trials,
-        sim_engagement_assignment=assignment,
-        undersample=undersample_flag,
-    )
+    try:  # a value of the wrong type or out of range raises ValueError, in any section
+        return RunConfig(
+            seed=seed,
+            target_interval_s=target,
+            C=c_value,
+            thresholds=Thresholds(**payload.get("thresholds", {})),
+            sim=SimParams(**sim_section) if args.command == "simulate" else None,
+            sim_n_participants=n_participants,
+            sim_n_trials=n_trials,
+            sim_engagement_assignment=assignment,
+            undersample=undersample_flag,
+        )
+    except (TypeError, ValueError) as exc:  # TypeError: a section that is not an object
+        raise ConfigError(str(exc)) from None
 
 
 def _require_path(args: argparse.Namespace, key: str) -> Path:
@@ -279,7 +270,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
         output.with_suffix(".manifest.json"),
         _manifest(
             config,
-            params=json.loads(config.sim.to_json()),
+            params=dataclasses.asdict(config.sim),
             n_participants=config.sim_n_participants,
             n_trials=config.sim_n_trials,
             class_balance={"increase": changes.size - decrease, "decrease": decrease},

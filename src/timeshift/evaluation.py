@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    Direction, EngagementLevel, MagnitudeLevel, TrialTable, pair_deltas, require_finite,
+    Direction, EngagementLevel, MagnitudeLevel, TrialTable, check_fields, pair_deltas,
 )
 from .errors import (
     FoldSingleClassError,
@@ -48,7 +48,7 @@ class Thresholds:
     delta_small: float = 5.0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if not 0.0 < self.prob_low < 0.5 < self.prob_high < 1.0:
             raise ValueError(
                 "thresholds must satisfy 0 < prob_low < 0.5 < prob_high < 1"

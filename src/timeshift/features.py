@@ -17,7 +17,7 @@ Feature order is fixed everywhere in the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .data import (
     TrialTable,
     _read_columns,
     _word_in,
+    check_fields,
     direction_words,
     write_csv,
 )
@@ -58,15 +59,14 @@ class ScalerStats:
     """Per-feature mean and population standard deviation used for z-scoring."""
 
     means: tuple[float, ...]
-    std_devs: tuple[float, ...]
+    std_devs: tuple[float, ...] = field(metadata={"key": "stds"})  # errors name its model-file key
 
     def __post_init__(self):
-        object.__setattr__(self, "means", tuple(float(m) for m in self.means))
-        object.__setattr__(self, "std_devs", tuple(float(s) for s in self.std_devs))
+        check_fields(self, prefix="model field ")
         if len(self.means) != N_FEATURES or len(self.std_devs) != N_FEATURES:
             raise ValueError("scaler stats must cover exactly the five features")
         for i, s in enumerate(self.std_devs):
-            if not math.isfinite(s) or s <= 0:
+            if s <= 0:
                 raise ValueError(f"std_devs[{i}] must be > 0, got {s}")
 
 

@@ -26,12 +26,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import atomic_write
+from .data import atomic_write, check_fields
 from .errors import (
     ConfigError,
     NonConvergenceWarning,
@@ -80,22 +80,16 @@ class LogisticModel:
     intercept: float
     coefficients: tuple[float, ...]
     scaler: ScalerStats
-    inverse_reg_c: float
+    inverse_reg_c: float = field(metadata={"key": "C"})  # errors name its model-file key
     converged: bool = True
     n_iter: int = 0
     trained_on: str = ""
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", tuple(float(c) for c in self.coefficients)
-        )
+        check_fields(self, prefix="model field ")
         if len(self.coefficients) != N_FEATURES:
             raise ValueError(f"expected {N_FEATURES} coefficients")
-        if not all(math.isfinite(c) for c in self.coefficients) or not math.isfinite(
-            self.intercept
-        ):
-            raise ValueError("model parameters must be finite")
         if self.inverse_reg_c <= 0:
             raise ValueError("inverse_reg_c must be > 0")
 
@@ -442,31 +436,19 @@ def model_to_json(model: LogisticModel) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-# The JSON types of a model file's scalar fields (README "Model JSON"); a
-# bool is not a number here, and a number or a string is not a bool.
-_MODEL_FIELD_TYPES = {
-    "intercept": ((int, float), "a number"),
-    "C": ((int, float), "a number"),
-    "converged": ((bool,), "a boolean"),
-    "n_iter": ((int,), "an integer"),
-    "trained_on": ((str,), "a string"),
-    "seed": ((int, type(None)), "an integer or null"),
-}
-
-
 def model_from_json(text: str) -> LogisticModel:
-    """Parse a saved model; text that is not one raises ConfigError."""
+    """
+    Parse a saved model; text that is not one raises ConfigError. Values pass
+    unconverted, so check_fields sees each as JSON gave it.
+    """
     try:
         payload = json.loads(text)
-        for key, (types, kind) in _MODEL_FIELD_TYPES.items():
-            if key in payload and type(payload[key]) not in types:
-                raise ConfigError(f"model field {key} must be {kind}, got {payload[key]!r}")
         return LogisticModel(
             intercept=payload["intercept"],
-            coefficients=tuple(payload["coefficients"]),
+            coefficients=payload["coefficients"],
             scaler=ScalerStats(
-                means=tuple(payload["scaler"]["means"]),
-                std_devs=tuple(payload["scaler"]["stds"]),
+                means=payload["scaler"]["means"],
+                std_devs=payload["scaler"]["stds"],
             ),
             inverse_reg_c=payload["C"],
             converged=payload.get("converged", True),
@@ -484,4 +466,8 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LogisticModel:
-    return model_from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"model file is not UTF-8 text: {exc}") from None
+    return model_from_json(text)

@@ -23,12 +23,11 @@ arousal-driven shortening.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DEFAULT_TARGET_S, Direction, EngagementLevel, TrialTable, require_finite
+from .data import DEFAULT_TARGET_S, Direction, EngagementLevel, TrialTable, check_fields
 
 # Productions are clamped here; with the default noise level the bound is
 # effectively never hit (~1e-5 of draws even at 3 s noiseless time).
@@ -72,14 +71,12 @@ class SimParams:
     sensitivity_prevalence: float = 0.06
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.base_clock_rate_hz <= 0:
             raise ValueError("base_clock_rate_hz must be > 0")
-        # type() rather than isinstance(): JSON true must not pass as seed 1
-        if type(self.rng_seed) is not int or self.rng_seed < 0:
+        if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
-        gates = tuple(float(g) for g in self.gate_width_by_engagement)
-        object.__setattr__(self, "gate_width_by_engagement", gates)
+        gates = self.gate_width_by_engagement
         if len(gates) != 3 or any(not 0 < g <= 1 for g in gates):
             raise ValueError("gate widths must be three values in (0, 1]")
         if not gates[0] >= gates[1] >= gates[2]:
@@ -105,13 +102,6 @@ class SimParams:
             )
         elif self.reference_ticks <= 0:
             raise ValueError("reference_ticks must be > 0")
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimParams":
-        return cls(**json.loads(text))
 
 
 def simulate_trial(params: SimParams, engagement, prev_engagement, reference_ticks, z):

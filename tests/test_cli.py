@@ -4,12 +4,15 @@ import functools
 import hashlib
 import json
 import math
+import re
+import typing
 
 import numpy as np
 import pytest
 
 import timeshift.evaluation
-from timeshift.cli import main
+from timeshift.cli import RunConfig, main
+from timeshift.data import EngagementLevel
 from timeshift.errors import NonConvergenceWarning
 from timeshift.evaluation import (
     Thresholds,
@@ -17,7 +20,7 @@ from timeshift.evaluation import (
     classify_direction,
     classify_predicted_magnitude,
 )
-from timeshift.features import identity_scaler
+from timeshift.features import ScalerStats, identity_scaler
 from timeshift.logistic import (
     LogisticModel,
     fit,
@@ -28,6 +31,7 @@ from timeshift.logistic import (
     predict_proba,
     save_model,
 )
+from timeshift.simulator import SimParams
 
 TRIAL_HEADER = (
     "participant_id,trial_index,engagement_level,produced_time_s,"
@@ -418,6 +422,7 @@ MALFORMED_INPUTS = {
     "model_missing_key": ("model", json.dumps({k: v for k, v in _MODEL.items() if k != "C"}).encode(),
                           "ConfigError", ["'C'"]),
     "model_not_json": ("model", b"{nope", "ConfigError", ["model"]),
+    "model_not_utf8": ("model", b'\xff\xfe{"seed":1}', "ConfigError", ["UTF-8"]),
 }
 
 
@@ -442,14 +447,23 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         assert fragment in err["message"]
 
 
-# a scalar model.json field of the wrong JSON type (README "Model JSON")
+# a model.json field of the wrong JSON type (README "Model JSON"); means and
+# stds are keys of the scaler object
 @pytest.mark.parametrize("field, value", [
     ("converged", "false"), ("C", True), ("intercept", True),
     ("n_iter", "many"), ("seed", "x"), ("trained_on", 5),
+    ("coefficients", "12345"),
+    pytest.param("coefficients", [True, False, True, 1, 0], id="coefficients-bools"),
+    ("means", "00000"),
+    pytest.param("means", [math.nan, 0.4, 0.06, 1.0, 1.0], id="means-nan"),
+    ("stds", "11111"),
 ])
 def test_mistyped_model_field_exits_2(tmp_path, capsys, field, value):
+    payload = {**_MODEL, field: value}
+    if field in _MODEL["scaler"]:
+        payload = {**_MODEL, "scaler": {**_MODEL["scaler"], field: value}}
     model = tmp_path / "model.json"
-    model.write_text(json.dumps({**_MODEL, field: value}))
+    model.write_text(json.dumps(payload))
     features = tmp_path / "features.csv"
     features.write_bytes(_feature_rows("2.0,0,0,0,0,decrease"))
     common = ["--model", str(model), "--features", str(features)]
@@ -462,7 +476,7 @@ def test_mistyped_model_field_exits_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "o.csv").exists() and not (tmp_path / "shap").exists()
 
 
-# (command, config file text or None, flags, fragment of the message)
+# (command, config file text, bytes or None, flags, fragment of the message)
 MALFORMED_CONFIGS = {
     "not_an_object": ("simulate", "[1, 2]", [], "JSON object"),
     "seed_text": ("simulate", '{"seed": "abc"}', [], "seed"),
@@ -530,6 +544,11 @@ MALFORMED_CONFIGS = {
                              "reference_ticks must be a number"),
     "gate_width_text": ("simulate", '{"sim": {"gate_width_by_engagement": "abc"}}', [],
                         "gate_width_by_engagement must be a number"),
+    "gate_width_number": ("simulate", '{"sim": {"gate_width_by_engagement": 0.5}}', [],
+                          "gate_width_by_engagement must be a list"),
+    "n_trials_text": ("simulate", '{"sim": {"n_trials": "3"}}', [], "n_trials must be an integer"),
+    "thresholds_number": ("train", '{"thresholds": 5}', [], "must be a mapping"),
+    "not_utf8": ("train", b'\xff\xfe{"seed":1}', [], "utf-8"),
 }
 
 
@@ -538,7 +557,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
     command, text, flags, fragment = MALFORMED_CONFIGS[case]
     if text is not None:
         config = tmp_path / "config.json"
-        config.write_text(text)
+        config.write_bytes(text if isinstance(text, bytes) else text.encode())
         flags = [*flags, "--config", str(config)]
     if command == "train":
         # six trainable rows, so only the config value can fail the run
@@ -552,6 +571,25 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert fragment in err["message"]
+
+
+# Annotations check_fields leaves to their own class. Every other field of a
+# dataclass read from a config or model file must be one the type rule
+# checks, so a new field cannot skip the check unnoticed.
+NESTED_ANNOTATIONS = [Thresholds, SimParams | None, ScalerStats, str | list[EngagementLevel]]
+
+
+@pytest.mark.parametrize("instance", [
+    RunConfig(), Thresholds(), SimParams(), identity_scaler(), pinned_model(),
+], ids=lambda instance: type(instance).__name__)
+def test_every_json_read_field_is_type_checked(instance):
+    hints = typing.get_type_hints(type(instance))
+    for field in dataclasses.fields(instance):
+        if hints[field.name] in NESTED_ANNOTATIONS:
+            continue
+        key = field.metadata.get("key", field.name)
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be")):
+            dataclasses.replace(instance, **{field.name: object()})
 
 
 class TestEvaluate:

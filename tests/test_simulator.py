@@ -299,7 +299,3 @@ class TestSimParams:
     def test_weight_budget_enforced(self):
         with pytest.raises(ValueError):
             SimParams(memory_correction_weight=0.6, regression_weight=0.6)
-
-    def test_json_roundtrip(self):
-        params = SimParams(rng_seed=11, weber_fraction=0.2, arousal_gain=0.07)
-        assert SimParams.from_json(params.to_json()) == params
