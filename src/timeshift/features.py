@@ -67,7 +67,7 @@ class ScalerStats:
             raise ValueError("scaler stats must cover exactly the five features")
         for i, s in enumerate(self.std_devs):
             if s <= 0:
-                raise ValueError(f"std_devs[{i}] must be > 0, got {s}")
+                raise ValueError(f"model field stds[{i}] must be > 0, got {s}")
 
 
 def identity_scaler() -> ScalerStats:

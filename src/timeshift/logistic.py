@@ -91,7 +91,7 @@ class LogisticModel:
         if len(self.coefficients) != N_FEATURES:
             raise ValueError(f"expected {N_FEATURES} coefficients")
         if self.inverse_reg_c <= 0:
-            raise ValueError("inverse_reg_c must be > 0")
+            raise ValueError(f"model field C must be > 0, got {self.inverse_reg_c}")
 
 
 def pinned_model(scaler: ScalerStats | None = None) -> LogisticModel:

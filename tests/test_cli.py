@@ -423,6 +423,11 @@ MALFORMED_INPUTS = {
                           "ConfigError", ["'C'"]),
     "model_not_json": ("model", b"{nope", "ConfigError", ["model"]),
     "model_not_utf8": ("model", b'\xff\xfe{"seed":1}', "ConfigError", ["UTF-8"]),
+    "model_C_0": ("model", json.dumps({**_MODEL, "C": 0}).encode(), "ConfigError",
+                  ["model field C must be > 0"]),
+    "model_std_0": ("model",
+                    json.dumps({**_MODEL, "scaler": {**_MODEL["scaler"], "stds": [1, 1, 0, 1, 1]}})
+                    .encode(), "ConfigError", ["model field stds[2] must be > 0"]),
 }
 
 
