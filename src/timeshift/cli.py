@@ -151,10 +151,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     payload: dict = {}
     if args.config:
         try:
-            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            payload = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}") from None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # UTF-8, a BOM skipped
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -430,13 +430,12 @@ def cmd_explain(config: RunConfig, args: argparse.Namespace) -> int:
     _, phi, _ = shap_matrix(model, Z)
 
     write_scatter_csv(phi, X, Z, output_dir / "shap_scatter.csv")
-    summaries = aggregate_shap(phi)
     _write_json(
         output_dir / "shap_aggregate.json",
         _manifest(
             config,
             background="training_mean (all-zero standardized background)",
-            features=[dataclasses.asdict(s) for s in summaries],
+            features=aggregate_shap(phi),
         ),
     )
     _write_json(

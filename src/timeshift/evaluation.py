@@ -96,17 +96,14 @@ def classify_actual_magnitude(delta_t: float, thresholds: Thresholds = DEFAULT_T
 @dataclass(frozen=True)
 class MetricsReport:
     """
-    Precision/recall are for the decrease class; f1 is their harmonic mean.
-    confusion is the 2x2 count ((tp, fn), (fp, tn)) of confusion_2x2.
+    Precision/recall are for the decrease class. confusion is the 2x2 count
+    ((tp, fn), (fp, tn)): rows actual, columns predicted, decrease first.
     """
 
     precision: float
     recall: float
     accuracy: float
-    f1: float
-    n: int
     confusion: tuple[tuple[int, int], tuple[int, int]]
-    undefined_precision: bool = False
 
 
 def balanced_indices(labels, seed: int) -> np.ndarray:
@@ -132,11 +129,11 @@ def balanced_indices(labels, seed: int) -> np.ndarray:
 
 def metrics(predictions, actual) -> MetricsReport:
     """
-    Precision, recall, accuracy and f1 with the decrease class as positive.
+    Precision, recall and accuracy with the decrease class as positive.
     Both label sequences are read by labels_to_array (bool or 0/1).
 
     A degenerate predictor that never predicts the positive class gets
-    precision 0 with undefined_precision=True instead of an error.
+    precision 0 instead of an error.
 
     Raises:
         LengthMismatchError: sequences differ in length.
@@ -148,30 +145,18 @@ def metrics(predictions, actual) -> MetricsReport:
         )
     if not len(predictions):
         raise ValueError("cannot compute metrics on empty input")
-    confusion = confusion_2x2(predictions, actual)
-    (tp, fn), (fp, tn) = confusion
-    undefined = (tp + fp) == 0
-    precision = 0.0 if undefined else tp / (tp + fp)
-    recall = 0.0 if (tp + fn) == 0 else tp / (tp + fn)
-    f1 = 0.0 if (precision + recall) == 0 else 2 * precision * recall / (precision + recall)
-    return MetricsReport(
-        precision=precision,
-        recall=recall,
-        accuracy=(tp + tn) / len(predictions),
-        f1=f1,
-        n=len(predictions),
-        confusion=confusion,
-        undefined_precision=undefined,
-    )
-
-
-def confusion_2x2(predictions, actual) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Rows = actual (decrease, increase), columns = predicted (decrease, increase)."""
     predicted = labels_to_array(predictions) == 1.0
     observed = labels_to_array(actual) == 1.0
-    return tuple(
+    confusion = tuple(
         tuple(int(np.count_nonzero(a & p)) for p in (predicted, ~predicted))
         for a in (observed, ~observed)
+    )
+    (tp, fn), (fp, tn) = confusion
+    return MetricsReport(
+        precision=0.0 if (tp + fp) == 0 else tp / (tp + fp),
+        recall=0.0 if (tp + fn) == 0 else tp / (tp + fn),
+        accuracy=(tp + tn) / len(predictions),
+        confusion=confusion,
     )
 
 

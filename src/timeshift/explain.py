@@ -14,6 +14,8 @@ endpoints, matching how prediction plots are usually displayed.
 
 Attributions come as whole matrices from shap_matrix; a single sample's
 waterfall is a one-row call, which keeps its logit bit-identical to w @ z.
+aggregate_shap summarises a matrix as one plain dict per feature, ready for
+the JSON report.
 
 The background is the expectation point the attribution is measured against;
 by default it is the training-set mean, which is the zero vector when the
@@ -23,7 +25,6 @@ stays visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -60,18 +61,11 @@ def shap_matrix(
     return base, phi, logits
 
 
-@dataclass(frozen=True)
-class FeatureShapSummary:
-    feature: str
-    mean_phi: float
-    std_phi: float
-    n: int
-
-
-def aggregate_shap(phi: np.ndarray) -> list[FeatureShapSummary]:
+def aggregate_shap(phi: np.ndarray) -> list[dict]:
     """
     Per-feature mean and spread of the rows of an (n, 5) attribution matrix
-    from shap_matrix; pass phi[mask] for a sub-group.
+    from shap_matrix; pass phi[mask] for a sub-group. One JSON-ready dict per
+    feature in canonical order: {feature, mean_phi, std_phi, n}.
 
     Raises:
         ValueError: no attributions given.
@@ -80,12 +74,12 @@ def aggregate_shap(phi: np.ndarray) -> list[FeatureShapSummary]:
     if not len(phi):
         raise ValueError("need at least one attribution")
     return [
-        FeatureShapSummary(
-            feature=name,
-            mean_phi=float(phi[:, j].mean()),
-            std_phi=float(phi[:, j].std()),
-            n=len(phi),
-        )
+        {
+            "feature": name,
+            "mean_phi": float(phi[:, j].mean()),
+            "std_phi": float(phi[:, j].std()),
+            "n": len(phi),
+        }
         for j, name in enumerate(FEATURE_NAMES)
     ]
 

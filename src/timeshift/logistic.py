@@ -71,6 +71,8 @@ _MAX_BACKTRACKS = 60
 # Newton stops once the gradient infinity-norm, in the problem's own
 # coordinates, is below this.
 _TOL = 1e-8
+# A solve that reaches this many Newton steps stops and reports non-convergence.
+_MAX_ITER = 5000
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,6 @@ def fit(
     Z: np.ndarray,
     y,
     C: float = PINNED_C,
-    max_iter: int = 5000,
     scaler: ScalerStats | None = None,
     trained_on: str = "",
     seed: int | None = None,
@@ -177,8 +178,8 @@ def fit(
     """
     Fit by deterministic damped Newton from (b, w) = 0.
 
-    Stops when the gradient infinity-norm drops below 1e-8. Hitting max_iter
-    first emits NonConvergenceWarning and returns the last iterate with
+    Stops when the gradient infinity-norm drops below 1e-8. Hitting _MAX_ITER
+    steps first emits NonConvergenceWarning and returns the last iterate with
     converged=False rather than raising; the objective is convex, so the
     returned parameters are still the best ones seen.
 
@@ -203,7 +204,7 @@ def fit(
     if y_arr.min() == y_arr.max():
         raise SingleClassError("both classes are required to fit")
 
-    theta, n_iter, norm = _whole(Z, y_arr, C).solve(max_iter)
+    theta, n_iter, norm = _whole(Z, y_arr, C).solve()
     converged = bool(norm[0] < _TOL)
     if not converged:
         warnings.warn(
@@ -254,7 +255,6 @@ def fit_folds(
     scale: np.ndarray,
     free: np.ndarray,
     C: float,
-    max_iter: int = 5000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     Fit every leave-one-out fold of Z by fit's damped Newton, in batches.
@@ -271,7 +271,7 @@ def fit_folds(
 
     Returns:
         Each fold's probability for its held-out row, its Newton steps and
-        whether its gradient norm fell below the tolerance within max_iter steps.
+        whether its gradient norm fell below the tolerance within _MAX_ITER steps.
     """
     n = len(y)
     A, pairs = _design(Z)
@@ -286,7 +286,7 @@ def fit_folds(
         block = slice(start, min(start + size, n))
         held_out = np.arange(block.start, block.stop)[:, None]
         folds = _Block(A, pairs, y, held_out, shift[block], scale[block], free[block], C, work)
-        theta, n_iter[block], norm = folds.solve(max_iter)
+        theta, n_iter[block], norm = folds.solve()
         converged[block] = norm < _TOL
         probability[block] = _sigmoid(np.einsum("ij,ij->i", theta, A[block]))
     return probability, n_iter, converged
@@ -352,11 +352,11 @@ class _Block:
         norm = np.maximum(np.abs(grad[:, 0]), np.abs(grad_w).max(axis=1))
         return loss, grad, hess, norm
 
-    def solve(self, max_iter: int):
+    def solve(self):
         """
         Damped Newton from zero for every problem of the block at once: a
         Newton step (steepest descent where it is unusable) with Armijo
-        backtracking, until the gradient norm is below _TOL or max_iter steps.
+        backtracking, until the gradient norm is below _TOL or _MAX_ITER steps.
         Returns the parameters, the steps taken and the final gradient norms.
         """
         folds = np.arange(len(self.held_out))
@@ -364,7 +364,7 @@ class _Block:
         loss, grad, hess, norm = self.objective(theta, folds)
         n_iter = np.zeros(len(folds), dtype=int)
         active = norm >= _TOL
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             live = np.flatnonzero(active)
             if not live.size:
                 break
@@ -416,10 +416,11 @@ def _newton_directions(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (lossless: floats are written with shortest round-trip repr)
+# The model file: save_model and load_model (lossless: shortest round-trip floats)
 # ---------------------------------------------------------------------------
 
-def model_to_json(model: LogisticModel) -> str:
+def save_model(model: LogisticModel, path: str | Path) -> None:
+    """Write the model as one line of sorted-key JSON."""
     payload = {
         "intercept": model.intercept,
         "coefficients": list(model.coefficients),
@@ -433,14 +434,20 @@ def model_to_json(model: LogisticModel) -> str:
         "converged": model.converged,
         "n_iter": model.n_iter,
     }
-    return json.dumps(payload, sort_keys=True)
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def model_from_json(text: str) -> LogisticModel:
+def load_model(path: str | Path) -> LogisticModel:
     """
-    Parse a saved model; text that is not one raises ConfigError. Values pass
-    unconverted, so check_fields sees each as JSON gave it.
+    Read a saved model; a file that is not UTF-8 text (a byte-order mark is
+    allowed) or not a model raises ConfigError. Values pass unconverted, so
+    check_fields sees each as JSON gave it.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"model file is not UTF-8 text: {exc}") from None
     try:
         payload = json.loads(text)
         return LogisticModel(
@@ -458,16 +465,3 @@ def model_from_json(text: str) -> LogisticModel:
         )
     except (KeyError, TypeError, ValueError) as exc:  # a missing key, a wrong type
         raise ConfigError(f"not a valid model file: {exc!r}") from None
-
-
-def save_model(model: LogisticModel, path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        fh.write(model_to_json(model) + "\n")
-
-
-def load_model(path: str | Path) -> LogisticModel:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"model file is not UTF-8 text: {exc}") from None
-    return model_from_json(text)

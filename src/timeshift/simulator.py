@@ -110,23 +110,21 @@ def simulate_trial(params: SimParams, engagement, prev_engagement, reference_tic
 
     The clock rate is the base rate, sped up by arousal_gain per level of
     engagement *increase* relative to the previous trial (arousal is transient,
-    tied to the change rather than the absolute level; None means no previous
-    trial). Timing noise is multiplicative Gaussian with CV = weber_fraction,
-    applied to the standard normal draw z, and the produced time is clamped
-    at MIN_PRODUCED_S. Every argument but params may be an array of
-    participants.
+    tied to the change rather than the absolute level; a first trial passes its
+    own level, so there is no rise). Timing noise is multiplicative Gaussian
+    with CV = weber_fraction, applied to the standard normal draw z, and the
+    produced time is clamped at MIN_PRODUCED_S. Every argument but params may
+    be an array of participants.
     """
-    rate = params.base_clock_rate_hz
-    if prev_engagement is not None:
-        rise = np.maximum(0, np.subtract(engagement, prev_engagement, dtype=float))
-        rate = rate * (1.0 + params.arousal_gain * rise)
+    rise = np.maximum(0, np.subtract(engagement, prev_engagement, dtype=float))
+    rate = params.base_clock_rate_hz * (1.0 + params.arousal_gain * rise)
     gate = np.take(params.gate_width_by_engagement, engagement)
     noiseless = reference_ticks / (rate * gate)
     return np.maximum(noiseless * (1.0 + params.weber_fraction * z), MIN_PRODUCED_S)
 
 
 def update_reference_memory(
-    params: SimParams, old_reference_ticks, last_produced_s, reported_lower, population_mean_s
+    params: SimParams, old_reference_ticks, last_produced_s, reported_lower
 ):
     """
     Recalibrate the reference memory after a trial.
@@ -152,7 +150,7 @@ def update_reference_memory(
     corrected = np.where(reported_lower, target + step, target - step)
     w_c = params.memory_correction_weight
     w_r = params.regression_weight
-    s_new = (1.0 - w_c - w_r) * s_old + w_c * corrected + w_r * population_mean_s
+    s_new = (1.0 - w_c - w_r) * s_old + w_c * corrected + w_r * params.population_mean_s
     return np.maximum(s_new, MIN_PRODUCED_S) * low_throughput
 
 
@@ -216,13 +214,13 @@ def generate_trials(
     produced = np.empty(shape)
     reported_lower = np.empty(shape, dtype=bool)
     reference = np.full(n_participants, float(params.reference_ticks))
-    prev_level = None
+    prev_level = levels[:, 0]  # the first trial follows none: no rise
     for t in range(n_trials):
         level = levels[:, t]
         produced[:, t] = simulate_trial(params, level, prev_level, reference, noise[:, t])
         reported_lower[:, t] = (produced[:, t] <= params.target_s) ^ flips[:, t]
         reference = update_reference_memory(
-            params, reference, produced[:, t], reported_lower[:, t], params.population_mean_s
+            params, reference, produced[:, t], reported_lower[:, t]
         )
         prev_level = level
 

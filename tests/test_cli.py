@@ -1,16 +1,17 @@
 import csv
 import dataclasses
-import functools
 import hashlib
 import json
 import math
 import re
+import tempfile
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import timeshift.evaluation
+import timeshift.logistic
 from timeshift.cli import RunConfig, main
 from timeshift.data import EngagementLevel
 from timeshift.errors import NonConvergenceWarning
@@ -24,9 +25,7 @@ from timeshift.features import ScalerStats, identity_scaler
 from timeshift.logistic import (
     LogisticModel,
     fit,
-    fit_folds,
     load_model,
-    model_to_json,
     pinned_model,
     predict_proba,
     save_model,
@@ -125,6 +124,19 @@ class TestSimulate:
         assert manifest["params"]["gate_width_by_engagement"] == [1.0, 0.9, 0.8]
         # the hash this config had when the CLI converted the list itself
         assert manifest["config_hash"] == "2a245061480bb1d5"
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        # some editors start a UTF-8 file with a byte-order mark; it is skipped
+        config = write_config(tmp_path)
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        outputs = []
+        for name, path in (("plain", config), ("marked", marked)):
+            (tmp_path / name).mkdir()
+            out = tmp_path / name / "trials.csv"
+            assert main(["simulate", "--config", str(path), "--output", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
+        assert outputs[0] == outputs[1]
 
     def test_invalid_sim_config_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, sim={"weber_fraction": -1.0})
@@ -286,6 +298,20 @@ class TestPredictAndExplain:
         assert "background" in aggregate
         assert (out_dir / "shap_scatter.csv").exists()
 
+    def test_model_with_byte_order_mark(self, tmp_path, pinned_setup):
+        model_path, features = pinned_setup
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + model_path.read_bytes())
+        outputs = []
+        for name, path in (("plain", model_path), ("marked", marked)):
+            out = tmp_path / name
+            out.mkdir()
+            common = ["--model", str(path), "--features", str(features)]
+            assert main(["predict", *common, "--output", str(out / "o.csv")]) == 0
+            assert main(["explain", *common, "--output-dir", str(out / "shap")]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert outputs[0] == outputs[1]
+
     def test_nondefault_thresholds_band_every_row(self, tmp_path):
         # z = (logit, 0, 0, 0, 0) under weight (1, 0, 0, 0, 0): predict's logit is exact
         model = LogisticModel(
@@ -339,11 +365,14 @@ class TestPredictAndExplain:
         assert code == 2
 
 
-    def test_nonconverged_model_warns_and_keeps_outputs(self, tmp_path, pinned_setup, capsys):
+    def test_nonconverged_model_warns_and_keeps_outputs(
+        self, tmp_path, pinned_setup, capsys, monkeypatch
+    ):
         _, features = pinned_setup
         Z = np.random.default_rng(12).normal(size=(30, 5))
+        monkeypatch.setattr(timeshift.logistic, "_MAX_ITER", 1)
         with pytest.warns(NonConvergenceWarning):
-            stopped = fit(Z, (Z[:, 0] > 0).astype(float), max_iter=1)
+            stopped = fit(Z, (Z[:, 0] > 0).astype(float))
         outputs = {}
         for converged in (False, True):
             model_path = tmp_path / f"model_{converged}.json"
@@ -372,7 +401,15 @@ def _trial_rows(row):
     return (TRIAL_HEADER + "\np1,1,low,30,false,false,\n" + row + "\n").encode()
 
 
-_MODEL = json.loads(model_to_json(pinned_model()))
+def _saved_pinned_model() -> dict:
+    """The pinned model's JSON object as save_model writes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(pinned_model(), path)
+        return json.loads(path.read_text())
+
+
+_MODEL = _saved_pinned_model()
 
 # (input kind, file bytes, error name, fragments of the message)
 MALFORMED_INPUTS = {
@@ -726,9 +763,7 @@ class TestEvaluate:
 
     def test_nonconverged_folds_exit_3(self, tmp_path, trials, monkeypatch, capsys):
         config, trials = trials
-        monkeypatch.setattr(
-            timeshift.evaluation, "fit_folds", functools.partial(fit_folds, max_iter=1)
-        )
+        monkeypatch.setattr(timeshift.logistic, "_MAX_ITER", 1)
         capsys.readouterr()
         report_path = tmp_path / "report.json"
         argv = ["evaluate", "--config", str(config), "--input", str(trials),

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from timeshift.evaluation import (
     classify_actual_magnitude,
     classify_direction,
     classify_predicted_magnitude,
-    confusion_2x2,
     loocv,
     magnitude_confusion,
     metrics,
@@ -240,20 +238,19 @@ class TestMetrics:
         assert report.precision == pytest.approx(0.615, abs=1e-3)
         assert report.recall == pytest.approx(0.590, abs=1e-3)
         assert report.accuracy == pytest.approx(0.610, abs=1e-3)
-        assert confusion_2x2(predictions, actual) == ((59, 41), (37, 63))
+        assert report.confusion == ((59, 41), (37, 63))
 
     def test_report_carries_its_confusion(self):
         predictions = [True] * 3 + [False] * 5
         actual = [True, False] * 4
         report = metrics(predictions, actual)
-        assert report.confusion == confusion_2x2(predictions, actual) == ((2, 2), (1, 3))
+        assert report.confusion == ((2, 2), (1, 3))
 
-    def test_undefined_precision_flagged(self):
+    def test_undefined_precision_reads_zero(self):
         predictions = [False] * 6
         actual = [True] * 3 + [False] * 3
         report = metrics(predictions, actual)
         assert report.precision == 0.0
-        assert report.undefined_precision
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -312,9 +309,7 @@ class TestLoocv:
         X, y = features_and_labels(varied_dataset([True, False] * 6, seed=3))
         assert loocv(X, y).nonconverged == 0
         # a warning escaping loocv would fail this test (pytest turns it into an error)
-        monkeypatch.setattr(
-            timeshift.evaluation, "fit_folds", functools.partial(fit_folds, max_iter=1)
-        )
+        monkeypatch.setattr(timeshift.logistic, "_MAX_ITER", 1)
         assert loocv(X, y).nonconverged == len(y)
 
     def test_batched_folds_match_per_fold_refits(self):
@@ -451,7 +446,7 @@ class TestCompareBaselines:
         assert [name for name, _ in rows] == ["attention", "arousal"]
         for _, row in rows:
             assert isinstance(row, MetricsReport)
-            assert row.n == len(pairs)
+            assert sum(map(sum, row.confusion)) == len(pairs)
             for value in (row.precision, row.recall, row.accuracy):
                 assert 0.0 <= value <= 1.0
 

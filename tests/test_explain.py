@@ -139,9 +139,9 @@ class TestAggregateShap:
         phi = self._phi(n=1)
         summaries = aggregate_shap(phi)
         for j, summary in enumerate(summaries):
-            assert summary.mean_phi == pytest.approx(phi[0, j])
-            assert summary.std_phi == 0.0
-            assert summary.n == 1
+            assert summary["mean_phi"] == pytest.approx(phi[0, j])
+            assert summary["std_phi"] == 0.0
+            assert summary["n"] == 1
 
     def test_disjoint_groups_recombine(self):
         phi = self._phi(n=50)
@@ -150,8 +150,8 @@ class TestAggregateShap:
         right = aggregate_shap(phi[rows >= 20])
         population = aggregate_shap(phi)
         for j in range(5):
-            combined = (20 * left[j].mean_phi + 30 * right[j].mean_phi) / 50
-            assert combined == pytest.approx(population[j].mean_phi, abs=1e-12)
+            combined = (20 * left[j]["mean_phi"] + 30 * right[j]["mean_phi"]) / 50
+            assert combined == pytest.approx(population[j]["mean_phi"], abs=1e-12)
 
     def test_empty_group_rejected(self):
         phi = self._phi(n=5)
@@ -173,7 +173,7 @@ class TestAggregateShap:
         _, phi, _ = shap_matrix(model, Z)
         produced = trials.produced_s[pairs[:, 0]]
         summaries = aggregate_shap(phi[produced > 45.0])
-        by_name = {s.feature: s.mean_phi for s in summaries}
+        by_name = {s["feature"]: s["mean_phi"] for s in summaries}
         rel_error_mean = by_name["t1_rel_error"]
         assert rel_error_mean > 0.5
         assert all(

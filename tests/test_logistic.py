@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import timeshift.logistic
 from timeshift.errors import (
     NonConvergenceWarning,
     SingleClassError,
@@ -19,8 +20,6 @@ from timeshift.logistic import (
     fit,
     gradient,
     load_model,
-    model_from_json,
-    model_to_json,
     nll_loss,
     pinned_model,
     predict_proba,
@@ -228,12 +227,15 @@ class TestFit:
         assert a.coefficients == b.coefficients
         assert a.n_iter == b.n_iter
 
-    def test_loss_never_increases_between_iterates(self):
+    def test_loss_never_increases_between_iterates(self, monkeypatch):
         rng = np.random.default_rng(6)
         Z, y = random_instance(rng, 150)
         final = fit(Z, y, C=2.0)
+        iterates = []
         with pytest.warns(NonConvergenceWarning):  # every iterate before the last
-            iterates = [fit(Z, y, C=2.0, max_iter=k) for k in range(final.n_iter)]
+            for k in range(final.n_iter):
+                monkeypatch.setattr(timeshift.logistic, "_MAX_ITER", k)
+                iterates.append(fit(Z, y, C=2.0))
         losses = [nll_loss(m, Z, y) for m in [*iterates, final]]
         assert len(losses) >= 2
         assert [m.n_iter for m in iterates] == list(range(final.n_iter))
@@ -256,11 +258,12 @@ class TestFit:
         with pytest.raises(TooFewSamplesError):
             fit(Z, np.array([0, 1, 0, 1, 0]))
 
-    def test_nonconvergence_warns_and_flags(self):
+    def test_nonconvergence_warns_and_flags(self, monkeypatch):
         rng = np.random.default_rng(9)
         Z, y = random_instance(rng, 200)
+        monkeypatch.setattr(timeshift.logistic, "_MAX_ITER", 1)
         with pytest.warns(NonConvergenceWarning):
-            model = fit(Z, y, C=12.06, max_iter=1)
+            model = fit(Z, y, C=12.06)
         assert not model.converged
         assert model.n_iter == 1
 
@@ -275,7 +278,7 @@ class TestFitFolds:
 
 
 class TestSerialization:
-    def test_roundtrip_is_lossless(self):
+    def test_roundtrip_is_lossless(self, tmp_path, monkeypatch):
         model = LogisticModel(
             intercept=0.1 + 0.2,  # deliberately unrepresentable nicely
             coefficients=(1 / 3, -2 / 7, 0.662, math.pi, -1e-17),
@@ -287,7 +290,9 @@ class TestSerialization:
             trained_on="unit-test",
             seed=3,
         )
-        clone = model_from_json(model_to_json(model))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        clone = load_model(path)
         assert clone.intercept == model.intercept
         assert clone.coefficients == model.coefficients
         assert clone.scaler == model.scaler
@@ -297,13 +302,17 @@ class TestSerialization:
         assert (clone.converged, clone.n_iter) == (True, 0)
 
         Z = np.random.default_rng(12).normal(size=(30, 5))
+        monkeypatch.setattr(timeshift.logistic, "_MAX_ITER", 1)
         with pytest.warns(NonConvergenceWarning):
-            stopped = fit(Z, (Z[:, 0] > 0).astype(float), max_iter=1)
+            stopped = fit(Z, (Z[:, 0] > 0).astype(float))
         assert (stopped.converged, stopped.n_iter) == (False, 1)
-        assert model_from_json(model_to_json(stopped)) == stopped
+        save_model(stopped, path)
+        assert load_model(path) == stopped
 
-    def test_schema_fields(self):
-        payload = json.loads(model_to_json(pinned_model()))
+    def test_schema_fields(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(pinned_model(), path)
+        payload = json.loads(path.read_text())
         assert set(payload) == {
             "intercept", "coefficients", "scaler", "C", "trained_on", "seed",
             "converged", "n_iter",
@@ -311,10 +320,23 @@ class TestSerialization:
         assert set(payload["scaler"]) == {"means", "stds"}
         # files written before the diagnostics existed load with the old defaults
         del payload["converged"], payload["n_iter"]
-        clone = model_from_json(json.dumps(payload))
+        path.write_text(json.dumps(payload))
+        clone = load_model(path)
         assert (clone.converged, clone.n_iter) == (True, 0)
 
     def test_file_helpers(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(pinned_model(), path)
         assert load_model(path).coefficients == PINNED_COEFFICIENTS
+
+    def test_pinned_model_file_bytes(self, tmp_path):
+        # the model format: one line of sorted-key JSON, shortest round-trip floats
+        path = tmp_path / "model.json"
+        save_model(pinned_model(), path)
+        assert path.read_bytes() == (
+            b'{"C": 12.06, "coefficients": [0.662, -0.191, -0.241, -0.187, 0.177], '
+            b'"converged": true, "intercept": 0.016, "n_iter": 0, "scaler": {"means": '
+            b'[15.0, 0.4, 0.06, 1.0, 1.0], "stds": [44.0, 0.4898979485566356, '
+            b'0.23748684174075832, 0.816496580927726, 0.816496580927726]}, "seed": null, '
+            b'"trained_on": "pinned"}\n'
+        )

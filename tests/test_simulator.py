@@ -57,15 +57,15 @@ class TestSimulateTrial:
         params = noiseless()
         rng = np.random.default_rng(0)
         z = rng.standard_normal()
-        produced = simulate_trial(params, LOW, None, params.reference_ticks, z)
+        produced = simulate_trial(params, LOW, LOW, params.reference_ticks, z)
         assert produced == pytest.approx(30.0, abs=1e-12)
 
     def test_narrower_gate_lengthens_production(self):
         params = noiseless(gate_width_by_engagement=(0.8, 0.7, 0.6))
         rng = np.random.default_rng(0)
         z = rng.standard_normal(2)
-        low = simulate_trial(params, LOW, None, params.reference_ticks, z[0])
-        high = simulate_trial(params, HIGH, None, params.reference_ticks, z[1])
+        low = simulate_trial(params, LOW, LOW, params.reference_ticks, z[0])
+        high = simulate_trial(params, HIGH, HIGH, params.reference_ticks, z[1])
         assert low == pytest.approx(30.0)
         assert high == pytest.approx(40.0)
 
@@ -101,7 +101,7 @@ class TestSimulateTrial:
         last_by_rate = None
         for base in (5.0, 10.0, 15.0, 20.0):
             z = rng.standard_normal()
-            produced = simulate_trial(noiseless(base_clock_rate_hz=base), LOW, None, reference, z)
+            produced = simulate_trial(noiseless(base_clock_rate_hz=base), LOW, LOW, reference, z)
             if last_by_rate is not None:
                 assert produced <= last_by_rate
             last_by_rate = produced
@@ -110,7 +110,7 @@ class TestSimulateTrial:
             produced = simulate_trial(
                 noiseless(gate_width_by_engagement=(gate, gate, gate)),
                 LOW,
-                None,
+                LOW,
                 reference,
                 rng.standard_normal(),
             )
@@ -122,30 +122,38 @@ class TestSimulateTrial:
         params = SimParams(weber_fraction=5.0)  # absurd noise to stress the clamp
         rng = np.random.default_rng(3)
         for z in rng.standard_normal(500):
-            assert simulate_trial(params, LOW, None, params.reference_ticks, z) > 0
+            assert simulate_trial(params, LOW, LOW, params.reference_ticks, z) > 0
 
 
 class TestReferenceMemoryUpdate:
     def test_zero_weights_identity(self):
-        params = noiseless(memory_correction_weight=0.0, regression_weight=0.0)
-        out = update_reference_memory(params, 321.0, 55.0, False, 40.0)
+        params = noiseless(
+            memory_correction_weight=0.0, regression_weight=0.0, population_mean_s=40.0
+        )
+        out = update_reference_memory(params, 321.0, 55.0, False)
         assert out == pytest.approx(321.0)
 
     def test_full_correction_overshoot(self):
-        params = noiseless(memory_correction_weight=1.0, regression_weight=0.0)
-        out = update_reference_memory(params, params.reference_ticks, 40.0, False, 40.0)
+        params = noiseless(
+            memory_correction_weight=1.0, regression_weight=0.0, population_mean_s=40.0
+        )
+        out = update_reference_memory(params, params.reference_ticks, 40.0, False)
         # 40 s overshoot corrected down to a 20 s-equivalent reference
         assert out / (params.base_clock_rate_hz * 1.0) == pytest.approx(20.0)
 
     def test_full_regression_to_population_mean(self):
-        params = noiseless(memory_correction_weight=0.0, regression_weight=1.0)
-        out = update_reference_memory(params, params.reference_ticks, 10.0, True, 33.8)
+        params = noiseless(
+            memory_correction_weight=0.0, regression_weight=1.0, population_mean_s=33.8
+        )
+        out = update_reference_memory(params, params.reference_ticks, 10.0, True)
         assert out / (params.base_clock_rate_hz * 1.0) == pytest.approx(33.8)
 
     def test_reported_side_controls_direction(self):
-        params = noiseless(memory_correction_weight=1.0, regression_weight=0.0)
-        up = update_reference_memory(params, 300.0, 40.0, True, 30.0)
-        down = update_reference_memory(params, 300.0, 40.0, False, 30.0)
+        params = noiseless(
+            memory_correction_weight=1.0, regression_weight=0.0, population_mean_s=30.0
+        )
+        up = update_reference_memory(params, 300.0, 40.0, True)
+        down = update_reference_memory(params, 300.0, 40.0, False)
         assert up / 10.0 == pytest.approx(40.0)  # believed undershot: aim longer
         assert down / 10.0 == pytest.approx(20.0)
 
@@ -164,10 +172,11 @@ class TestReferenceMemoryUpdate:
             last = rng.uniform(1, 90)
             lower = bool(rng.integers(2))
             mean = rng.uniform(20, 50)
+            params = dataclasses.replace(params, population_mean_s=mean)
             scale = params.base_clock_rate_hz * params.gate_width_by_engagement[0]
             expected = reference_update_oracle(params, old, last, lower, mean)
             expected = max(expected / scale, 0.5) * scale  # implementation floor
-            got = update_reference_memory(params, old, last, lower, mean)
+            got = update_reference_memory(params, old, last, lower)
             assert got == pytest.approx(expected, abs=1e-9)
 
 
