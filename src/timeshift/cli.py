@@ -17,13 +17,14 @@ import dataclasses
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .data import (
+    DEFAULT_TARGET_S,
     EngagementLevel,
     TrialTable,
     atomic_write,
@@ -56,6 +57,7 @@ from .features import (
     write_feature_csv,
 )
 from .logistic import (
+    PINNED_C,
     PINNED_COEFFICIENTS,
     PINNED_INTERCEPT,
     LogisticModel,
@@ -71,35 +73,33 @@ from .simulator import SimParams, generate_trials
 class RunConfig:
     """Resolved run configuration; see README for the JSON layout and value checks."""
 
-    seed: int = 0
-    target_interval_s: float = 30.0
-    C: float = 12.06
+    seed: int = field(default=0, metadata={"min": 0})
+    target_interval_s: float = field(default=DEFAULT_TARGET_S, metadata={"above": 0})
+    C: float = field(default=PINNED_C, metadata={"above": 0})
     thresholds: Thresholds = Thresholds()
     sim: SimParams | None = None
-    sim_n_participants: int = dataclasses.field(default=1000, metadata={"key": "n_participants"})
-    sim_n_trials: int = dataclasses.field(default=2, metadata={"key": "n_trials"})
-    sim_engagement_assignment: str | list[EngagementLevel] = "random_uniform_9"
+    n_participants: int = field(default=1000, metadata={"min": 1, "in_sim": True})
+    n_trials: int = field(default=2, metadata={"min": 2, "in_sim": True})
+    engagement_assignment: str | list[EngagementLevel] = field(
+        default="random_uniform_9", metadata={"in_sim": True}
+    )
     undersample: bool = True
 
     def __post_init__(self):
         check_fields(self)
-        for name, value, least in (
-            ("seed", self.seed, 0),
-            ("participants", self.sim_n_participants, 1),
-            ("trials", self.sim_n_trials, 2),
-        ):
-            if value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        for name, value in (("target_interval_s", self.target_interval_s), ("C", self.C)):
-            if value <= 0:
-                raise ConfigError(f"{name} must be > 0, got {value!r}")
-        assignment = self.sim_engagement_assignment
+        assignment = self.engagement_assignment
+        if isinstance(assignment, list):
+            try:  # format, not str: a parsed level formats as its code on every Python
+                assignment = [EngagementLevel.parse(format(level)) for level in assignment]
+            except ValueError as exc:
+                raise ValueError(f"invalid engagement_assignment: {exc}") from None
+            object.__setattr__(self, "engagement_assignment", assignment)
         if assignment != "random_uniform_9" and (
-            not isinstance(assignment, list) or len(assignment) != self.sim_n_trials
+            not isinstance(assignment, list) or len(assignment) != self.n_trials
         ):
-            raise ConfigError(
+            raise ValueError(
                 'engagement_assignment must be "random_uniform_9" or a list of '
-                f"{self.sim_n_trials} engagement levels, got {assignment!r}"
+                f"{self.n_trials} engagement levels, got {assignment!r}"
             )
 
     def config_hash(self) -> str:
@@ -108,46 +108,48 @@ class RunConfig:
         ).hexdigest()[:16]
 
     def describe(self) -> dict:
-        payload = {
-            "seed": self.seed,
-            "target_interval_s": self.target_interval_s,
-            "C": self.C,
-            "thresholds": dataclasses.asdict(self.thresholds),
-            "undersample": self.undersample,
-            "sim": None,
-        }
+        """The fields in the config file's layout; sim is null for all but simulate."""
+        payload = dataclasses.asdict(self)
+        cohort = {key: payload.pop(key) for key in _IN_SIM}
         if self.sim is not None:
-            payload["sim"] = {
-                **dataclasses.asdict(self.sim),
-                "n_participants": self.sim_n_participants,
-                "n_trials": self.sim_n_trials,
-                "engagement_assignment": (
-                    self.sim_engagement_assignment
-                    if isinstance(self.sim_engagement_assignment, str)
-                    else [level.name.lower() for level in self.sim_engagement_assignment]
-                ),
-            }
+            if isinstance(self.engagement_assignment, list):
+                cohort["engagement_assignment"] = [
+                    level.name.lower() for level in self.engagement_assignment
+                ]
+            payload["sim"].update(cohort)
         return payload
 
 
-# The keys each config section may hold; any other key is a ConfigError.
-_CONFIG_KEYS = {
-    "": {"seed", "target_interval_s", "C", "thresholds", "sim", "undersample"},
-    "thresholds": {field.name for field in dataclasses.fields(Thresholds)},
-    "sim": {field.name for field in dataclasses.fields(SimParams)}
-    | {"n_participants", "n_trials", "engagement_assignment"},
-}
+def _keys(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
 
 
-def _check_keys(section: str, payload) -> None:
-    if isinstance(payload, dict):
-        unknown = sorted(set(payload) - _CONFIG_KEYS[section])
-        if unknown:
-            where = f"the {section} section" if section else "the config"
-            raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+# The RunConfig fields that the config file holds in its sim object; each
+# other field is a top-level key, and each field of Thresholds or SimParams a
+# key of its section.
+_IN_SIM = {f.name for f in dataclasses.fields(RunConfig) if f.metadata.get("in_sim")}
+
+
+def _section(payload, section: str, keys: set[str]) -> dict:
+    """
+    A copy of one object of the config file (section "" is its top level);
+    ConfigError if it is not a JSON object or holds a key outside keys.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{section or 'config file'} must be a JSON object, got {payload!r}")
+    unknown = sorted(set(payload) - keys)
+    if unknown:
+        where = f"the {section} section" if section else "the config"
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return dict(payload)
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
+    """
+    The config file's values, overridden by each flag whose dest is a
+    RunConfig field; every default is the field's own. SimParams is checked
+    for every command but kept only by simulate's config.
+    """
     payload: dict = {}
     if args.config:
         try:
@@ -156,58 +158,20 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file not found: {args.config}") from None
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # UTF-8, a BOM skipped
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ConfigError("config file must hold a JSON object")
-    _check_keys("", payload)
-    _check_keys("thresholds", payload.get("thresholds"))
-    _check_keys("sim", payload.get("sim"))
-
-    seed = args.seed if args.seed is not None else payload.get("seed", 0)
-    target = (
-        args.target
-        if getattr(args, "target", None) is not None
-        else payload.get("target_interval_s", 30.0)
-    )
-    c_value = args.C if getattr(args, "C", None) is not None else payload.get("C", 12.06)
-
-    sim_section = payload.get("sim", {})
-    if not isinstance(sim_section, dict):
-        raise ConfigError(f"sim must be a JSON object, got {sim_section!r}")
-    sim_section = dict(sim_section)
-    n_participants = sim_section.pop("n_participants", 1000)
-    n_trials = sim_section.pop("n_trials", 2)
-    assignment = sim_section.pop("engagement_assignment", "random_uniform_9")
-    if getattr(args, "participants", None) is not None:
-        n_participants = args.participants
-    if getattr(args, "trials", None) is not None:
-        n_trials = args.trials
-    if isinstance(assignment, list):
-        try:
-            assignment = [EngagementLevel.parse(str(level)) for level in assignment]
-        except ValueError as exc:
-            raise ConfigError(f"invalid engagement_assignment: {exc}") from None
-    if args.command == "simulate":
-        sim_section.setdefault("rng_seed", seed)
-        sim_section.setdefault("target_s", target)
-
-    undersample_flag = payload.get("undersample", True)
-    if getattr(args, "no_undersample", False):
-        undersample_flag = False
-
+    values = _section(payload, "", _keys(RunConfig) - _IN_SIM)
+    thresholds = _section(values.pop("thresholds", {}), "thresholds", _keys(Thresholds))
+    sim = _section(values.pop("sim", {}), "sim", _keys(SimParams) | _IN_SIM)
+    values.update((key, sim.pop(key)) for key in _IN_SIM & sim.keys())
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    values.update((key, flags[key]) for key in _keys(RunConfig) & flags.keys())
     try:  # a value of the wrong type or out of range raises ValueError, in any section
-        return RunConfig(
-            seed=seed,
-            target_interval_s=target,
-            C=c_value,
-            thresholds=Thresholds(**payload.get("thresholds", {})),
-            sim=SimParams(**sim_section) if args.command == "simulate" else None,
-            sim_n_participants=n_participants,
-            sim_n_trials=n_trials,
-            sim_engagement_assignment=assignment,
-            undersample=undersample_flag,
+        config = RunConfig(**values, thresholds=Thresholds(**thresholds))
+        params = SimParams(
+            **{"rng_seed": config.seed, "target_s": config.target_interval_s, **sim}
         )
-    except (TypeError, ValueError) as exc:  # TypeError: a section that is not an object
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return dataclasses.replace(config, sim=params) if args.command == "simulate" else config
 
 
 def _require_path(args: argparse.Namespace, key: str) -> Path:
@@ -257,13 +221,13 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     output = _require_path(args, "output")
     trials = generate_trials(
         config.sim,
-        n_participants=config.sim_n_participants,
-        n_trials=config.sim_n_trials,
-        engagement_assignment=config.sim_engagement_assignment,
+        n_participants=config.n_participants,
+        n_trials=config.n_trials,
+        engagement_assignment=config.engagement_assignment,
     )
     write_trials_csv(trials, output)
     # the table is participant-major: one row of this matrix per session
-    sessions = trials.produced_s.reshape(config.sim_n_participants, config.sim_n_trials)
+    sessions = trials.produced_s.reshape(config.n_participants, config.n_trials)
     changes = np.diff(sessions, axis=1)
     decrease = int(np.count_nonzero(changes < 0))
     _write_json(
@@ -271,8 +235,8 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
         _manifest(
             config,
             params=dataclasses.asdict(config.sim),
-            n_participants=config.sim_n_participants,
-            n_trials=config.sim_n_trials,
+            n_participants=config.n_participants,
+            n_trials=config.n_trials,
             class_balance={"increase": changes.size - decrease, "decrease": decrease},
         ),
     )
@@ -474,14 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--target", type=float, default=None, help="target interval, s")
+        p.add_argument("--target", dest="target_interval_s", type=float, help="target interval, s")
         p.add_argument("--C", type=float, default=None, help="inverse regularization")
 
     p = sub.add_parser("simulate", help="generate synthetic trials CSV")
     add_common(p)
     p.add_argument("--output", required=False)
-    p.add_argument("--participants", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--participants", dest="n_participants", type=int)
+    p.add_argument("--trials", dest="n_trials", type=int)
 
     p = sub.add_parser("extract", help="derive the feature matrix from trials")
     add_common(p)
@@ -492,14 +456,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--input", required=False)
     p.add_argument("--output", required=False)
-    p.add_argument("--no-undersample", action="store_true")
+    p.add_argument("--no-undersample", dest="undersample", action="store_false", default=None)
 
     p = sub.add_parser("evaluate", help="LOOCV report with baselines and magnitude")
     add_common(p)
     p.add_argument("--input", required=False)
     p.add_argument("--output", required=False)
     p.add_argument("--per-sample", dest="per_sample", required=False)
-    p.add_argument("--no-undersample", action="store_true")
+    p.add_argument("--no-undersample", dest="undersample", action="store_false", default=None)
 
     p = sub.add_parser("predict", help="per-sample outcomes for a feature CSV")
     add_common(p)

@@ -1,8 +1,8 @@
 """
 Trial-level time production data as one table of numpy columns, its CSV
 reader and writers, consecutive-trial pairing, the one artifact writer every
-stage uses (atomic_write) and the one type rule for every dataclass field
-read from a JSON file, config or model (check_fields).
+stage uses (atomic_write) and the one type and bound rule for every
+dataclass field read from a JSON file, config or model (check_fields).
 
 A *trial* is one produced interval by one participant; consecutive trials of
 the same participant form a *sample pair* whose label is the direction of
@@ -23,7 +23,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from operator import itemgetter
+from operator import ge, gt, itemgetter, le
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO, get_args, get_origin, get_type_hints
 
@@ -62,6 +62,10 @@ _FIELD_TYPES = {
     str: (str, "a string"),
 }
 
+# The bounds a field's metadata may declare: each value must be (above) > it,
+# (min) >= it or (max) <= it.
+_BOUNDS = {"above": (gt, ">"), "min": (ge, ">="), "max": (le, "<=")}
+
 # Each class's annotations, resolved once: resolving them takes ~0.1 ms a class.
 _type_hints = lru_cache(maxsize=None)(get_type_hints)
 
@@ -69,14 +73,17 @@ _type_hints = lru_cache(maxsize=None)(get_type_hints)
 def check_fields(instance, prefix: str = "") -> None:
     """
     Raise ValueError naming (prefix + metadata["key"] or name) the first field
-    of a dataclass whose value, as JSON gave it, is not of its annotated type:
-    float a finite number, int an integral one (a bool is neither: JSON true
+    of a dataclass whose value, as JSON gave it, is not of its annotated type,
+    else the first that breaks a bound of its metadata (see _BOUNDS). float
+    takes a finite number, int an integral one (a bool is neither: JSON true
     is not 1), bool a bool, str a str; X | None also admits None. A
-    tuple[float, ...] takes a list, tuple or 1-D array, not a string, checks
-    each item and is stored as a tuple of floats. Other annotations (nested
-    dataclasses, unions) are left to their own class.
+    tuple[float, ...] takes a list, tuple or 1-D array, not a string, and
+    checks each item; a bound error names the item, as in stds[2]. Each value
+    is stored as its annotated type: 2 as 2.0, a list as a tuple of floats.
+    Other annotations (nested dataclasses, unions) are left to their own class.
     """
     hints = _type_hints(type(instance))
+    typed = []  # (field, name in errors, sequence, value) of each checked field
     for field in fields(instance):
         annotation, value = hints[field.name], getattr(instance, field.name)
         if type(None) in get_args(annotation):  # X | None
@@ -96,10 +103,18 @@ def check_fields(instance, prefix: str = "") -> None:
             # compared, not converted: a JSON integer past the float range is not finite
             if kind is float and not -sys.float_info.max <= item <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite, got {item}")
-        if sequence:
-            if not listed:
-                raise ValueError(f"{name} must be a list, got {value!r}")
-            object.__setattr__(instance, field.name, tuple(map(kind, value)))
+        if sequence and not listed:
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        value = tuple(map(kind, value)) if sequence else kind(value)
+        object.__setattr__(instance, field.name, value)
+        typed.append((field, name, sequence, value))
+    for field, name, sequence, value in typed:
+        for i, item in enumerate(value if sequence else (value,)):
+            for bound, (holds, sign) in _BOUNDS.items():
+                limit = field.metadata.get(bound)
+                if limit is not None and not holds(item, limit):
+                    where = f"{name}[{i}]" if sequence else name
+                    raise ValueError(f"{where} must be {sign} {limit}, got {item!r}")
 
 
 class EngagementLevel(enum.IntEnum):

@@ -12,7 +12,7 @@ into MAGNITUDE_ORDER, and predictions and labels are boolean decrease masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     TooFewSamplesError,
 )
 from .features import constant_columns
-from .logistic import fit_folds, labels_to_array
+from .logistic import PINNED_C, fit_folds, labels_to_array
 from .simulator import arousal_baseline, attention_baseline
 
 # Row/column order of the 3x3 magnitude confusion matrix; a band code indexes
@@ -45,7 +45,7 @@ class Thresholds:
 
     prob_low: float = 0.4
     prob_high: float = 0.6
-    delta_small: float = 5.0
+    delta_small: float = field(default=5.0, metadata={"above": 0})
 
     def __post_init__(self):
         check_fields(self)
@@ -53,8 +53,6 @@ class Thresholds:
             raise ValueError(
                 "thresholds must satisfy 0 < prob_low < 0.5 < prob_high < 1"
             )
-        if self.delta_small <= 0:
-            raise ValueError("delta_small must be > 0")
 
 
 DEFAULT_THRESHOLDS = Thresholds()
@@ -181,7 +179,7 @@ class LoocvResult:
     constant_fold_columns: int
 
 
-def loocv(X: np.ndarray, y, C: float = 12.06) -> LoocvResult:
+def loocv(X: np.ndarray, y, C: float = PINNED_C) -> LoocvResult:
     """
     Exact leave-one-out cross-validation of the (n, 5) raw feature matrix X
     with labels y (as labels_to_array reads them).

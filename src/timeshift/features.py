@@ -59,15 +59,12 @@ class ScalerStats:
     """Per-feature mean and population standard deviation used for z-scoring."""
 
     means: tuple[float, ...]
-    std_devs: tuple[float, ...] = field(metadata={"key": "stds"})  # errors name its model-file key
+    std_devs: tuple[float, ...] = field(metadata={"key": "stds", "above": 0})  # the file's key
 
     def __post_init__(self):
         check_fields(self, prefix="model field ")
         if len(self.means) != N_FEATURES or len(self.std_devs) != N_FEATURES:
             raise ValueError("scaler stats must cover exactly the five features")
-        for i, s in enumerate(self.std_devs):
-            if s <= 0:
-                raise ValueError(f"model field stds[{i}] must be > 0, got {s}")
 
 
 def identity_scaler() -> ScalerStats:

@@ -8,7 +8,7 @@ trial. With standardized features z and weights w the logit is b + w.z and
 
 Training minimizes the summed negative log-likelihood plus ||w||^2 / (2C)
 (intercept unpenalized); C is the inverse regularization strength, so the
-reference C=12.06 plugs in directly. The optimizer is deterministic damped
+reference PINNED_C plugs in directly. The optimizer is deterministic damped
 Newton with Armijo backtracking (the Hessian is a 6x6, so exact second-order
 steps are cheap and reach the tight gradient tolerance that quasi-Newton
 updates stall above), falling back to steepest descent whenever the Hessian
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +82,7 @@ class LogisticModel:
     intercept: float
     coefficients: tuple[float, ...]
     scaler: ScalerStats
-    inverse_reg_c: float = field(metadata={"key": "C"})  # errors name its model-file key
+    inverse_reg_c: float = field(metadata={"key": "C", "above": 0})  # the model file's key
     converged: bool = True
     n_iter: int = 0
     trained_on: str = ""
@@ -92,8 +92,6 @@ class LogisticModel:
         check_fields(self, prefix="model field ")
         if len(self.coefficients) != N_FEATURES:
             raise ValueError(f"expected {N_FEATURES} coefficients")
-        if self.inverse_reg_c <= 0:
-            raise ValueError(f"model field C must be > 0, got {self.inverse_reg_c}")
 
 
 def pinned_model(scaler: ScalerStats | None = None) -> LogisticModel:
@@ -416,26 +414,35 @@ def _newton_directions(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The model file: save_model and load_model (lossless: shortest round-trip floats)
+# The model file: save_model and load_model (lossless: shortest round-trip floats).
+# Its keys are the fields of LogisticModel and ScalerStats, at metadata["key"]
+# where that is set, and a field with a default may be absent.
 # ---------------------------------------------------------------------------
+
+def _file_object(instance) -> dict:
+    """A dataclass as its model-file JSON object, nested dataclasses too."""
+    payload = {}
+    for item in fields(instance):
+        value = getattr(instance, item.name)
+        payload[item.metadata.get("key", item.name)] = (
+            _file_object(value) if is_dataclass(value) else value
+        )
+    return payload
+
+
+def _from_file_object(cls, payload: dict):
+    """A cls from its model-file JSON object; a missing required key raises KeyError."""
+    return cls(**{
+        item.name: payload[key]
+        for item in fields(cls)
+        if (key := item.metadata.get("key", item.name)) in payload or item.default is MISSING
+    })
+
 
 def save_model(model: LogisticModel, path: str | Path) -> None:
     """Write the model as one line of sorted-key JSON."""
-    payload = {
-        "intercept": model.intercept,
-        "coefficients": list(model.coefficients),
-        "scaler": {
-            "means": list(model.scaler.means),
-            "stds": list(model.scaler.std_devs),
-        },
-        "C": model.inverse_reg_c,
-        "trained_on": model.trained_on,
-        "seed": model.seed,
-        "converged": model.converged,
-        "n_iter": model.n_iter,
-    }
     with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.write(json.dumps(_file_object(model), sort_keys=True) + "\n")
 
 
 def load_model(path: str | Path) -> LogisticModel:
@@ -450,18 +457,7 @@ def load_model(path: str | Path) -> LogisticModel:
         raise ConfigError(f"model file is not UTF-8 text: {exc}") from None
     try:
         payload = json.loads(text)
-        return LogisticModel(
-            intercept=payload["intercept"],
-            coefficients=payload["coefficients"],
-            scaler=ScalerStats(
-                means=payload["scaler"]["means"],
-                std_devs=payload["scaler"]["stds"],
-            ),
-            inverse_reg_c=payload["C"],
-            converged=payload.get("converged", True),
-            n_iter=payload.get("n_iter", 0),
-            trained_on=payload.get("trained_on", ""),
-            seed=payload.get("seed"),
-        )
+        scaler = _from_file_object(ScalerStats, payload["scaler"])
+        return _from_file_object(LogisticModel, {**payload, "scaler": scaler})
     except (KeyError, TypeError, ValueError) as exc:  # a missing key, a wrong type
         raise ConfigError(f"not a valid model file: {exc!r}") from None

@@ -23,7 +23,7 @@ arousal-driven shortening.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,51 +57,36 @@ class SimParams:
     low-engagement stimuli as highly engaging.
     """
 
-    base_clock_rate_hz: float = 10.0
-    gate_width_by_engagement: tuple[float, float, float] = (1.0, 0.85, 0.7)
-    arousal_gain: float = 0.05
-    reference_ticks: float | None = None
-    memory_correction_weight: float = 0.3
-    regression_weight: float = 0.3
-    weber_fraction: float = 0.15
-    rng_seed: int = 0
-    target_s: float = DEFAULT_TARGET_S
-    population_mean_s: float = 45.0
-    report_flip_prob: float = 0.1
-    sensitivity_prevalence: float = 0.06
+    base_clock_rate_hz: float = field(default=10.0, metadata={"above": 0})
+    gate_width_by_engagement: tuple[float, float, float] = field(
+        default=(1.0, 0.85, 0.7), metadata={"above": 0, "max": 1}
+    )
+    arousal_gain: float = field(default=0.05, metadata={"min": 0})
+    reference_ticks: float | None = field(default=None, metadata={"above": 0})
+    memory_correction_weight: float = field(default=0.3, metadata={"min": 0, "max": 1})
+    regression_weight: float = field(default=0.3, metadata={"min": 0, "max": 1})
+    weber_fraction: float = field(default=0.15, metadata={"min": 0})
+    rng_seed: int = field(default=0, metadata={"min": 0})
+    target_s: float = field(default=DEFAULT_TARGET_S, metadata={"above": 0})
+    population_mean_s: float = field(default=45.0, metadata={"above": 0})
+    report_flip_prob: float = field(default=0.1, metadata={"min": 0, "max": 1})
+    sensitivity_prevalence: float = field(default=0.06, metadata={"min": 0, "max": 1})
 
     def __post_init__(self):
         check_fields(self)
-        if self.base_clock_rate_hz <= 0:
-            raise ValueError("base_clock_rate_hz must be > 0")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         gates = self.gate_width_by_engagement
-        if len(gates) != 3 or any(not 0 < g <= 1 for g in gates):
-            raise ValueError("gate widths must be three values in (0, 1]")
+        if len(gates) != 3:
+            raise ValueError(f"gate_width_by_engagement must hold 3 widths, got {len(gates)}")
         if not gates[0] >= gates[1] >= gates[2]:
             raise ValueError("gate widths must not increase with engagement")
-        if self.arousal_gain < 0:
-            raise ValueError("arousal_gain must be >= 0")
-        w_c, w_r = self.memory_correction_weight, self.regression_weight
-        if not (0 <= w_c <= 1 and 0 <= w_r <= 1 and w_c + w_r <= 1):
-            raise ValueError("memory weights must lie in [0, 1] and sum to <= 1")
-        if self.weber_fraction < 0:
-            raise ValueError("weber_fraction must be >= 0")
-        if self.target_s <= 0 or self.population_mean_s <= 0:
-            raise ValueError("target_s and population_mean_s must be > 0")
-        if not 0 <= self.report_flip_prob <= 1:
-            raise ValueError("report_flip_prob must be a probability")
-        if not 0 <= self.sensitivity_prevalence <= 1:
-            raise ValueError("sensitivity_prevalence must be a probability")
+        if self.memory_correction_weight + self.regression_weight > 1:
+            raise ValueError("memory_correction_weight + regression_weight must be <= 1")
         if self.reference_ticks is None:
             object.__setattr__(
                 self,
                 "reference_ticks",
                 self.base_clock_rate_hz * gates[0] * self.target_s,
             )
-        elif self.reference_ticks <= 0:
-            raise ValueError("reference_ticks must be > 0")
 
 
 def simulate_trial(params: SimParams, engagement, prev_engagement, reference_ticks, z):

@@ -518,12 +518,16 @@ def test_mistyped_model_field_exits_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "o.csv").exists() and not (tmp_path / "shap").exists()
 
 
+SIM_TEXT_AND_GATE_5 = '{"sim": {"weber_fraction": "abc", "gate_width_by_engagement": [0.1, 0.9, 5]}}'
+
 # (command, config file text, bytes or None, flags, fragment of the message)
 MALFORMED_CONFIGS = {
     "not_an_object": ("simulate", "[1, 2]", [], "JSON object"),
     "seed_text": ("simulate", '{"seed": "abc"}', [], "seed"),
     "seed_bool": ("simulate", '{"seed": true}', [], "seed"),
-    "seed_negative": ("simulate", None, ["--seed", "-1"], "seed"),
+    # "^": the message starts with the fragment, so rng_seed cannot stand in for seed
+    "seed_negative": ("simulate", None, ["--seed", "-1"], "^seed must be >= 0, got -1"),
+    "seed_negative_in_file": ("simulate", '{"seed": -1}', [], "^seed must be >= 0, got -1"),
     "participants_0": ("simulate", None, ["--participants", "0"], "participants"),
     "trials_1": ("simulate", None, ["--trials", "1"], "trials"),
     "C_0": ("train", None, ["--C", "0"], "C must"),
@@ -589,7 +593,13 @@ MALFORMED_CONFIGS = {
     "gate_width_number": ("simulate", '{"sim": {"gate_width_by_engagement": 0.5}}', [],
                           "gate_width_by_engagement must be a list"),
     "n_trials_text": ("simulate", '{"sim": {"n_trials": "3"}}', [], "n_trials must be an integer"),
-    "thresholds_number": ("train", '{"thresholds": 5}', [], "must be a mapping"),
+    "thresholds_number": ("train", '{"thresholds": 5}', [], "thresholds must be a JSON object"),
+    # a bound error names the key, the item, the bound and the value
+    "gate_width_above_1": ("simulate", '{"sim": {"gate_width_by_engagement": [1, 0.9, 1.5]}}',
+                           [], "gate_width_by_engagement[2] must be <= 1, got 1.5"),
+    # every command checks the sim section, not only simulate
+    "sim_checked_by_extract": ("extract", SIM_TEXT_AND_GATE_5, [], "weber_fraction"),
+    "sim_checked_by_train": ("train", SIM_TEXT_AND_GATE_5, [], "weber_fraction"),
     "not_utf8": ("train", b'\xff\xfe{"seed":1}', [], "utf-8"),
 }
 
@@ -612,7 +622,57 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
     assert main([command, *flags, "--output", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
-    assert fragment in err["message"]
+    if fragment.startswith("^"):
+        assert err["message"].startswith(fragment[1:])
+    else:
+        assert fragment in err["message"]
+
+
+CRITERION_9_CONFIG = {
+    "seed": 11, "C": 12.06,
+    "sim": {"n_participants": 400, "n_trials": 2, "sensitivity_prevalence": 0.3},
+}
+
+# (command, config or None, flags, config_hash): every artifact carries its
+# config's hash, so a change to how the config is read must keep these
+PINNED_HASHES = [
+    ("train", None, [], "97279127124fd0d0"),
+    ("predict", None, ["--target", "20", "--C", "3"], "bc0e984f2302c236"),
+    ("simulate", None, ["--participants", "5", "--trials", "4"], "f0a60eec32e103fc"),
+    ("simulate", CRITERION_9_CONFIG, [], "309dd3efc70290dc"),
+    ("train", CRITERION_9_CONFIG, ["--no-undersample"], "3f5aba6f5fca7319"),
+    ("simulate", {"sim": {"n_participants": 8, "n_trials": 2, "weber_fraction": 0.0,
+                          "engagement_assignment": ["low", "LOW"]}}, [], "d6b1e555a195ed58"),
+    # 30 and 30.0 are one value, however it is written
+    ("extract", None, [], "97279127124fd0d0"),
+    ("extract", {"target_interval_s": 30}, [], "97279127124fd0d0"),
+    ("extract", {"target_interval_s": 30.0}, [], "97279127124fd0d0"),
+    ("extract", None, ["--target", "30"], "97279127124fd0d0"),
+]
+
+
+@pytest.mark.parametrize("command, config, flags, expected", PINNED_HASHES)
+def test_config_hash_is_pinned(tmp_path, command, config, flags, expected):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        flags = [*flags, "--config", str(path)]
+    trials, features, model = tmp_path / "trials.csv", tmp_path / "f.csv", tmp_path / "m.json"
+    trials.write_bytes(_trial_rows("p1,2,low,31,false,false,"))
+    features.write_bytes(_feature_rows(
+        "2.0,1,1,0,0,decrease\n-5.0,1,0,2,2,increase\n7.0,0,1,0,1,decrease\n"
+        "1.0,0,0,1,2,decrease\n-3.0,1,0,1,0,increase"
+    ))
+    save_model(pinned_model(), model)
+    inputs = {
+        "simulate": [],
+        "extract": ["--input", str(trials)],
+        "train": ["--input", str(features)],
+        "predict": ["--model", str(model), "--features", str(features)],
+    }[command]
+    out = tmp_path / "out.csv"
+    assert main([command, *flags, *inputs, "--output", str(out)]) == 0
+    assert json.loads(out.with_suffix(".manifest.json").read_text())["config_hash"] == expected
 
 
 # Annotations check_fields leaves to their own class. Every other field of a

@@ -27,3 +27,12 @@ def test_cli_quick_start_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv[1:]) == 0, " ".join(argv)
+
+
+def test_config_example_runs(tmp_path, monkeypatch):
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.DOTALL)
+    (tmp_path / "config.json").write_text(block)
+    monkeypatch.chdir(tmp_path)
+    common = ["--config", "config.json"]
+    assert main(["simulate", *common, "--participants", "20", "--output", "trials.csv"]) == 0
+    assert main(["extract", *common, "--input", "trials.csv", "--output", "features.csv"]) == 0
