@@ -7,7 +7,7 @@ and the hash of the resolved configuration that produced it, and identical
 configurations produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 invalid input or configuration, 3 numerical
-non-convergence (artifacts are still written).
+non-convergence (artifacts are still written). Each stderr line is JSON (data.report).
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ from .data import (
     load_trials,
     pair_consecutive,
     pair_deltas,
+    read_object,
+    report,
     write_csv,
     write_trials_csv,
 )
-from .errors import ConfigError, NonConvergenceWarning, TimeshiftError, TooFewSamplesError
+from .errors import ConfigError, TimeshiftError, TooFewSamplesError
 from .evaluation import (
     MAGNITUDE_WORDS,
     Thresholds,
@@ -120,28 +122,12 @@ class RunConfig:
         return payload
 
 
-def _keys(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
-# The RunConfig fields that the config file holds in its sim object; each
-# other field is a top-level key, and each field of Thresholds or SimParams a
-# key of its section.
-_IN_SIM = {f.name for f in dataclasses.fields(RunConfig) if f.metadata.get("in_sim")}
-
-
-def _section(payload, section: str, keys: set[str]) -> dict:
-    """
-    A copy of one object of the config file (section "" is its top level);
-    ConfigError if it is not a JSON object or holds a key outside keys.
-    """
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{section or 'config file'} must be a JSON object, got {payload!r}")
-    unknown = sorted(set(payload) - keys)
-    if unknown:
-        where = f"the {section} section" if section else "the config"
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    return dict(payload)
+# The config file's sections: the sim object holds the SimParams fields and the
+# RunConfig fields marked in_sim, and its top level every other RunConfig field.
+_RUN_FIELDS = dataclasses.fields(RunConfig)
+_IN_SIM = {f.name for f in _RUN_FIELDS if f.metadata.get("in_sim")}
+_TOP_FIELDS = [f for f in _RUN_FIELDS if f.name not in _IN_SIM]
+_SIM_FIELDS = [*dataclasses.fields(SimParams), *(f for f in _RUN_FIELDS if f.name in _IN_SIM)]
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -158,13 +144,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file not found: {args.config}") from None
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # UTF-8, a BOM skipped
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    values = _section(payload, "", _keys(RunConfig) - _IN_SIM)
-    thresholds = _section(values.pop("thresholds", {}), "thresholds", _keys(Thresholds))
-    sim = _section(values.pop("sim", {}), "sim", _keys(SimParams) | _IN_SIM)
-    values.update((key, sim.pop(key)) for key in _IN_SIM & sim.keys())
     flags = {key: value for key, value in vars(args).items() if value is not None}
-    values.update((key, flags[key]) for key in _keys(RunConfig) & flags.keys())
-    try:  # a value of the wrong type or out of range raises ValueError, in any section
+    try:  # an unknown key or a value of the wrong type or out of range raises ValueError
+        values = read_object(payload, _TOP_FIELDS, "config file", "the config")
+        thresholds = read_object(values.pop("thresholds", {}), dataclasses.fields(Thresholds),
+                                 "thresholds", "the thresholds section")
+        sim = read_object(values.pop("sim", {}), _SIM_FIELDS, "sim", "the sim section")
+        values.update((key, sim.pop(key)) for key in _IN_SIM & sim.keys())
+        values.update((f.name, flags[f.name]) for f in _RUN_FIELDS if f.name in flags)
         config = RunConfig(**values, thresholds=Thresholds(**thresholds))
         params = SimParams(
             **{"rng_seed": config.seed, "target_s": config.target_interval_s, **sim}
@@ -190,11 +177,6 @@ def _manifest(config: RunConfig, **extra) -> dict:
     return {"seed": config.seed, "config_hash": config.config_hash(), **extra}
 
 
-def _report(payload: dict) -> None:
-    """One JSON line on stderr: an error or a warning for the caller to parse."""
-    sys.stderr.write(json.dumps(payload) + "\n")
-
-
 def _load_pairs(path: Path) -> tuple[TrialTable, np.ndarray]:
     """The trials of a trial CSV and their consecutive pairs; no pair is an error."""
     trials = load_trials(path)
@@ -204,12 +186,11 @@ def _load_pairs(path: Path) -> tuple[TrialTable, np.ndarray]:
     return trials, pairs
 
 
-def _load_model(args: argparse.Namespace) -> LogisticModel:
-    """Load --model; a model whose fit did not converge is reported, then used."""
-    model = load_model(_require_path(args, "model"))
+def _reported(model: LogisticModel) -> LogisticModel:
+    """The model, fitted or loaded; a fit that did not converge is reported, then used."""
     if not model.converged:
         message = f"model stopped after {model.n_iter} iterations without converging"
-        _report({"warning": NonConvergenceWarning.__name__, "message": message})
+        report({"warning": "NonConvergenceWarning", "message": message})
     return model
 
 
@@ -264,14 +245,14 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
         rows = balanced_indices(y, config.seed)
         X, y = X[rows], y[rows]
     scaler = fit_scaler(X)
-    model = fit(
+    model = _reported(fit(
         transform(X, scaler),
         y,
         C=config.C,
         scaler=scaler,
         trained_on=f"{input_path.name}@{config.config_hash()}",
         seed=config.seed,
-    )
+    ))
     save_model(model, output)
     _write_json(
         output.with_suffix(".manifest.json"),
@@ -318,7 +299,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
         len(pairs),
     )
 
-    report = {
+    summary = {
         "model_name": "logistic_regression_loocv",
         "n": len(pairs),
         "precision": result.metrics.precision,
@@ -349,12 +330,16 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
         "constant_fold_columns": result.constant_fold_columns,
         "per_sample_csv": per_sample_path.name,
     }
-    _write_json(output, report)
-    return 3 if result.nonconverged else 0
+    _write_json(output, summary)
+    if result.nonconverged:
+        message = f"{result.nonconverged} of {len(pairs)} LOOCV folds stopped without converging"
+        report({"warning": "NonConvergenceWarning", "message": message})
+        return 3
+    return 0
 
 
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
-    model = _load_model(args)
+    model = _reported(load_model(_require_path(args, "model")))
     X, decrease = load_feature_csv(_require_path(args, "features"))
     output = _require_path(args, "output")
     probabilities = predict_proba(model, transform(X, model.scaler))
@@ -384,7 +369,7 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_explain(config: RunConfig, args: argparse.Namespace) -> int:
     row = args.row
-    model = _load_model(args)
+    model = _reported(load_model(_require_path(args, "model")))
     X, _ = load_feature_csv(_require_path(args, "features"))
     if not 0 <= row < len(X):
         raise ConfigError(f"--row {row} out of range for {len(X)} samples")
@@ -499,10 +484,10 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args)
         return _COMMANDS[args.command](config, args)
     except TimeshiftError as exc:
-        _report({"error": type(exc).__name__, "message": str(exc)})
+        report({"error": type(exc).__name__, "message": str(exc)})
         return 2
     except OSError as exc:
-        _report({"error": "OSError", "message": str(exc)})
+        report({"error": "OSError", "message": str(exc)})
         return 2
 
 

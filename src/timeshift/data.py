@@ -1,8 +1,8 @@
 """
 Trial-level time production data as one table of numpy columns, its CSV
 reader and writers, consecutive-trial pairing, the one artifact writer every
-stage uses (atomic_write) and the one type and bound rule for every
-dataclass field read from a JSON file, config or model (check_fields).
+stage uses (atomic_write), the one stderr writer (report), and the one reader
+(read_object) and type and bound rule (check_fields) of JSON config and model files.
 
 A *trial* is one produced interval by one participant; consecutive trials of
 the same participant form a *sample pair* whose label is the direction of
@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import csv
 import enum
-import logging
+import json
 import math
 import numbers
 import os
 import sys
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, Field, dataclass, fields
 from functools import lru_cache
 from operator import ge, gt, itemgetter, le
 from pathlib import Path
@@ -36,8 +36,6 @@ from .errors import (
     MissingColumnError,
     NonPositiveTimeError,
 )
-
-logger = logging.getLogger(__name__)
 
 # Exact header of the trial interchange CSV. Booleans are written true/false,
 # the optional last column is left empty when absent.
@@ -117,6 +115,24 @@ def check_fields(instance, prefix: str = "") -> None:
                     raise ValueError(f"{where} must be {sign} {limit}, got {item!r}")
 
 
+def read_object(payload, allowed: Iterable[Field], name: str, where: str) -> dict:
+    """
+    A JSON object of a config or model file as {field name: value}, each allowed
+    field at its key (metadata["key"], else its name). ValueError if payload is
+    not an object (called name), or holds a key of no field or lacks a required one.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{name} must be a JSON object, got {payload!r}")
+    by_key = {field.metadata.get("key", field.name): field for field in allowed}
+    unknown = sorted(payload.keys() - by_key.keys())
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    missing = [key for key, f in by_key.items() if key not in payload and f.default is MISSING]
+    if missing:
+        raise ValueError(f"missing key(s) in {where}: {', '.join(missing)}")
+    return {by_key[key].name: value for key, value in payload.items()}
+
+
 class EngagementLevel(enum.IntEnum):
     """Objective visual engagement of a stimulus. Ordinal, coded 0/1/2."""
 
@@ -150,8 +166,6 @@ class MagnitudeLevel(enum.Enum):
     HIGH_INCREASE = "high_increase"
     SMALL_CHANGE = "small_change"
     HIGH_DECREASE = "high_decrease"
-
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,8 +280,8 @@ def _read_columns(
     that breaks a row invariant, with its error, or None.
 
     Blank lines are skipped, a leading byte-order mark is ignored, missing
-    trailing cells read as "", and unknown extra columns are ignored with a
-    warning.
+    trailing cells read as "", and unknown extra columns are ignored with an
+    UnknownColumnsWarning (report).
 
     Raises:
         EmptyFileError: the file has no header or no data rows.
@@ -290,7 +304,8 @@ def _read_columns(
                     raise MissingColumnError(column)
             extras = [c for c in header if c not in columns]
             if extras:
-                logger.warning("%s: ignoring unknown columns %s", path, extras)
+                message = f"{path}: ignoring unknown columns {extras}"
+                report({"warning": "UnknownColumnsWarning", "message": message})
             cells = [(position[column], column, parse, dtype) for column, parse, dtype in cells]
             rows = []
             for row in reader:
@@ -353,8 +368,9 @@ def load_trials(path: str | Path) -> TrialTable:
     """
     Load a trial table from a CSV file with the canonical header.
 
-    Unknown extra columns are ignored with a warning so questionnaire exports
-    can be fed in directly. Rows with non-positive produced times are rejected.
+    Unknown extra columns are ignored with an UnknownColumnsWarning (report)
+    so questionnaire exports can be fed in directly. Rows with non-positive
+    produced times are rejected.
 
     Raises:
         MissingColumnError: a required column is absent.
@@ -383,6 +399,11 @@ def load_trials(path: str | Path) -> TrialTable:
 _WRITE_BLOCK = 4096
 
 _LEVEL_WORDS = np.array([level.name.lower() for level in EngagementLevel])
+
+
+def report(payload: dict) -> None:
+    """Write payload, an "error" or "warning" kind and a "message", as one JSON line on stderr."""
+    sys.stderr.write(json.dumps(payload) + "\n")
 
 
 @contextmanager
@@ -444,9 +465,9 @@ def pair_consecutive(trials: TrialTable) -> np.ndarray:
     of one participant.
 
     A participant with n gap-free trials yields n-1 pairs; a gap in trial
-    indices breaks the chain (no pair is emitted across it), and one warning
-    per call reports how many gaps there were. Pairs follow participants in
-    order of first appearance and trials by index within each.
+    indices breaks the chain (no pair is emitted across it), and one
+    TrialGapWarning (report) per call says how many gaps there were. Pairs
+    follow participants in order of first appearance and trials by index within each.
 
     Raises:
         DuplicateTrialIndexError: a participant repeats a trial index.
@@ -463,6 +484,7 @@ def pair_consecutive(trials: TrialTable) -> np.ndarray:
         )
     gaps = int(np.count_nonzero(same & (step > 1)))
     if gaps:
-        logger.warning("%d gaps between trial indices, no pair emitted across them", gaps)
+        message = f"{gaps} gaps between trial indices, no pair emitted across them"
+        report({"warning": "TrialGapWarning", "message": message})
     consecutive = np.flatnonzero(same & (step == 1))
     return np.column_stack((order[consecutive], order[consecutive + 1]))

@@ -47,6 +47,10 @@ class FeatureDependencyError(TimeshiftError):
     """Engagement-change and second-video-level features take mutually impossible values."""
 
 
+class NonFiniteFeatureError(TimeshiftError):
+    """A feature value, or the spread of a feature column, overflows the float range."""
+
+
 class ConstantColumnError(TimeshiftError):
     """A feature column is constant and cannot be standardized."""
 
@@ -77,7 +81,3 @@ class LengthMismatchError(TimeshiftError):
 
 class ConfigError(TimeshiftError):
     """A run configuration value is missing or invalid."""
-
-
-class NonConvergenceWarning(UserWarning):
-    """The optimizer hit its iteration cap before reaching tolerance."""

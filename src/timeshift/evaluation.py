@@ -25,7 +25,7 @@ from .errors import (
     SingleClassError,
     TooFewSamplesError,
 )
-from .features import constant_columns
+from .features import column_stats, constant_columns
 from .logistic import PINNED_C, fit_folds, labels_to_array
 from .simulator import arousal_baseline, attention_baseline
 
@@ -195,6 +195,7 @@ def loocv(X: np.ndarray, y, C: float = PINNED_C) -> LoocvResult:
         TooFewSamplesError: fewer than 10 samples.
         SingleClassError: only one class is present.
         FoldSingleClassError: some training fold loses one class entirely.
+        NonFiniteFeatureError: a column's std overflows the float range.
         ValueError: a fold's probability lies outside [0, 1].
     """
     X = np.asarray(X, dtype=float)
@@ -240,7 +241,7 @@ def _fold_scalers(X: np.ndarray):
         values, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
         if len(values) <= 2:  # row i is the one row with the other value
             free[:, j] = (len(values) == 2) & (counts[inverse] > 1)
-    mean, std = X.mean(axis=0), X.std(axis=0)
+    mean, std = column_stats(X)
     varying = ~constant_columns(mean, std)
     std = np.where(varying, std, 1.0)
     Z = (X - mean) / std * varying

@@ -37,6 +37,7 @@ from .errors import (
     ConstantColumnError,
     FeatureDependencyError,
     MalformedRowError,
+    NonFiniteFeatureError,
     NonPositiveTimeError,
     TooFewSamplesError,
 )
@@ -85,13 +86,18 @@ def build_features(
 
     Raises:
         NonPositiveTimeError: the target interval is not strictly positive.
+        NonFiniteFeatureError: a t1_rel_error overflows the float range.
     """
     if not math.isfinite(target_s) or target_s <= 0:
         raise NonPositiveTimeError(f"target interval must be > 0, got {target_s}")
     prev, nxt = pairs[:, 0], pairs[:, 1]
     prev_level, next_level = trials.level[prev], trials.level[nxt]
     X = np.empty((len(pairs), N_FEATURES))
-    X[:, 0] = (trials.produced_s[prev] - target_s) / target_s * 100.0
+    with np.errstate(over="ignore"):  # an overflow is raised below, naming its value
+        X[:, 0] = (trials.produced_s[prev] - target_s) / target_s * 100.0
+    overflow = trials.produced_s[prev[np.isinf(X[:, 0])]]
+    if len(overflow):
+        raise NonFiniteFeatureError(f"t1_rel_error overflows for produced_time_s {overflow[0]}")
     X[:, 1] = trials.reported_lower[prev]
     X[:, 2] = (prev_level == EngagementLevel.LOW) & trials.reported_high[prev]
     X[:, 3] = next_level
@@ -106,18 +112,28 @@ def fit_scaler(X: np.ndarray) -> ScalerStats:
     Raises:
         TooFewSamplesError: fewer than two samples.
         ConstantColumnError: a column has zero variance.
+        NonFiniteFeatureError: a column's std overflows the float range.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != N_FEATURES:
         raise ValueError(f"expected an (n, {N_FEATURES}) matrix, got shape {X.shape}")
     if X.shape[0] < 2:
         raise TooFewSamplesError(f"need >= 2 samples to fit a scaler, got {X.shape[0]}")
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)  # population (ddof=0)
+    means, stds = column_stats(X)
     constant = np.flatnonzero(constant_columns(means, stds))
     if len(constant):
         raise ConstantColumnError(int(constant[0]))
     return ScalerStats(means=tuple(means), std_devs=tuple(stds))
+
+
+def column_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and population std; NonFiniteFeatureError if a std overflows."""
+    with np.errstate(over="ignore"):  # an overflow is raised below, naming its column
+        means, stds = X.mean(axis=0), X.std(axis=0)
+    overflow = [name for name, std in zip(FEATURE_NAMES, stds) if not np.isfinite(std)]
+    if overflow:
+        raise NonFiniteFeatureError(f"{overflow[0]} cannot be standardized: its std overflows")
+    return means, stds
 
 
 def constant_columns(means: np.ndarray, stds: np.ndarray) -> np.ndarray:

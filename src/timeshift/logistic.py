@@ -25,19 +25,13 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import atomic_write, check_fields
-from .errors import (
-    ConfigError,
-    NonConvergenceWarning,
-    SingleClassError,
-    TooFewSamplesError,
-)
+from .data import atomic_write, check_fields, read_object
+from .errors import ConfigError, SingleClassError, TooFewSamplesError
 from .features import N_FEATURES, ScalerStats, identity_scaler
 
 # Pinned reference coefficients, in canonical feature order.
@@ -177,8 +171,8 @@ def fit(
     Fit by deterministic damped Newton from (b, w) = 0.
 
     Stops when the gradient infinity-norm drops below 1e-8. Hitting _MAX_ITER
-    steps first emits NonConvergenceWarning and returns the last iterate with
-    converged=False rather than raising; the objective is convex, so the
+    steps first returns the last iterate with converged=False, for the caller
+    to read, and neither raises nor warns; the objective is convex, so the
     returned parameters are still the best ones seen.
 
     Args:
@@ -203,20 +197,12 @@ def fit(
         raise SingleClassError("both classes are required to fit")
 
     theta, n_iter, norm = _whole(Z, y_arr, C).solve()
-    converged = bool(norm[0] < _TOL)
-    if not converged:
-        warnings.warn(
-            f"optimizer stopped after {n_iter[0]} iterations with "
-            f"gradient norm {norm[0]:.3e} > tol {_TOL:.1e}",
-            NonConvergenceWarning,
-        )
-
     return LogisticModel(
         intercept=float(theta[0, 0]),
         coefficients=tuple(theta[0, 1:]),
         scaler=scaler if scaler is not None else identity_scaler(),
         inverse_reg_c=C,
-        converged=converged,
+        converged=bool(norm[0] < _TOL),
         n_iter=int(n_iter[0]),
         trained_on=trained_on,
         seed=seed,
@@ -416,7 +402,7 @@ def _newton_directions(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The model file: save_model and load_model (lossless: shortest round-trip floats).
 # Its keys are the fields of LogisticModel and ScalerStats, at metadata["key"]
-# where that is set, and a field with a default may be absent.
+# where that is set, and only those; a field with a default may be absent.
 # ---------------------------------------------------------------------------
 
 def _file_object(instance) -> dict:
@@ -430,15 +416,6 @@ def _file_object(instance) -> dict:
     return payload
 
 
-def _from_file_object(cls, payload: dict):
-    """A cls from its model-file JSON object; a missing required key raises KeyError."""
-    return cls(**{
-        item.name: payload[key]
-        for item in fields(cls)
-        if (key := item.metadata.get("key", item.name)) in payload or item.default is MISSING
-    })
-
-
 def save_model(model: LogisticModel, path: str | Path) -> None:
     """Write the model as one line of sorted-key JSON."""
     with atomic_write(path) as fh:
@@ -448,16 +425,14 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> LogisticModel:
     """
     Read a saved model; a file that is not UTF-8 text (a byte-order mark is
-    allowed) or not a model raises ConfigError. Values pass unconverted, so
-    check_fields sees each as JSON gave it.
+    allowed) or not a model (read_object, then check_fields) raises ConfigError.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        values = read_object(payload, fields(LogisticModel), "model", "the model")
+        scaler = read_object(values["scaler"], fields(ScalerStats), "scaler", "the scaler")
+        return LogisticModel(**{**values, "scaler": ScalerStats(**scaler)})
     except UnicodeDecodeError as exc:
         raise ConfigError(f"model file is not UTF-8 text: {exc}") from None
-    try:
-        payload = json.loads(text)
-        scaler = _from_file_object(ScalerStats, payload["scaler"])
-        return _from_file_object(LogisticModel, {**payload, "scaler": scaler})
-    except (KeyError, TypeError, ValueError) as exc:  # a missing key, a wrong type
-        raise ConfigError(f"not a valid model file: {exc!r}") from None
+    except ValueError as exc:  # JSONDecodeError too
+        raise ConfigError(f"not a valid model file: {exc}") from None

@@ -14,7 +14,6 @@ import pytest
 import timeshift.logistic
 from timeshift.cli import RunConfig, main
 from timeshift.data import EngagementLevel
-from timeshift.errors import NonConvergenceWarning
 from timeshift.evaluation import (
     Thresholds,
     classify_actual_magnitude,
@@ -371,8 +370,7 @@ class TestPredictAndExplain:
         _, features = pinned_setup
         Z = np.random.default_rng(12).normal(size=(30, 5))
         monkeypatch.setattr(timeshift.logistic, "_MAX_ITER", 1)
-        with pytest.warns(NonConvergenceWarning):
-            stopped = fit(Z, (Z[:, 0] > 0).astype(float))
+        stopped = fit(Z, (Z[:, 0] > 0).astype(float))
         outputs = {}
         for converged in (False, True):
             model_path = tmp_path / f"model_{converged}.json"
@@ -395,6 +393,13 @@ class TestPredictAndExplain:
 
 def _feature_rows(row):
     return (FEATURE_HEADER + "\n0.0,0,0,1,1,increase\n" + row + "\n").encode()
+
+
+# with _feature_rows' first row, six rows that train can fit: three of each class
+TRAINABLE_ROWS = (
+    "2.0,1,1,0,0,decrease\n-5.0,1,0,2,2,increase\n7.0,0,1,0,1,decrease\n"
+    "1.0,0,0,1,2,decrease\n-3.0,1,0,1,0,increase"
+)
 
 
 def _trial_rows(row):
@@ -457,7 +462,13 @@ MALFORMED_INPUTS = {
         "trials", _trial_rows("p1,2,low,31,false,false,\n\n\np1,3,low,abc,false,false,"),
         "MalformedRowError", ["line 6", "produced_time_s is not valid: 'abc'"]),
     "model_missing_key": ("model", json.dumps({k: v for k, v in _MODEL.items() if k != "C"}).encode(),
-                          "ConfigError", ["'C'"]),
+                          "ConfigError", ["missing key(s) in the model: C"]),
+    # a misspelt key is named, not read as absent (n_iter 0)
+    "model_unknown_key": ("model", json.dumps({**_MODEL, "n_iters": 40}).encode(), "ConfigError",
+                          ["unknown key(s) in the model: n_iters"]),
+    "model_unknown_scaler_key": (
+        "model", json.dumps({**_MODEL, "scaler": {**_MODEL["scaler"], "std": [1] * 5}}).encode(),
+        "ConfigError", ["unknown key(s) in the scaler: std"]),
     "model_not_json": ("model", b"{nope", "ConfigError", ["model"]),
     "model_not_utf8": ("model", b'\xff\xfe{"seed":1}', "ConfigError", ["UTF-8"]),
     "model_C_0": ("model", json.dumps({**_MODEL, "C": 0}).encode(), "ConfigError",
@@ -516,6 +527,90 @@ def test_mistyped_model_field_exits_2(tmp_path, capsys, field, value):
         assert err["error"] == "ConfigError"
         assert f"model field {field} must be" in err["message"]
     assert not (tmp_path / "o.csv").exists() and not (tmp_path / "shap").exists()
+
+
+def _stderr_inputs(tmp_path) -> dict:
+    """The input files of STDERR_PATHS, by name, and the output paths out and out_dir."""
+    cohort = tmp_path / "cohort.csv"
+    config = write_config(tmp_path, sim={"n_participants": 60, "sensitivity_prevalence": 0.4})
+    assert main(["simulate", "--config", str(config), "--output", str(cohort)]) == 0
+    header, first, *rest = cohort.read_text().splitlines()
+    cells = first.split(",")
+
+    def cohort_with(produced):  # the first trial's production replaced
+        return "\n".join([header, ",".join([*cells[:3], produced, *cells[4:]]), *rest, ""])
+
+    texts = {
+        "gap": _trial_rows("p1,2,low,31,false,false,\np1,4,low,29,false,false,"),
+        "extra": (TRIAL_HEADER + ",extra\np1,1,low,30,false,false,,x\n"
+                  "p1,2,low,31,false,false,,y\n").encode(),
+        "features": _feature_rows(TRAINABLE_ROWS),
+        "stopped": json.dumps({**_MODEL, "converged": False, "n_iter": 1}).encode(),
+        "misspelt": json.dumps({**_MODEL, "n_iters": 40}).encode(),
+        "bad_config": b'{"seed": "abc"}',
+        "overflow": _trial_rows("p1,2,low,1e308,false,false,\np1,3,low,30,false,false,"),
+        "cohort_1e308": cohort_with("1e308").encode(),
+        "cohort_3e304": cohort_with("3e304").encode(),
+        "features_1e308": _feature_rows(TRAINABLE_ROWS + "\n1e308,0,0,1,1,decrease"),
+        "features_1e306": _feature_rows(TRAINABLE_ROWS + "\n1e306,0,0,1,1,decrease"),
+    }
+    paths = {"cohort": cohort, "missing": tmp_path / "missing.csv",
+             "out": tmp_path / "out.csv", "out_dir": tmp_path / "shap"}
+    for name, data in texts.items():
+        paths[name] = tmp_path / f"{name}.in"
+        paths[name].write_bytes(data)
+    return {name: str(path) for name, path in paths.items()}
+
+
+# Every path that writes to stderr: (argv, with {name} for a file of
+# _stderr_inputs, exit code, the name of the error or warning of each stderr
+# line in order). A case named nonconverged_* runs with a one-step Newton cap.
+STDERR_PATHS = {
+    "trial_gap": ("extract --input {gap} --output {out}", 0, ["TrialGapWarning"]),
+    "unknown_column": ("extract --input {extra} --output {out}", 0, ["UnknownColumnsWarning"]),
+    "nonconverged_train": ("train --input {features} --output {out}", 3,
+                           ["NonConvergenceWarning"]),
+    "nonconverged_evaluate": ("evaluate --input {cohort} --output {out}", 3,
+                              ["NonConvergenceWarning"]),
+    "nonconverged_predict": ("predict --model {stopped} --features {features} --output {out}", 0,
+                             ["NonConvergenceWarning"]),
+    "nonconverged_explain": ("explain --model {stopped} --features {features} "
+                             "--output-dir {out_dir}", 0, ["NonConvergenceWarning"]),
+    "bad_config": ("train --config {bad_config} --input {features} --output {out}", 2,
+                   ["ConfigError"]),
+    "missing_file": ("extract --input {missing} --output {out}", 2, ["OSError"]),
+    "model_unknown_key": ("predict --model {misspelt} --features {features} --output {out}", 2,
+                          ["ConfigError"]),
+    # a production so large that t1_rel_error, or a column's std, overflows
+    "overflow_extract": ("extract --input {overflow} --output {out}", 2,
+                         ["NonFiniteFeatureError"]),
+    "overflow_evaluate": ("evaluate --no-undersample --input {cohort_1e308} --output {out}", 2,
+                          ["NonFiniteFeatureError"]),
+    "overflow_std_evaluate": ("evaluate --no-undersample --input {cohort_3e304} --output {out}",
+                              2, ["NonFiniteFeatureError"]),
+    "overflow_std_train_1e308": ("train --no-undersample --input {features_1e308} --output {out}",
+                                 2, ["NonFiniteFeatureError"]),
+    "overflow_std_train_1e306": ("train --no-undersample --input {features_1e306} --output {out}",
+                                 2, ["NonFiniteFeatureError"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STDERR_PATHS))
+def test_every_stderr_line_is_one_json_object(tmp_path, capsys, monkeypatch, case):
+    argv, code, expected = STDERR_PATHS[case]
+    paths = _stderr_inputs(tmp_path)
+    capsys.readouterr()
+    if case.startswith("nonconverged_"):
+        monkeypatch.setattr(timeshift.logistic, "_MAX_ITER", 1)
+    assert main([arg.format(**paths) for arg in argv.split()]) == code
+    names = []
+    for line in capsys.readouterr().err.splitlines():
+        entry = json.loads(line)
+        (kind,) = {"error", "warning"} & entry.keys()  # exactly one of the two
+        assert set(entry) == {kind, "message"} and isinstance(entry["message"], str)
+        assert kind == ("error" if code == 2 else "warning")
+        names.append(entry[kind])
+    assert names == expected
 
 
 SIM_TEXT_AND_GATE_5 = '{"sim": {"weber_fraction": "abc", "gate_width_by_engagement": [0.1, 0.9, 5]}}'
@@ -614,10 +709,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
     if command == "train":
         # six trainable rows, so only the config value can fail the run
         features = tmp_path / "features.csv"
-        features.write_bytes(_feature_rows(
-            "2.0,1,1,0,0,decrease\n-5.0,1,0,2,2,increase\n7.0,0,1,0,1,decrease\n"
-            "1.0,0,0,1,2,decrease\n-3.0,1,0,1,0,increase"
-        ))
+        features.write_bytes(_feature_rows(TRAINABLE_ROWS))
         flags = [*flags, "--input", str(features)]
     assert main([command, *flags, "--output", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -659,10 +751,7 @@ def test_config_hash_is_pinned(tmp_path, command, config, flags, expected):
         flags = [*flags, "--config", str(path)]
     trials, features, model = tmp_path / "trials.csv", tmp_path / "f.csv", tmp_path / "m.json"
     trials.write_bytes(_trial_rows("p1,2,low,31,false,false,"))
-    features.write_bytes(_feature_rows(
-        "2.0,1,1,0,0,decrease\n-5.0,1,0,2,2,increase\n7.0,0,1,0,1,decrease\n"
-        "1.0,0,0,1,2,decrease\n-3.0,1,0,1,0,increase"
-    ))
+    features.write_bytes(_feature_rows(TRAINABLE_ROWS))
     save_model(pinned_model(), model)
     inputs = {
         "simulate": [],
@@ -831,7 +920,10 @@ class TestEvaluate:
         assert main(argv) == 3
         report = json.loads(report_path.read_text())
         assert report["nonconverged_folds"] == report["n"] > 0
-        assert capsys.readouterr().err == ""
+        (line,) = capsys.readouterr().err.splitlines()
+        warning = json.loads(line)
+        assert warning["warning"] == "NonConvergenceWarning"
+        assert warning["message"].startswith(f"{report['n']} of {report['n']} LOOCV folds")
 
 
 class TestMisc:

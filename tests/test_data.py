@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -111,13 +112,15 @@ class TestLoadTrials:
         with pytest.raises(MissingColumnError):
             load_trials(path)
 
-    def test_extra_columns_ignored(self, tmp_path, caplog):
+    def test_extra_columns_ignored(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"
         path.write_text(HEADER + ",questionnaire_q7\np1,1,low,30,false,false,,blah\n")
-        with caplog.at_level("WARNING"):
-            trials = load_trials(path)
+        trials = load_trials(path)
         assert len(trials) == 1
-        assert "questionnaire_q7" in caplog.text
+        (line,) = capsys.readouterr().err.splitlines()
+        warning = json.loads(line)
+        assert warning["warning"] == "UnknownColumnsWarning"
+        assert "questionnaire_q7" in warning["message"]
 
     def test_garbled_number(self, tmp_path):
         path = tmp_path / "trials.csv"
@@ -224,12 +227,13 @@ class TestPairConsecutive:
         _, pairs = pairs_of(make_trial(index=1), make_trial(index=3, produced=20))
         assert len(pairs) == 0
 
-    def test_gaps_logged_once_with_their_count(self, caplog):
+    def test_gaps_logged_once_with_their_count(self, capsys):
         trials = trial_table([make_trial(pid=pid, index=i) for pid in ("a", "b") for i in (1, 3)])
-        with caplog.at_level("WARNING", logger="timeshift.data"):
-            assert len(pair_consecutive(trials)) == 0
-        assert len(caplog.records) == 1
-        assert caplog.records[0].getMessage().startswith("2 gaps")
+        assert len(pair_consecutive(trials)) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        warning = json.loads(line)
+        assert warning["warning"] == "TrialGapWarning"
+        assert warning["message"].startswith("2 gaps")
 
     def test_unsorted_input_is_ordered_per_participant(self):
         trials, pairs = pairs_of(
