@@ -2,11 +2,11 @@
 Command-line pipeline: simulate -> extract -> train -> evaluate -> predict -> explain.
 
 Configuration comes from an optional JSON file (--config) with per-flag
-overrides; flags always win. Every artifact embeds or sits next to the seed
-and the hash of the resolved configuration that produced it, and identical
-configurations produce byte-identical artifacts.
+overrides; flags always win, as each setting has one key. Every artifact
+embeds or sits next to the seed and the hash of the resolved configuration
+that produced it, and identical configurations produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 invalid input or configuration, 3 numerical
+Exit codes: 0 success, 2 invalid input, configuration or usage, 3 numerical
 non-convergence (artifacts are still written). Each stderr line is JSON (data.report).
 """
 
@@ -68,7 +68,7 @@ from .logistic import (
     predict_proba,
     save_model,
 )
-from .simulator import SimParams, generate_trials
+from .simulator import SimParams, cohort_levels, generate_trials
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ class RunConfig:
     C: float = field(default=PINNED_C, metadata={"above": 0})
     thresholds: Thresholds = Thresholds()
     sim: SimParams | None = None
-    n_participants: int = field(default=1000, metadata={"min": 1, "in_sim": True})
-    n_trials: int = field(default=2, metadata={"min": 2, "in_sim": True})
+    n_participants: int = field(default=1000, metadata={"in_sim": True})
+    n_trials: int = field(default=2, metadata={"in_sim": True})
     engagement_assignment: str | list[EngagementLevel] = field(
         default="random_uniform_9", metadata={"in_sim": True}
     )
@@ -89,20 +89,9 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
-        assignment = self.engagement_assignment
-        if isinstance(assignment, list):
-            try:  # format, not str: a parsed level formats as its code on every Python
-                assignment = [EngagementLevel.parse(format(level)) for level in assignment]
-            except ValueError as exc:
-                raise ValueError(f"invalid engagement_assignment: {exc}") from None
-            object.__setattr__(self, "engagement_assignment", assignment)
-        if assignment != "random_uniform_9" and (
-            not isinstance(assignment, list) or len(assignment) != self.n_trials
-        ):
-            raise ValueError(
-                'engagement_assignment must be "random_uniform_9" or a list of '
-                f"{self.n_trials} engagement levels, got {assignment!r}"
-            )
+        levels = cohort_levels(self.n_participants, self.n_trials, self.engagement_assignment)
+        if levels is not None:
+            object.__setattr__(self, "engagement_assignment", levels)
 
     def config_hash(self) -> str:
         return hashlib.sha256(
@@ -122,12 +111,14 @@ class RunConfig:
         return payload
 
 
-# The config file's sections: the sim object holds the SimParams fields and the
-# RunConfig fields marked in_sim, and its top level every other RunConfig field.
+# The config file's sections: the sim object holds the SimParams fields but
+# rng_seed and target_s, which seed and target_interval_s set, and the RunConfig
+# fields marked in_sim; its top level holds every other RunConfig field.
 _RUN_FIELDS = dataclasses.fields(RunConfig)
 _IN_SIM = {f.name for f in _RUN_FIELDS if f.metadata.get("in_sim")}
 _TOP_FIELDS = [f for f in _RUN_FIELDS if f.name not in _IN_SIM]
-_SIM_FIELDS = [*dataclasses.fields(SimParams), *(f for f in _RUN_FIELDS if f.name in _IN_SIM)]
+_SIM_FIELDS = [f for f in dataclasses.fields(SimParams) if f.name not in ("rng_seed", "target_s")]
+_SIM_FIELDS += [f for f in _RUN_FIELDS if f.name in _IN_SIM]
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -153,19 +144,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         values.update((key, sim.pop(key)) for key in _IN_SIM & sim.keys())
         values.update((f.name, flags[f.name]) for f in _RUN_FIELDS if f.name in flags)
         config = RunConfig(**values, thresholds=Thresholds(**thresholds))
-        params = SimParams(
-            **{"rng_seed": config.seed, "target_s": config.target_interval_s, **sim}
-        )
+        params = SimParams(rng_seed=config.seed, target_s=config.target_interval_s, **sim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return dataclasses.replace(config, sim=params) if args.command == "simulate" else config
-
-
-def _require_path(args: argparse.Namespace, key: str) -> Path:
-    value = getattr(args, key, None)
-    if value is None:
-        raise ConfigError(f"missing required path: --{key.replace('_', '-')}")
-    return Path(value)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -199,20 +181,19 @@ def _reported(model: LogisticModel) -> LogisticModel:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
-    output = _require_path(args, "output")
     trials = generate_trials(
         config.sim,
         n_participants=config.n_participants,
         n_trials=config.n_trials,
         engagement_assignment=config.engagement_assignment,
     )
-    write_trials_csv(trials, output)
+    write_trials_csv(trials, args.output)
     # the table is participant-major: one row of this matrix per session
     sessions = trials.produced_s.reshape(config.n_participants, config.n_trials)
     changes = np.diff(sessions, axis=1)
     decrease = int(np.count_nonzero(changes < 0))
     _write_json(
-        output.with_suffix(".manifest.json"),
+        args.output.with_suffix(".manifest.json"),
         _manifest(
             config,
             params=dataclasses.asdict(config.sim),
@@ -225,22 +206,18 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_extract(config: RunConfig, args: argparse.Namespace) -> int:
-    input_path = _require_path(args, "input")
-    output = _require_path(args, "output")
-    trials, pairs = _load_pairs(input_path)
+    trials, pairs = _load_pairs(args.input)
     X = build_features(trials, pairs, config.target_interval_s)
-    write_feature_csv(X, pair_deltas(trials, pairs) < 0, output)
+    write_feature_csv(X, pair_deltas(trials, pairs) < 0, args.output)
     _write_json(
-        output.with_suffix(".manifest.json"),
-        _manifest(config, n_samples=len(X), source=input_path.name),
+        args.output.with_suffix(".manifest.json"),
+        _manifest(config, n_samples=len(X), source=args.input.name),
     )
     return 0
 
 
 def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
-    input_path = _require_path(args, "input")
-    output = _require_path(args, "output")
-    X, y = load_feature_csv(input_path)
+    X, y = load_feature_csv(args.input)
     if config.undersample:
         rows = balanced_indices(y, config.seed)
         X, y = X[rows], y[rows]
@@ -250,21 +227,19 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
         y,
         C=config.C,
         scaler=scaler,
-        trained_on=f"{input_path.name}@{config.config_hash()}",
+        trained_on=f"{args.input.name}@{config.config_hash()}",
         seed=config.seed,
     ))
-    save_model(model, output)
+    save_model(model, args.output)
     _write_json(
-        output.with_suffix(".manifest.json"),
+        args.output.with_suffix(".manifest.json"),
         _manifest(config, n_samples=len(y), converged=model.converged),
     )
     return 0 if model.converged else 3
 
 
 def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
-    input_path = _require_path(args, "input")
-    output = _require_path(args, "output")
-    trials, pairs = _load_pairs(input_path)
+    trials, pairs = _load_pairs(args.input)
     if config.undersample:
         pairs = pairs[balanced_indices(pair_deltas(trials, pairs) < 0, config.seed)]
     deltas = pair_deltas(trials, pairs)
@@ -290,7 +265,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
             MAGNITUDE_WORDS[actual_bands(block_deltas, config.thresholds)].tolist(),
         )
 
-    per_sample_path = Path(args.per_sample or output.with_suffix(".per_sample.csv"))
+    per_sample_path = Path(args.per_sample or args.output.with_suffix(".per_sample.csv"))
     write_csv(
         per_sample_path,
         ("id", "probability", "direction_pred", "direction_actual", "delta_t",
@@ -330,7 +305,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
         "constant_fold_columns": result.constant_fold_columns,
         "per_sample_csv": per_sample_path.name,
     }
-    _write_json(output, summary)
+    _write_json(args.output, summary)
     if result.nonconverged:
         message = f"{result.nonconverged} of {len(pairs)} LOOCV folds stopped without converging"
         report({"warning": "NonConvergenceWarning", "message": message})
@@ -339,9 +314,8 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
-    model = _reported(load_model(_require_path(args, "model")))
-    X, decrease = load_feature_csv(_require_path(args, "features"))
-    output = _require_path(args, "output")
+    model = _reported(load_model(args.model))
+    X, decrease = load_feature_csv(args.features)
     probabilities = predict_proba(model, transform(X, model.scaler))
 
     def rows(block: slice):
@@ -355,13 +329,13 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
         )
 
     write_csv(
-        output,
+        args.output,
         ("row", "probability", "direction_pred", "direction_actual", "magnitude_pred"),
         rows,
         len(X),
     )
     _write_json(
-        output.with_suffix(".manifest.json"),
+        args.output.with_suffix(".manifest.json"),
         _manifest(config, n_samples=len(X)),
     )
     return 0
@@ -369,18 +343,17 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_explain(config: RunConfig, args: argparse.Namespace) -> int:
     row = args.row
-    model = _reported(load_model(_require_path(args, "model")))
-    X, _ = load_feature_csv(_require_path(args, "features"))
+    model = _reported(load_model(args.model))
+    X, _ = load_feature_csv(args.features)
     if not 0 <= row < len(X):
         raise ConfigError(f"--row {row} out of range for {len(X)} samples")
-    output_dir = Path(args.output_dir or ".")
-    output_dir.mkdir(parents=True, exist_ok=True)
+    args.output_dir.mkdir(parents=True, exist_ok=True)
     Z = transform(X, model.scaler)
     _, phi, _ = shap_matrix(model, Z)
 
-    write_scatter_csv(phi, X, Z, output_dir / "shap_scatter.csv")
+    write_scatter_csv(phi, X, Z, args.output_dir / "shap_scatter.csv")
     _write_json(
-        output_dir / "shap_aggregate.json",
+        args.output_dir / "shap_aggregate.json",
         _manifest(
             config,
             background="training_mean (all-zero standardized background)",
@@ -388,7 +361,7 @@ def cmd_explain(config: RunConfig, args: argparse.Namespace) -> int:
         ),
     )
     _write_json(
-        output_dir / "shap_waterfall.json",
+        args.output_dir / "shap_waterfall.json",
         # a one-row call keeps the waterfall logit bit-identical to w @ z
         {
             **waterfall_payload(*shap_matrix(model, Z[row:row + 1]), X[row]),
@@ -412,8 +385,15 @@ def _version_text() -> str:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so main reports them."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="timeshift",
         description="Predict the direction of change in produced time between trials.",
     )
@@ -428,39 +408,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate synthetic trials CSV")
     add_common(p)
-    p.add_argument("--output", required=False)
+    p.add_argument("--output", type=Path, required=True)
     p.add_argument("--participants", dest="n_participants", type=int)
     p.add_argument("--trials", dest="n_trials", type=int)
 
     p = sub.add_parser("extract", help="derive the feature matrix from trials")
     add_common(p)
-    p.add_argument("--input", required=False)
-    p.add_argument("--output", required=False)
+    p.add_argument("--input", type=Path, required=True)
+    p.add_argument("--output", type=Path, required=True)
 
     p = sub.add_parser("train", help="fit the logistic model on a feature CSV")
     add_common(p)
-    p.add_argument("--input", required=False)
-    p.add_argument("--output", required=False)
+    p.add_argument("--input", type=Path, required=True)
+    p.add_argument("--output", type=Path, required=True)
     p.add_argument("--no-undersample", dest="undersample", action="store_false", default=None)
 
     p = sub.add_parser("evaluate", help="LOOCV report with baselines and magnitude")
     add_common(p)
-    p.add_argument("--input", required=False)
-    p.add_argument("--output", required=False)
-    p.add_argument("--per-sample", dest="per_sample", required=False)
+    p.add_argument("--input", type=Path, required=True)
+    p.add_argument("--output", type=Path, required=True)
+    p.add_argument("--per-sample", dest="per_sample")
     p.add_argument("--no-undersample", dest="undersample", action="store_false", default=None)
 
     p = sub.add_parser("predict", help="per-sample outcomes for a feature CSV")
     add_common(p)
-    p.add_argument("--model", required=False)
-    p.add_argument("--features", required=False)
-    p.add_argument("--output", required=False)
+    p.add_argument("--model", type=Path, required=True)
+    p.add_argument("--features", type=Path, required=True)
+    p.add_argument("--output", type=Path, required=True)
 
     p = sub.add_parser("explain", help="SHAP exports for a feature CSV")
     add_common(p)
-    p.add_argument("--model", required=False)
-    p.add_argument("--features", required=False)
-    p.add_argument("--output-dir", dest="output_dir", required=False)
+    p.add_argument("--model", type=Path, required=True)
+    p.add_argument("--features", type=Path, required=True)
+    p.add_argument("--output-dir", dest="output_dir", type=Path, default=Path("."))
     p.add_argument("--row", type=int, default=0, help="sample to export as waterfall")
 
     return parser
@@ -478,9 +458,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _load_config(args)
         return _COMMANDS[args.command](config, args)
     except TimeshiftError as exc:

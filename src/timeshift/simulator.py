@@ -139,6 +139,36 @@ def update_reference_memory(
     return np.maximum(s_new, MIN_PRODUCED_S) * low_throughput
 
 
+# The most trials (n_participants * n_trials) in a cohort: 100 times the largest
+# benchmark cohort. simulate peaks at ~85 bytes a trial and extract at ~155, so
+# a capped run stays under ~2 GB, and a larger one fails before it allocates.
+MAX_TRIALS = 10**7
+
+
+def cohort_levels(n_participants: int, n_trials: int, assignment) -> list | None:
+    """
+    The cohort rule: ValueError unless n_participants >= 1, n_trials >= 2, their
+    product is at most MAX_TRIALS and the engagement assignment is "random_uniform_9"
+    (returns None) or a list of n_trials levels, names or codes (returns them parsed).
+    """
+    if n_participants < 1:
+        raise ValueError(f"n_participants must be >= 1, got {n_participants}")
+    if n_trials < 2:
+        raise ValueError(f"n_trials must be >= 2, got {n_trials}")
+    if n_participants * n_trials > MAX_TRIALS:
+        raise ValueError(f"n_participants * n_trials must be <= {MAX_TRIALS}, "
+                         f"got {n_participants * n_trials}")
+    if assignment == "random_uniform_9":
+        return None
+    if not isinstance(assignment, (list, tuple)) or len(assignment) != n_trials:
+        raise ValueError('engagement_assignment must be "random_uniform_9" or a list of '
+                         f"{n_trials} engagement levels, got {assignment!r}")
+    try:  # format, not str: a parsed level formats as its code on every Python
+        return [EngagementLevel.parse(format(level)) for level in assignment]
+    except ValueError as exc:
+        raise ValueError(f"invalid engagement_assignment: {exc}") from None
+
+
 # The kinds of variate, each drawn from its own stream keyed by (rng_seed, kind).
 _LEVELS, _SENSITIVITY, _NOISE, _FLIPS = range(4)
 
@@ -159,7 +189,8 @@ def generate_trials(
 
     engagement_assignment is either "random_uniform_9" (each trial's level
     drawn uniformly, which for two trials is uniform over the nine level
-    permutations) or an explicit per-trial sequence applied to everyone.
+    permutations) or an explicit per-trial sequence applied to everyone. The
+    cohort's shape is checked by cohort_levels, as the CLI's config is.
 
     Self-reports are synthesized from the truth: reported_lower_than_30 is the
     actual side of the error flipped with report_flip_prob, and a participant
@@ -173,21 +204,11 @@ def generate_trials(
     The table is participant-major: participant i's trials 1..n_trials are
     its rows i * n_trials onwards.
     """
-    if n_participants < 1:
-        raise ValueError("n_participants must be >= 1")
-    if n_trials < 2:
-        raise ValueError("n_trials must be >= 2")
+    fixed = cohort_levels(n_participants, n_trials, engagement_assignment)
     shape = (n_participants, n_trials)
-    if isinstance(engagement_assignment, str):
-        if engagement_assignment != "random_uniform_9":
-            raise ValueError(
-                f"unknown engagement assignment: {engagement_assignment!r}"
-            )
+    if fixed is None:
         levels = _stream(params.rng_seed, _LEVELS).integers(0, 3, shape, dtype=np.int8)
     else:
-        fixed = [int(EngagementLevel(level)) for level in engagement_assignment]
-        if len(fixed) != n_trials:
-            raise ValueError("fixed engagement sequence length must equal n_trials")
         levels = np.broadcast_to(np.array(fixed, dtype=np.int8), shape)
     sensitive = (
         _stream(params.rng_seed, _SENSITIVITY).random(n_participants)

@@ -592,6 +592,10 @@ STDERR_PATHS = {
                                  2, ["NonFiniteFeatureError"]),
     "overflow_std_train_1e306": ("train --no-undersample --input {features_1e306} --output {out}",
                                  2, ["NonFiniteFeatureError"]),
+    # a usage error is a ConfigError line in argparse's words, not its usage text
+    "unknown_flag": ("train --input {features} --output {out} --bogus", 2, ["ConfigError"]),
+    "missing_path": ("extract --output {out}", 2, ["ConfigError"]),
+    "no_subcommand": ("", 2, ["ConfigError"]),
 }
 
 
@@ -611,6 +615,7 @@ def test_every_stderr_line_is_one_json_object(tmp_path, capsys, monkeypatch, cas
         assert kind == ("error" if code == 2 else "warning")
         names.append(entry[kind])
     assert names == expected
+    assert code != 2 or not Path(paths["out"]).exists()
 
 
 SIM_TEXT_AND_GATE_5 = '{"sim": {"weber_fraction": "abc", "gate_width_by_engagement": [0.1, 0.9, 5]}}'
@@ -620,6 +625,7 @@ MALFORMED_CONFIGS = {
     "not_an_object": ("simulate", "[1, 2]", [], "JSON object"),
     "seed_text": ("simulate", '{"seed": "abc"}', [], "seed"),
     "seed_bool": ("simulate", '{"seed": true}', [], "seed"),
+    "seed_fraction": ("simulate", '{"seed": 1.5}', [], "^seed must be an integer, got 1.5"),
     # "^": the message starts with the fragment, so rng_seed cannot stand in for seed
     "seed_negative": ("simulate", None, ["--seed", "-1"], "^seed must be >= 0, got -1"),
     "seed_negative_in_file": ("simulate", '{"seed": -1}', [], "^seed must be >= 0, got -1"),
@@ -632,10 +638,17 @@ MALFORMED_CONFIGS = {
     "undersample_text": ("train", '{"undersample": "no"}', [], "undersample"),
     "sim_number": ("train", '{"sim": 5}', [], "sim must be a JSON object"),
     "sim_null": ("simulate", '{"sim": null}', [], "sim must be a JSON object"),
-    "rng_seed_text": ("simulate", '{"sim": {"rng_seed": "abc"}}', [], "rng_seed"),
-    "rng_seed_negative": ("simulate", '{"sim": {"rng_seed": -3}}', [], "rng_seed"),
-    "rng_seed_fraction": ("simulate", '{"sim": {"rng_seed": 1.5}}', [], "rng_seed"),
-    "rng_seed_bool": ("simulate", '{"sim": {"rng_seed": true}}', [], "rng_seed"),
+    # seed and target_interval_s are the only keys for the simulator's seed and target
+    "rng_seed_unknown": ("simulate", '{"sim": {"rng_seed": 3}}', [],
+                         "unknown key(s) in the sim section: rng_seed"),
+    "target_s_unknown": ("simulate", '{"sim": {"target_s": 20}}', [],
+                         "unknown key(s) in the sim section: target_s"),
+    # a cohort over the bound is refused before anything is allocated
+    "cohort_over_bound": (
+        "simulate", '{"sim": {"n_participants": 100000000000000000000}}', [],
+        "^n_participants * n_trials must be <= 10000000, got 200000000000000000000"),
+    "cohort_over_bound_flag": ("simulate", None, ["--participants", "100000000000"],
+                               "^n_participants * n_trials must be <= 10000000, got 200000000000"),
     "assignment_unknown_level": ("simulate", '{"sim": {"engagement_assignment": ["low", "loud"]}}',
                                  [], "engagement_assignment"),
     "assignment_number": ("simulate", '{"sim": {"engagement_assignment": 7}}',
@@ -662,7 +675,6 @@ MALFORMED_CONFIGS = {
                            "weber_fraction must be finite"),
     "reference_ticks_nan": ("simulate", '{"sim": {"reference_ticks": NaN}}', [],
                             "reference_ticks must be finite"),
-    "target_s_nan": ("simulate", '{"sim": {"target_s": NaN}}', [], "target_s must be finite"),
     "population_mean_nan": ("simulate", '{"sim": {"population_mean_s": NaN}}', [],
                             "population_mean_s must be finite"),
     # JSON true is not the number 1
@@ -693,7 +705,9 @@ MALFORMED_CONFIGS = {
     "gate_width_above_1": ("simulate", '{"sim": {"gate_width_by_engagement": [1, 0.9, 1.5]}}',
                            [], "gate_width_by_engagement[2] must be <= 1, got 1.5"),
     # every command checks the sim section, not only simulate
-    "sim_checked_by_extract": ("extract", SIM_TEXT_AND_GATE_5, [], "weber_fraction"),
+    # (the input is never read: the config fails first)
+    "sim_checked_by_extract": ("extract", SIM_TEXT_AND_GATE_5, ["--input", "unread.csv"],
+                               "weber_fraction"),
     "sim_checked_by_train": ("train", SIM_TEXT_AND_GATE_5, [], "weber_fraction"),
     "not_utf8": ("train", b'\xff\xfe{"seed":1}', [], "utf-8"),
 }
@@ -712,6 +726,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
         features.write_bytes(_feature_rows(TRAINABLE_ROWS))
         flags = [*flags, "--input", str(features)]
     assert main([command, *flags, "--output", str(tmp_path / "out")]) == 2
+    assert not any(tmp_path.glob("out*"))
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     if fragment.startswith("^"):
@@ -930,10 +945,12 @@ class TestMisc:
     def test_flags_override_config_values(self, tmp_path):
         config = write_config(tmp_path, seed=5)
         out = tmp_path / "trials.csv"
-        main(["simulate", "--config", str(config), "--seed", "9", "--output", str(out)])
+        main(["simulate", "--config", str(config), "--seed", "9", "--target", "20",
+              "--output", str(out)])
         manifest = json.loads((tmp_path / "trials.manifest.json").read_text())
         assert manifest["seed"] == 9
         assert manifest["params"]["rng_seed"] == 9
+        assert manifest["params"]["target_s"] == 20.0
 
     def test_version_prints_pinned_coefficients(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -952,10 +969,11 @@ class TestMisc:
     def test_config_paths_section_is_not_read(self, tmp_path, capsys):
         # paths come only from flags; a config "paths" section is an unknown key
         config = write_config(tmp_path, paths={"output": str(tmp_path / "t.csv")})
-        assert main(["simulate", "--config", str(config)]) == 2
+        out = tmp_path / "flag.csv"
+        assert main(["simulate", "--config", str(config), "--output", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "paths" in err["message"]
-        assert not (tmp_path / "t.csv").exists()
+        assert not (tmp_path / "t.csv").exists() and not out.exists()
 
     def test_missing_output_flag_exits_2(self, capsys):
         assert main(["simulate"]) == 2
