@@ -639,8 +639,15 @@ MALFORMED_CONFIGS = {
     "sim_number": ("train", '{"sim": 5}', [], "sim must be a JSON object"),
     "sim_null": ("simulate", '{"sim": null}', [], "sim must be a JSON object"),
     # seed and target_interval_s are the only keys for the simulator's seed and target
-    "rng_seed_unknown": ("simulate", '{"sim": {"rng_seed": 3}}', [],
-                         "unknown key(s) in the sim section: rng_seed"),
+    # (a sim rng_seed is refused as a key, whatever its value)
+    "rng_seed_text": ("simulate", '{"sim": {"rng_seed": "abc"}}', [],
+                      "unknown key(s) in the sim section: rng_seed"),
+    "rng_seed_negative": ("simulate", '{"sim": {"rng_seed": -3}}', [],
+                          "unknown key(s) in the sim section: rng_seed"),
+    "rng_seed_fraction": ("simulate", '{"sim": {"rng_seed": 1.5}}', [],
+                          "unknown key(s) in the sim section: rng_seed"),
+    "rng_seed_bool": ("simulate", '{"sim": {"rng_seed": true}}', [],
+                      "unknown key(s) in the sim section: rng_seed"),
     "target_s_unknown": ("simulate", '{"sim": {"target_s": 20}}', [],
                          "unknown key(s) in the sim section: target_s"),
     # a cohort over the bound is refused before anything is allocated
