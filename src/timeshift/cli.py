@@ -25,11 +25,11 @@ import numpy as np
 from . import __version__
 from .data import (
     DEFAULT_TARGET_S,
+    DIRECTION_WORDS,
     EngagementLevel,
     TrialTable,
     atomic_write,
     check_fields,
-    direction_words,
     load_trials,
     pair_consecutive,
     pair_deltas,
@@ -251,27 +251,22 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
 
     # a sample's id is "<participant id>:<trial index of its next trial>"
     nxt = pairs[:, 1]
-    ids, index = trials.participant_ids[trials.participant[nxt]], trials.trial_index[nxt]
-
-    def rows(block: slice):
-        p, block_deltas = result.probabilities[block], deltas[block]
-        return zip(
-            map("{}:{}".format, ids[block], index[block].tolist()),
-            p.tolist(),
-            direction_words(result.outcomes[block]),
-            direction_words(block_deltas < 0),
-            block_deltas.tolist(),
-            MAGNITUDE_WORDS[predicted_bands(p, config.thresholds)].tolist(),
-            MAGNITUDE_WORDS[actual_bands(block_deltas, config.thresholds)].tolist(),
-        )
-
-    per_sample_path = Path(args.per_sample or args.output.with_suffix(".per_sample.csv"))
+    ids = list(map("{}:{}".format, trials.participant_ids[trials.participant[nxt]],
+                   trials.trial_index[nxt].tolist()))
+    per_sample_path = args.per_sample or args.output.with_suffix(".per_sample.csv")
     write_csv(
         per_sample_path,
         ("id", "probability", "direction_pred", "direction_actual", "delta_t",
          "magnitude_pred", "magnitude_actual"),
-        rows,
-        len(pairs),
+        (
+            (ids, np.arange(len(ids))),
+            result.probabilities,
+            (DIRECTION_WORDS, result.outcomes),
+            (DIRECTION_WORDS, deltas < 0),
+            deltas,
+            (MAGNITUDE_WORDS, predicted_bands(result.probabilities, config.thresholds)),
+            (MAGNITUDE_WORDS, actual_bands(deltas, config.thresholds)),
+        ),
     )
 
     summary = {
@@ -317,22 +312,16 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
     model = _reported(load_model(args.model))
     X, decrease = load_feature_csv(args.features)
     probabilities = predict_proba(model, transform(X, model.scaler))
-
-    def rows(block: slice):
-        p = probabilities[block]
-        return zip(
-            range(block.start, block.start + len(p)),
-            p.tolist(),
-            direction_words(p > 0.5),
-            direction_words(decrease[block]),
-            MAGNITUDE_WORDS[predicted_bands(p, config.thresholds)].tolist(),
-        )
-
     write_csv(
         args.output,
         ("row", "probability", "direction_pred", "direction_actual", "magnitude_pred"),
-        rows,
-        len(X),
+        (
+            np.arange(len(X)),
+            probabilities,
+            (DIRECTION_WORDS, probabilities > 0.5),
+            (DIRECTION_WORDS, decrease),
+            (MAGNITUDE_WORDS, predicted_bands(probabilities, config.thresholds)),
+        ),
     )
     _write_json(
         args.output.with_suffix(".manifest.json"),
@@ -392,6 +381,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _file_path(text: str) -> Path:
+    """An output file flag's path; one with no file name ("", ".", "/") is a usage error."""
+    path = Path(text)
+    if not path.name:
+        raise argparse.ArgumentTypeError(f"{text!r} names no file")
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="timeshift",
@@ -408,33 +405,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate synthetic trials CSV")
     add_common(p)
-    p.add_argument("--output", type=Path, required=True)
+    p.add_argument("--output", type=_file_path, required=True)
     p.add_argument("--participants", dest="n_participants", type=int)
     p.add_argument("--trials", dest="n_trials", type=int)
 
     p = sub.add_parser("extract", help="derive the feature matrix from trials")
     add_common(p)
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--output", type=Path, required=True)
+    p.add_argument("--output", type=_file_path, required=True)
 
     p = sub.add_parser("train", help="fit the logistic model on a feature CSV")
     add_common(p)
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--output", type=Path, required=True)
+    p.add_argument("--output", type=_file_path, required=True)
     p.add_argument("--no-undersample", dest="undersample", action="store_false", default=None)
 
     p = sub.add_parser("evaluate", help="LOOCV report with baselines and magnitude")
     add_common(p)
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--output", type=Path, required=True)
-    p.add_argument("--per-sample", dest="per_sample")
+    p.add_argument("--output", type=_file_path, required=True)
+    p.add_argument("--per-sample", dest="per_sample", type=_file_path)
     p.add_argument("--no-undersample", dest="undersample", action="store_false", default=None)
 
     p = sub.add_parser("predict", help="per-sample outcomes for a feature CSV")
     add_common(p)
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--features", type=Path, required=True)
-    p.add_argument("--output", type=Path, required=True)
+    p.add_argument("--output", type=_file_path, required=True)
 
     p = sub.add_parser("explain", help="SHAP exports for a feature CSV")
     add_common(p)

@@ -8,6 +8,15 @@ A *trial* is one produced interval by one participant; consecutive trials of
 the same participant form a *sample pair* whose label is the direction of
 change in produced time. Trials are the rows of a TrialTable, and pairs are
 an (n, 2) array of its (previous, next) row indices.
+
+CSV text moves in bulk. A CSV is read by numpy's C reader (np.loadtxt), a
+block of lines at a time, with each distinct word of a block parsed once. If
+numpy rejects a line or a cell, or warns, or a row breaks an invariant, the
+file is read again from the top by the Python path: csv.reader and a parser
+call per cell, which keeps each row's line number. That path raises every
+error, naming the line and the column. A CSV is written from whole columns,
+each block's distinct numbers formatted once and each text quoted once, byte
+for byte as csv.writer writes.
 """
 
 from __future__ import annotations
@@ -19,13 +28,16 @@ import math
 import numbers
 import os
 import sys
-from array import array
+import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, Field, dataclass, fields
 from functools import lru_cache
+from itertools import islice
 from operator import ge, gt, itemgetter, le
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO, get_args, get_origin, get_type_hints
+from typing import (
+    Callable, Iterable, Iterator, Sequence, TextIO, get_args, get_origin, get_type_hints,
+)
 
 import numpy as np
 
@@ -235,18 +247,26 @@ def pair_deltas(trials: TrialTable, pairs: np.ndarray) -> np.ndarray:
     return trials.produced_s[pairs[:, 1]] - trials.produced_s[pairs[:, 0]]
 
 
-def direction_words(decrease: np.ndarray) -> list[str]:
-    """The Direction value of each entry of a boolean decrease mask."""
-    return np.where(decrease, Direction.DECREASE.value, Direction.INCREASE.value).tolist()
+# The text of each Direction, indexed by a boolean decrease mask: a text
+# column of write_csv.
+DIRECTION_WORDS = (Direction.INCREASE.value, Direction.DECREASE.value)
 
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-_READ_BLOCK = 2048
+# Lines (numpy) or rows (csv) parsed at a time: small enough that a block's
+# cells as Python objects stay a few MB, large enough that each block's
+# numpy call is cheap next to its parse.
+_READ_BLOCK = 16384
 
 _BOOL_WORDS = {"true": True, "1": True, "false": False, "0": False}
+
+# The numpy field that parses a number column: numpy's C parsers accept a
+# subset of what float() and int() accept (no "_", ASCII digits only) and give
+# equal values, so a cell numpy rejects goes to the Python path.
+_NUMBER_FIELDS = {float: "f8", int: "i8"}
 
 
 def _parse_optional_float(text: str) -> float:
@@ -259,29 +279,30 @@ def _parse_optional_float(text: str) -> float:
     return value
 
 
-# Wraps a cell parser so that each load parses a repeated text (a level, a
-# flag, an id, an empty cell) once; bounded, so distinct values cost no memory.
-_cached = lru_cache(maxsize=4096)
-
-
 def _word_in(table: dict) -> Callable[[str], object]:
     """A cell parser: table[stripped lower-case text], KeyError for an unlisted word."""
-    return _cached(lambda text: table[text.strip().lower()])
+    return lambda text: table[text.strip().lower()]
 
 
-def _read_columns(
-    path: Path, cells: tuple, check: Callable | None = None
-) -> tuple[list[np.ndarray], array]:
+def _read_columns(path: Path, cells: tuple, check: Callable) -> list:
     """
-    One array per (column, parse, dtype) cell spec from a UTF-8 CSV whose
-    header names every column of cells, and the line number of every row.
-    parse turns one cell's text into a value; it raises KeyError or ValueError
-    for a bad one. check(columns) returns the first row of a block's arrays
-    that breaks a row invariant, with its error, or None.
+    One column per (column, parse, dtype) cell spec from a UTF-8 CSV whose
+    header names every column of cells. parse turns one cell's text into a
+    value; it raises KeyError or ValueError for a bad one. A column is an
+    array of dtype, or, for dtype np.object_, a (table, codes) pair: the
+    distinct values in order of first appearance, and each row's index into
+    them. check(columns) returns None, or the first row of a block's arrays
+    (codes for a coded column) that breaks a row invariant as (row, error
+    class, reason); the class is MalformedRowError or a subclass.
 
     Blank lines are skipped, a leading byte-order mark is ignored, missing
     trailing cells read as "", and unknown extra columns are ignored with an
     UnknownColumnsWarning (report).
+
+    numpy's C reader parses the rows (_read_text). Where it cannot, or a cell
+    or row is bad, the Python path reads the file again from the top
+    (_read_rows): csv.reader and parse on every cell, with each row's line
+    number, so the error and its line are the ones that path raises.
 
     Raises:
         EmptyFileError: the file has no header or no data rows.
@@ -290,11 +311,9 @@ def _read_columns(
             (the error names its line, and the column of a bad cell) or a byte
             is not UTF-8 (the error names its line).
     """
-    blocks, lines = [], array("q")
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise EmptyFileError(f"{path}: file is empty")
             position = {column: j for j, column in enumerate(header)}  # the last of repeats
@@ -307,16 +326,12 @@ def _read_columns(
                 message = f"{path}: ignoring unknown columns {extras}"
                 report({"warning": "UnknownColumnsWarning", "message": message})
             cells = [(position[column], column, parse, dtype) for column, parse, dtype in cells]
-            rows = []
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
-                    if len(rows) == _READ_BLOCK:
-                        blocks.append(_parse_block(rows, lines[-len(rows):], cells, check))
-                        rows = []
-            if rows:
-                blocks.append(_parse_block(rows, lines[-len(rows):], cells, check))
+            read = _read_text(fh, cells, check)
+        if read is None:
+            with path.open(newline="", encoding="utf-8-sig") as fh:
+                reader = csv.reader(fh)
+                next(reader)
+                read = _read_rows(reader, cells, check)
     except UnicodeDecodeError:
         with path.open("rb") as fh:
             # only a line with an invalid byte decodes differently under the two
@@ -326,27 +341,100 @@ def _read_columns(
                 if line.decode("utf-8", "replace") != line.decode("utf-8", "ignore")
             )
         raise MalformedRowError(line_num, "not UTF-8 text") from None
-    if not lines:
+    blocks, tables = read
+    if not blocks:
         raise EmptyFileError(f"{path}: no data rows")
-    return [np.concatenate(arrays) for arrays in zip(*blocks)], lines
+    columns = [np.concatenate(arrays) for arrays in zip(*blocks)]
+    return [
+        column if table is None else (np.array(list(table), object), column)
+        for column, table in zip(columns, tables)
+    ]
 
 
-def _parse_block(rows, lines, cells, check) -> list[np.ndarray]:
+def _tables(cells) -> list[dict | None]:
+    """An empty table of values (value -> code) for each coded column of cells, else None."""
+    return [{} if dtype is np.object_ else None for _, _, _, dtype in cells]
+
+
+def _decode(texts: list, parse, dtype, table: dict | None) -> np.ndarray:
+    """
+    A column of cell texts: parse runs once per distinct text, in order of
+    first appearance; a coded column (table) holds each value's code in table.
+    """
+    distinct = dict.fromkeys(texts)
+    if table is None:
+        values = {text: parse(text) for text in distinct}
+    else:
+        values = {text: table.setdefault(parse(text), len(table)) for text in distinct}
+        dtype = np.intp
+    return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
+
+
+def _read_text(fh, cells, check) -> tuple[list, list] | None:
+    """
+    The blocks and tables of _read_columns from the lines of fh after the
+    header, each block parsed by np.loadtxt, or None where the Python path
+    must read the file: numpy rejects a line or a cell (or warns, as it does
+    on a block of blank lines), parse rejects a text, or check a row. A
+    quoted cell may span lines, so only the last block may hold a quote.
+    """
+    fields = [(str(k), _NUMBER_FIELDS.get(parse, "O")) for k, (_, _, parse, _) in enumerate(cells)]
+    usecols = [j for j, _, _, _ in cells]
+    blocks, tables = [], _tables(cells)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            while lines := list(islice(fh, _READ_BLOCK)):
+                if len(lines) == _READ_BLOCK and '"' in "".join(lines):
+                    return None
+                # comments=None: "#" is text, as in an id such as p#1
+                rows = np.loadtxt(lines, fields, comments=None, delimiter=",", quotechar='"',
+                                  usecols=usecols, ndmin=1)
+                columns = [
+                    rows[name].astype(dtype) if kind != "O"
+                    else _decode(rows[name].tolist(), parse, dtype, table)
+                    for (name, kind), (_, _, parse, dtype), table in zip(fields, cells, tables)
+                ]
+                if check(columns):
+                    return None
+                blocks.append(columns)
+    except (KeyError, ValueError, OverflowError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    return blocks, tables
+
+
+def _read_rows(reader, cells, check) -> tuple[list, list]:
+    """The blocks and tables of _read_columns from csv.reader's rows after the header."""
+    blocks, rows, lines, tables = [], [], [], _tables(cells)
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == _READ_BLOCK:
+                blocks.append(_parse_block(rows, lines, cells, check, tables))
+                rows, lines = [], []
+    if rows:
+        blocks.append(_parse_block(rows, lines, cells, check, tables))
+    return blocks, tables
+
+
+def _parse_block(rows, lines, cells, check, tables) -> list[np.ndarray]:
     """A block of rows, parsed a column at a time, then checked."""
     try:
         columns = [
-            np.array(list(map(parse, map(itemgetter(j), rows))), dtype)
-            for j, _, parse, dtype in cells
+            _decode(list(map(itemgetter(j), rows)), parse, dtype, table)
+            for (j, _, parse, dtype), table in zip(cells, tables)
         ]
     except (IndexError, KeyError, ValueError, OverflowError):  # IndexError: a short row
-        return _parse_cells(rows, lines, cells, check)
-    invalid = check(columns) if check else None
+        return _parse_cells(rows, lines, cells, check, tables)
+    invalid = check(columns)
     if invalid:
-        raise MalformedRowError(lines[invalid[0]], str(invalid[1]))
+        row, error, reason = invalid
+        raise error(lines[row], reason)
     return columns
 
 
-def _parse_cells(rows, lines, cells, check) -> list[np.ndarray]:
+def _parse_cells(rows, lines, cells, check, tables) -> list[np.ndarray]:
     """
     A block whose column parse failed, cell by cell: short rows get their
     missing cells, and the first bad cell is raised once the rows before it
@@ -359,9 +447,15 @@ def _parse_cells(rows, lines, cells, check) -> list[np.ndarray]:
             try:
                 dtype(parse(row[j]))
             except (KeyError, ValueError, OverflowError):  # KeyError: an unlisted word
-                _parse_block(rows[:k], lines, cells, check)
+                _parse_block(rows[:k], lines, cells, check, tables)
                 raise MalformedRowError(lines[k], f"{column} is not valid: {row[j]!r}") from None
-    return _parse_block(rows, lines, cells, check)
+    return _parse_block(rows, lines, cells, check, tables)
+
+
+def _first_bad_trial(columns) -> tuple[int, type, str] | None:
+    """The check of a trial CSV block (see _read_columns)."""
+    invalid = _first_invalid(columns[1], columns[3], columns[6])
+    return invalid and (invalid[0], MalformedRowError, str(invalid[1]))
 
 
 def load_trials(path: str | Path) -> TrialTable:
@@ -378,27 +472,27 @@ def load_trials(path: str | Path) -> TrialTable:
         MalformedRowError: a row fails to parse, violates an invariant or holds
             a byte that is not UTF-8.
     """
-    ids: dict[str, int] = {}  # participant id -> index, in order of appearance
     cells = (
-        ("participant_id", _cached(lambda text: ids.setdefault(text.strip(), len(ids))), np.intp),
+        ("participant_id", str.strip, np.object_),
         ("trial_index", int, np.int64),
-        ("engagement_level", _cached(EngagementLevel.parse), np.int8),
+        ("engagement_level", EngagementLevel.parse, np.int8),
         ("produced_time_s", float, np.float64),
         ("reported_lower_than_30", _word_in(_BOOL_WORDS), np.bool_),
         ("reported_high_engagement", _word_in(_BOOL_WORDS), np.bool_),
-        ("nontiming_task_error", _cached(_parse_optional_float), np.float64),
+        ("nontiming_task_error", _parse_optional_float, np.float64),
     )
-    columns, _ = _read_columns(Path(path), cells, lambda c: _first_invalid(c[1], c[3], c[6]))
-    return TrialTable(np.array(list(ids), dtype=object), *columns)
+    (ids, participant), *columns = _read_columns(Path(path), cells, _first_bad_trial)
+    return TrialTable(ids, participant, *columns)
 
 
 # ---------------------------------------------------------------------------
 # Artifact writers
 # ---------------------------------------------------------------------------
 
-_WRITE_BLOCK = 4096
+_WRITE_BLOCK = 16384
 
-_LEVEL_WORDS = np.array([level.name.lower() for level in EngagementLevel])
+_LEVEL_WORDS = tuple(level.name.lower() for level in EngagementLevel)
+_BOOL_TEXT = ("false", "true")
 
 
 def report(payload: dict) -> None:
@@ -427,36 +521,68 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
         raise
 
 
-def write_csv(
-    path: str | Path, header: Iterable[str], rows: Callable[[slice], Iterable], n: int
-) -> None:
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
     """
-    Write a CSV through atomic_write: the header, then rows(block) for each
-    _WRITE_BLOCK-long slice of range(n), so only one block's cells exist as
-    Python objects at a time. csv writes a float as its shortest repr.
+    Write a CSV through atomic_write, byte for byte as csv.writer writes the
+    same cells: the header, then row i of every column, as "," joined cells
+    ending in "\\r\\n". A column is either a 1-D array of numbers, written as
+    an int's digits or a float's shortest repr (a NaN as a blank cell), or a
+    text column (table, codes): a sequence of str and the index into it of each
+    row (ints or booleans). Each table is quoted once, and rows go out
+    _WRITE_BLOCK at a time, each distinct number of a block formatted once.
+    Every row holds two or more cells (csv.writer writes a lone blank as "").
     """
+    quoted = [
+        np.array([_csv_cell(str(text)) for text in column[0]], object)
+        if isinstance(column, tuple) else None
+        for column in columns
+    ]
+    first = columns[0]
+    n = len(first[1] if isinstance(first, tuple) else first)
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(map(_csv_cell, header)) + "\r\n")
         for start in range(0, n, _WRITE_BLOCK):
-            writer.writerows(rows(slice(start, start + _WRITE_BLOCK)))
+            block = slice(start, start + _WRITE_BLOCK)
+            cells = [
+                _number_cells(column[block]) if table is None
+                else np.take(table, column[1][block]).tolist()
+                for column, table in zip(columns, quoted)
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes it: quoted, quotes doubled, if it holds , " or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _number_cells(values: np.ndarray) -> list[str]:
+    """
+    The cell text of each number, each distinct value formatted once: floats
+    are told apart by bit pattern, so -0.0 and 0.0 keep their own text.
+    """
+    if values.dtype.kind == "f":
+        distinct, index = np.unique(values.view(np.int64), return_inverse=True)
+        texts = [repr(v) if v == v else "" for v in distinct.view(np.float64).tolist()]
+    else:
+        distinct, index = np.unique(values, return_inverse=True)
+        texts = list(map(str, distinct.tolist()))
+    return np.take(np.array(texts, object), index).tolist()
 
 
 def write_trials_csv(trials: TrialTable, path: str | Path) -> None:
     """Write a trial table in the canonical interchange schema."""
-
-    def rows(block: slice):
-        return zip(
-            trials.participant_ids[trials.participant[block]].tolist(),
-            trials.trial_index[block].tolist(),
-            _LEVEL_WORDS[trials.level[block]].tolist(),
-            trials.produced_s[block].tolist(),
-            np.where(trials.reported_lower[block], "true", "false").tolist(),
-            np.where(trials.reported_high[block], "true", "false").tolist(),
-            ["" if math.isnan(e) else e for e in trials.nontiming_error[block].tolist()],
-        )
-
-    write_csv(path, TRIAL_CSV_COLUMNS, rows, len(trials))
+    write_csv(path, TRIAL_CSV_COLUMNS, (
+        (trials.participant_ids, trials.participant),
+        trials.trial_index,
+        (_LEVEL_WORDS, trials.level),
+        trials.produced_s,
+        (_BOOL_TEXT, trials.reported_lower),
+        (_BOOL_TEXT, trials.reported_high),
+        trials.nontiming_error,
+    ))
 
 
 def pair_consecutive(trials: TrialTable) -> np.ndarray:

@@ -43,8 +43,8 @@ class NonPositiveTimeError(TimeshiftError):
     """A produced time or target interval is zero, negative or non-finite."""
 
 
-class FeatureDependencyError(TimeshiftError):
-    """Engagement-change and second-video-level features take mutually impossible values."""
+class FeatureDependencyError(MalformedRowError):
+    """A row's engagement-change and second-video-level features take impossible values."""
 
 
 class NonFiniteFeatureError(TimeshiftError):

@@ -104,16 +104,12 @@ def write_scatter_csv(
     phi = np.asarray(phi, dtype=float)
     raw = np.asarray(raw_features, dtype=float)
     Z = np.asarray(standardized, dtype=float)
-
-    def rows(block: slice):
-        return zip(
-            FEATURE_NAMES * len(phi[block]),
-            raw[block].ravel().tolist(),
-            Z[block].ravel().tolist(),
-            phi[block].ravel().tolist(),
-        )
-
-    write_csv(path, ("feature", "raw_value", "standardized_value", "phi"), rows, len(phi))
+    features = np.tile(np.arange(N_FEATURES, dtype=np.int8), len(phi))
+    write_csv(
+        path,
+        ("feature", "raw_value", "standardized_value", "phi"),
+        ((FEATURE_NAMES, features), raw.ravel(), Z.ravel(), phi.ravel()),
+    )
 
 
 def waterfall_payload(

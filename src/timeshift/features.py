@@ -24,13 +24,13 @@ import numpy as np
 
 from .data import (
     DEFAULT_TARGET_S,
+    DIRECTION_WORDS,
     Direction,
     EngagementLevel,
     TrialTable,
     _read_columns,
     _word_in,
     check_fields,
-    direction_words,
     write_csv,
 )
 from .errors import (
@@ -157,15 +157,11 @@ def write_feature_csv(X: np.ndarray, decrease: np.ndarray, path: str | Path) -> 
     decrease = np.asarray(decrease, dtype=bool)
     if len(X) != len(decrease):
         raise ValueError("features and labels differ in length")
-
-    def rows(block: slice):
-        return zip(
-            X[block, 0].tolist(),
-            *X[block, 1:].T.astype(int).tolist(),
-            direction_words(decrease[block]),
-        )
-
-    write_csv(path, FEATURE_CSV_COLUMNS, rows, len(X))
+    write_csv(
+        path,
+        FEATURE_CSV_COLUMNS,
+        (X[:, 0], *X[:, 1:].astype(np.int64).T, (DIRECTION_WORDS, decrease)),
+    )
 
 
 def load_feature_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -187,28 +183,30 @@ def load_feature_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         *((name, int, np.float64) for name in FEATURE_NAMES[1:]),
         ("label", _word_in({d.value: d is Direction.DECREASE for d in Direction}), np.bool_),
     )
-    (*columns, labels), lines = _read_columns(Path(path), cells)
-    X = np.column_stack(columns)
-    _check_domain(X, lines)
-    return X, labels
+    *columns, labels = _read_columns(Path(path), cells, _first_bad_sample)
+    return np.column_stack(columns), labels
 
 
-def _check_domain(X: np.ndarray, lines) -> None:
-    """Reject the first cell outside its feature's domain, then impossible level pairs."""
-    in_range = (X >= [-100.0, 0, 0, 0, 0]) & (X <= [np.inf, 1, 1, 2, 2])
-    bad = ~(np.isfinite(X) & in_range)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise MalformedRowError(
-            lines[row], f"{FEATURE_NAMES[col]} is out of range: {X[row, col]:g}"
-        )
+def _first_bad_sample(columns) -> tuple[int, type, str] | None:
+    """
+    The check of a feature CSV block (see data._read_columns): the first row
+    with a cell outside its feature's domain, named by its first such cell,
+    or pairing the two engagement features in a way no transition can produce.
+    """
+    X = np.column_stack(columns[:N_FEATURES])
+    bad = ~(np.isfinite(X) & (X >= [-100.0, 0, 0, 0, 0]) & (X <= [np.inf, 1, 1, 2, 2]))
     # A "lower" change cannot land on HIGH and a "higher" one cannot land on
     # LOW: within the 0/1/2 codes these are exactly the rows where the two
-    # features differ by 2.
-    impossible = np.flatnonzero(np.abs(X[:, 3] - X[:, 4]) == 2)
-    if len(impossible):
-        i = impossible[0]
-        raise FeatureDependencyError(
-            f"line {lines[i]}: change_in_engagement_level={X[i, 4]:.0f} "
-            f"is impossible with v2_engagement_level={X[i, 3]:.0f}"
-        )
+    # features differ by 2 (both columns are parsed ints, so always finite).
+    impossible = np.abs(X[:, 3] - X[:, 4]) == 2
+    rows = np.flatnonzero(bad.any(axis=1) | impossible)
+    if not len(rows):
+        return None
+    row = rows[0]
+    if bad[row].any():
+        col = bad[row].argmax()
+        return row, MalformedRowError, f"{FEATURE_NAMES[col]} is out of range: {X[row, col]:g}"
+    return row, FeatureDependencyError, (
+        f"change_in_engagement_level={X[row, 4]:.0f} "
+        f"is impossible with v2_engagement_level={X[row, 3]:.0f}"
+    )

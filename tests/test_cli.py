@@ -6,6 +6,7 @@ import math
 import re
 import tempfile
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -553,13 +554,17 @@ def _stderr_inputs(tmp_path) -> dict:
         "cohort_3e304": cohort_with("3e304").encode(),
         "features_1e308": _feature_rows(TRAINABLE_ROWS + "\n1e308,0,0,1,1,decrease"),
         "features_1e306": _feature_rows(TRAINABLE_ROWS + "\n1e306,0,0,1,1,decrease"),
+        # a header and no row (then a blank line, which numpy's reader warns
+        # on, and the CLI must not)
+        "trials_header": (TRIAL_HEADER + "\n\n").encode(),
+        "features_header": (FEATURE_HEADER + "\n").encode(),
     }
     paths = {"cohort": cohort, "missing": tmp_path / "missing.csv",
              "out": tmp_path / "out.csv", "out_dir": tmp_path / "shap"}
     for name, data in texts.items():
         paths[name] = tmp_path / f"{name}.in"
         paths[name].write_bytes(data)
-    return {name: str(path) for name, path in paths.items()}
+    return {name: str(path) for name, path in paths.items()} | {"empty": ""}
 
 
 # Every path that writes to stderr: (argv, with {name} for a file of
@@ -596,6 +601,16 @@ STDERR_PATHS = {
     "unknown_flag": ("train --input {features} --output {out} --bogus", 2, ["ConfigError"]),
     "missing_path": ("extract --output {out}", 2, ["ConfigError"]),
     "no_subcommand": ("", 2, ["ConfigError"]),
+    "trials_header_only": ("extract --input {trials_header} --output {out}", 2,
+                           ["EmptyFileError"]),
+    "features_header_only": ("train --input {features_header} --output {out}", 2,
+                             ["EmptyFileError"]),
+    # an output path with no file name is a usage error, before anything runs
+    "output_empty_name": ("simulate --participants 30 --output {empty}", 2, ["ConfigError"]),
+    "output_dot": ("simulate --participants 30 --output .", 2, ["ConfigError"]),
+    "output_root": ("extract --input {cohort} --output /", 2, ["ConfigError"]),
+    "per_sample_dot": ("evaluate --input {cohort} --output {out} --per-sample .", 2,
+                       ["ConfigError"]),
 }
 
 
@@ -606,7 +621,12 @@ def test_every_stderr_line_is_one_json_object(tmp_path, capsys, monkeypatch, cas
     capsys.readouterr()
     if case.startswith("nonconverged_"):
         monkeypatch.setattr(timeshift.logistic, "_MAX_ITER", 1)
-    assert main([arg.format(**paths) for arg in argv.split()]) == code
+    # pytest's filters make a warning an exception, which a fallback could
+    # swallow: record every warning instead, and allow none
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([arg.format(**paths) for arg in argv.split()]) == code
+    assert [str(w.message) for w in caught] == []
     names = []
     for line in capsys.readouterr().err.splitlines():
         entry = json.loads(line)

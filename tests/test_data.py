@@ -1,23 +1,27 @@
+import csv
 import dataclasses
 import json
 import os
+import random
 
 import numpy as np
 import pytest
 
 import timeshift.data
 from timeshift.data import (
+    DIRECTION_WORDS,
+    TRIAL_CSV_COLUMNS,
     Direction,
     EngagementLevel,
     TrialTable,
     atomic_write,
-    direction_words,
     load_trials,
     pair_consecutive,
     pair_deltas,
     write_csv,
     write_trials_csv,
 )
+from timeshift.features import FEATURE_CSV_COLUMNS, load_feature_csv
 from timeshift.simulator import generate_trials
 from timeshift.errors import (
     DuplicateTrialIndexError,
@@ -25,6 +29,7 @@ from timeshift.errors import (
     MalformedRowError,
     MissingColumnError,
     NonPositiveTimeError,
+    TimeshiftError,
 )
 
 HEADER = (
@@ -74,7 +79,7 @@ def assert_same_table(a, b):
 
 def directions(decrease):
     """Direction labels of a boolean decrease mask."""
-    return [Direction(word) for word in direction_words(decrease)]
+    return [Direction(DIRECTION_WORDS[int(d)]) for d in decrease]
 
 
 class TestLoadTrials:
@@ -292,19 +297,59 @@ class TestDataset:
         assert deltas.tolist() == [pytest.approx(-5.0), pytest.approx(5.0)]
 
 
+class TestWriteCsv:
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch):
+        # a row count that is not a multiple of the block, blocks of a few rows
+        monkeypatch.setattr(timeshift.data, "_WRITE_BLOCK", 64)
+        rng = np.random.default_rng(7)
+        n = 64 * 7 + 13
+        specials = [-0.0, 0.0, np.nan, -np.nan, 5e-324, 2.5e-310, 1e308, -1e308, np.inf, -np.inf,
+                    0.1, 1 / 3, 30.0, -1e-300, 123456789.0]
+        floats = np.where(rng.random(n) < 0.5, rng.choice(specials, n), rng.normal(0, 1e3, n))
+        repeated = rng.choice([0.25, -0.0, 0.0, 7.0], n)  # few distinct values per block
+        ints = rng.choice([0, 1, -1, 2**53 + 1, 2**63 - 1, -2**63, 10**15, -7], n)
+        ids = ["p1", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "trail ", "",
+               "\u00e9t\u00e9", "#x", '"', ","]
+        id_codes = rng.integers(0, len(ids), n)
+        flags = rng.random(n) < 0.5
+        header = ["id", "f", "repeated", "i", "flag", 'q"uoted,head']
+        columns = [(ids, id_codes), floats, repeated, ints, (("false", "true"), flags), ints]
+        path = tmp_path / "new.csv"
+        timeshift.data.write_csv(path, header, columns)
+
+        expected = tmp_path / "csv.csv"
+        with expected.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for k in range(n):
+                writer.writerow([
+                    ids[id_codes[k]],
+                    "" if np.isnan(floats[k]) else float(floats[k]),
+                    float(repeated[k]),
+                    int(ints[k]),
+                    "true" if flags[k] else "false",
+                    int(ints[k]),
+                ])
+        assert path.read_bytes() == expected.read_bytes()
+        assert b"-0.0," in path.read_bytes() and b",0.0," in path.read_bytes()
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        timeshift.data.write_csv(path, ["a", "b"], [np.zeros(0), (["x"], np.zeros(0, int))])
+        assert path.read_bytes() == b"a,b\r\n"
+
+
 class TestAtomicWrite:
     def test_writer_raising_halfway_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text("old\n")
-
-        def rows(block):
-            # the second block raises after the first one's rows filled buffers
-            if block.start:
-                raise RuntimeError("interrupted")
-            return [[0.0] * 6] * (block.stop - block.start)
-
-        with pytest.raises(RuntimeError):
-            write_csv(path, ["a"] * 6, rows, 5000)
+        # the second block raises after the first one's rows filled buffers:
+        # its last code has no text in the table
+        n = timeshift.data._WRITE_BLOCK + 10
+        codes = np.zeros(n, dtype=np.intp)
+        codes[-1] = 1
+        with pytest.raises(IndexError):
+            write_csv(path, ["a"] * 6, [np.zeros(n)] * 5 + [(["x"], codes)])
         assert path.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [path]
 
@@ -325,3 +370,166 @@ class TestAtomicWrite:
             fh.write("new\n")
         assert path.read_text() == "new\n"
         assert list(tmp_path.iterdir()) == [path]
+
+
+# ---------------------------------------------------------------------------
+# The two read paths: numpy's C reader and the Python cell parser
+# ---------------------------------------------------------------------------
+
+# Cell texts put in every column of a row: numbers numpy and Python parse
+# differently or not at all, words with padding and case, and quoted cells
+CELL_TOKENS = (
+    "1_0", "\u0661", "+1", " 1", "1.0", "-0", "nan", "inf", "infinity", "1e400", "", " ",
+    "0", "2", " Low ", "HiGh", "TRUE", " decrease", "p#1", "x" * 40,
+    '"a,b"', '"a""b"', '"a\nb"', '"a\r\nb"', 'a"b', '"a"b', '" 1"',
+)
+
+
+def _trial_rows(rng):
+    """The cells of 24 seeded trial rows, 8 participants x 3 trials."""
+    return [
+        [f"p{i // 3}", str(i % 3 + 1), rng.choice(["low", "medium", "high"]),
+         repr(round(rng.uniform(10, 50), 3)), rng.choice(["true", "false"]),
+         rng.choice(["true", "false"]), rng.choice(["", "0.25", "1.5"])]
+        for i in range(24)
+    ]
+
+
+def _feature_rows(rng):
+    """The cells of 24 seeded feature rows, each in its features' domain."""
+    return [
+        [repr(round(rng.uniform(-100, 80), 4)), rng.choice("01"), rng.choice("01"),
+         *rng.choice([("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"), ("1", "2"), ("2", "1"),
+                      ("2", "2")]),
+         rng.choice(["increase", "decrease"])]
+        for _ in range(24)
+    ]
+
+
+def _mutants(header, rows, rng):
+    """(name, file bytes) of a CSV and of each seeded mutation of it."""
+
+    def text(header, rows, end="\n"):
+        return end.join(",".join(row) for row in [header, *rows]) + end
+
+    def one_row(change):  # change applied to a seeded row
+        k = rng.randrange(len(rows))
+        return text(header, [change(row) if i == k else row for i, row in enumerate(rows)])
+
+    def with_line(line):  # line put between two seeded rows
+        lines = text(header, rows).split("\n")
+        k = rng.randrange(1, len(lines) - 1)
+        return "\n".join([*lines[:k], line, *lines[k:]])
+
+    clean = text(header, rows)
+    c = rng.randrange(len(header))
+    cases = {
+        "clean": clean,
+        "byte_order_mark": "\ufeff" + clean,
+        "crlf": text(header, rows, "\r\n"),
+        "blank_line": with_line(""),
+        "blank_crlf_line": with_line("\r"),
+        "whitespace_line": with_line(" \t "),
+        "short_row": one_row(lambda row: row[:-1]),
+        "shorter_row": one_row(lambda row: row[:-2]),
+        "long_row": one_row(lambda row: [*row, "x", "9"]),
+        "extra_column": text([*header, "extra"], [[*row, str(i)] for i, row in enumerate(rows)]),
+        "extra_first_column": text(["extra", *header], [['"x,y"', *row] for row in rows]),
+        # the last of two same-named columns is the one read
+        "repeated_column": text([*header, header[c]],
+                                [[*row, rows[-1 - i][c]] for i, row in enumerate(rows)]),
+        # a quoted cell from one row's end into the next: csv reads the next
+        # row into it, and a block edge between the two must not split them
+        "quote_across_lines": text(
+            [*header, "extra"],
+            [[*row, {len(rows) - 3: '"x', len(rows) - 2: '"'}.get(i, "")]
+             for i, row in enumerate(rows)],
+        ),
+        "missing_column": text(header[:c] + header[c + 1:],
+                               [row[:c] + row[c + 1:] for row in rows]),
+        "header_only": text(header, []),
+        "header_and_blank_lines": text(header, []) + "\n\r\n",
+        "empty": "",
+    }
+    for j, column in enumerate(header):
+        for token in CELL_TOKENS:
+            cases[f"{column}={token!r}"] = one_row(lambda row: [*row[:j], token, *row[j + 1:]])
+    mutants = [(name, data.encode()) for name, data in cases.items()]
+    k = clean.index("\n", clean.index("\n") + 1) + 2  # a byte of the second row
+    return mutants + [("not_utf8", clean.encode()[:k] + b"\xff" + clean.encode()[k + 1:])]
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise ValueError("numpy's reader is off: the Python path reads")
+
+
+def _outcome(load, path, capsys):
+    """What load(path) returns, or the class and message it raises, and its stderr."""
+    try:
+        value = load(path)
+    except TimeshiftError as exc:
+        value = (type(exc), str(exc))
+    return value, capsys.readouterr().err
+
+
+def _is_error(outcome):
+    return isinstance(outcome, tuple) and isinstance(outcome[0], type)
+
+
+def _assert_same(fast, slow):
+    if _is_error(slow) or _is_error(fast):  # the class and message
+        assert fast == slow
+        return
+    if isinstance(slow, TrialTable):
+        fast, slow = [[getattr(table, f.name) for f in dataclasses.fields(TrialTable)]
+                      for table in (fast, slow)]
+    for a, b in zip(fast, slow, strict=True):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+class TestReadPaths:
+    """numpy's C reader and the Python path give the same arrays, or the same error."""
+
+    @pytest.mark.parametrize("kind", ["trials", "features"])
+    @pytest.mark.parametrize("block", [2, None])
+    def test_paths_agree_on_mutated_files(self, tmp_path, monkeypatch, capsys, kind, block):
+        rng = random.Random(f"{kind}-{block}")
+        if kind == "trials":
+            load, header, rows = load_trials, TRIAL_CSV_COLUMNS, _trial_rows(rng)
+        else:
+            load, header, rows = load_feature_csv, FEATURE_CSV_COLUMNS, _feature_rows(rng)
+        if block:  # a quote in a block before the last one sends the file to the Python path
+            monkeypatch.setattr(timeshift.data, "_READ_BLOCK", block)
+        loaded = 0
+        for name, data in _mutants(list(header), rows, rng):
+            path = tmp_path / f"{kind}.csv"
+            path.write_bytes(data)
+            fast, fast_err = _outcome(load, path, capsys)
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "loadtxt", _no_loadtxt)
+                slow, slow_err = _outcome(load, path, capsys)
+            assert fast_err == slow_err, name
+            try:
+                _assert_same(fast, slow)
+            except AssertionError as exc:
+                raise AssertionError(f"{name}: {fast} != {slow}") from exc
+            loaded += not _is_error(slow)
+        assert loaded > 40  # many mutants load: not only errors are compared
+
+    @pytest.mark.parametrize("case", ["clean", "byte_order_mark", "crlf", "blank_line",
+                                      "long_row", "extra_first_column", "repeated_column",
+                                      "participant_id='p#1'", "participant_id='xxxx'",
+                                      "participant_id='\"a,b\"'", "participant_id='\"a\\nb\"'",
+                                      "engagement_level=' Low '", "produced_time_s='+1'"])
+    def test_clean_files_take_numpys_path(self, tmp_path, monkeypatch, case):
+        def python_path(*args):
+            raise AssertionError("read by the Python path")
+
+        rng = random.Random(0)
+        mutants = dict(_mutants(list(TRIAL_CSV_COLUMNS), _trial_rows(rng), rng))
+        path = tmp_path / "trials.csv"
+        path.write_bytes(mutants[case.replace("xxxx", "x" * 40)])
+        whole = load_trials(path)
+        monkeypatch.setattr(timeshift.data, "_read_rows", python_path)
+        assert_same_table(load_trials(path), whole)

@@ -274,6 +274,15 @@ class TestFeatureCsv:
         with pytest.raises(FeatureDependencyError):
             load_feature_csv(path)
 
+    def test_first_bad_row_in_file_order(self, tmp_path):
+        # an impossible level pair (line 3) comes before a cell out of range
+        # (line 4) and a cell that does not parse (line 5)
+        path = write_rows(tmp_path / "features.csv", "0.0,0,0,1,1,increase",
+                          "0.0,0,0,2,0,increase", "-150.0,0,0,1,1,increase",
+                          "x,0,0,1,1,increase")
+        with pytest.raises(FeatureDependencyError, match="^line 3: change_in_engagement_level=0"):
+            load_feature_csv(path)
+
     def test_empty_rejected(self, tmp_path):
         path = write_rows(tmp_path / "features.csv")
         with pytest.raises(EmptyFileError):
