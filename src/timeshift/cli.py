@@ -239,6 +239,9 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
+    per_sample_path = args.per_sample or args.output.with_suffix(".per_sample.csv")
+    if per_sample_path.resolve() == args.output.resolve():
+        raise ConfigError(f"--per-sample and --output name one file: {args.output}")
     trials, pairs = _load_pairs(args.input)
     if config.undersample:
         pairs = pairs[balanced_indices(pair_deltas(trials, pairs) < 0, config.seed)]
@@ -253,7 +256,6 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     nxt = pairs[:, 1]
     ids = list(map("{}:{}".format, trials.participant_ids[trials.participant[nxt]],
                    trials.trial_index[nxt].tolist()))
-    per_sample_path = args.per_sample or args.output.with_suffix(".per_sample.csv")
     write_csv(
         per_sample_path,
         ("id", "probability", "direction_pred", "direction_actual", "delta_t",

@@ -9,14 +9,14 @@ the same participant form a *sample pair* whose label is the direction of
 change in produced time. Trials are the rows of a TrialTable, and pairs are
 an (n, 2) array of its (previous, next) row indices.
 
-CSV text moves in bulk. A CSV is read by numpy's C reader (np.loadtxt), a
-block of lines at a time, with each distinct word of a block parsed once. If
-numpy rejects a line or a cell, or warns, or a row breaks an invariant, the
-file is read again from the top by the Python path: csv.reader and a parser
-call per cell, which keeps each row's line number. That path raises every
-error, naming the line and the column. A CSV is written from whole columns,
-each block's distinct numbers formatted once and each text quoted once, byte
-for byte as csv.writer writes.
+CSV text moves in bulk. A CSV is read by numpy's C reader (np.loadtxt) from
+the open file, a block of rows at a time, with each distinct word of a block
+parsed once. If numpy rejects a line or a cell, or a row breaks an invariant,
+the file is read again from the top by the Python path: csv.reader and a
+parser call per cell, which keeps each row's line number. That path raises
+every error, naming the line and the column. A CSV is written from whole
+columns, each block's distinct numbers formatted once and each text quoted
+once, byte for byte as csv.writer writes.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, Field, dataclass, fields
 from functools import lru_cache
-from itertools import islice
-from operator import ge, gt, itemgetter, le
+from operator import ge, gt, le
 from pathlib import Path
 from typing import (
     Callable, Iterable, Iterator, Sequence, TextIO, get_args, get_origin, get_type_hints,
@@ -256,9 +255,9 @@ DIRECTION_WORDS = (Direction.INCREASE.value, Direction.DECREASE.value)
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-# Lines (numpy) or rows (csv) parsed at a time: small enough that a block's
-# cells as Python objects stay a few MB, large enough that each block's
-# numpy call is cheap next to its parse.
+# Rows parsed at a time: small enough that a block's cells as Python objects
+# stay a few MB, large enough that each block's numpy call is cheap next to
+# its parse.
 _READ_BLOCK = 16384
 
 _BOOL_WORDS = {"true": True, "1": True, "false": False, "0": False}
@@ -299,10 +298,11 @@ def _read_columns(path: Path, cells: tuple, check: Callable) -> list:
     trailing cells read as "", and unknown extra columns are ignored with an
     UnknownColumnsWarning (report).
 
-    numpy's C reader parses the rows (_read_text). Where it cannot, or a cell
-    or row is bad, the Python path reads the file again from the top
-    (_read_rows): csv.reader and parse on every cell, with each row's line
-    number, so the error and its line are the ones that path raises.
+    numpy's C reader parses the rows from the open file (_read_text), quoted
+    or not. Where it cannot, or a cell or row is bad, the Python path reads
+    the file again from the top (_read_rows): csv.reader and parse on every
+    cell, with each row's line number, so the error and its line are the
+    ones that path raises.
 
     Raises:
         EmptyFileError: the file has no header or no data rows.
@@ -372,11 +372,11 @@ def _decode(texts: list, parse, dtype, table: dict | None) -> np.ndarray:
 
 def _read_text(fh, cells, check) -> tuple[list, list] | None:
     """
-    The blocks and tables of _read_columns from the lines of fh after the
-    header, each block parsed by np.loadtxt, or None where the Python path
-    must read the file: numpy rejects a line or a cell (or warns, as it does
-    on a block of blank lines), parse rejects a text, or check a row. A
-    quoted cell may span lines, so only the last block may hold a quote.
+    The blocks and tables of _read_columns from the rows of fh after the
+    header, each block read from fh by np.loadtxt, or None where the Python
+    path must read the file: numpy rejects a line or a cell, or warns, parse
+    rejects a text, or check a row. numpy warns on a blank line and on an
+    empty read, which are not faults.
     """
     fields = [(str(k), _NUMBER_FIELDS.get(parse, "O")) for k, (_, _, parse, _) in enumerate(cells)]
     usecols = [j for j, _, _, _ in cells]
@@ -384,12 +384,11 @@ def _read_text(fh, cells, check) -> tuple[list, list] | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            while lines := list(islice(fh, _READ_BLOCK)):
-                if len(lines) == _READ_BLOCK and '"' in "".join(lines):
-                    return None
-                # comments=None: "#" is text, as in an id such as p#1
-                rows = np.loadtxt(lines, fields, comments=None, delimiter=",", quotechar='"',
-                                  usecols=usecols, ndmin=1)
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # comments=None: "#" is text, as in an id such as p#1
+            while len(rows := np.loadtxt(fh, fields, comments=None, delimiter=",", quotechar='"',
+                                         usecols=usecols, ndmin=1, max_rows=_READ_BLOCK)):
                 columns = [
                     rows[name].astype(dtype) if kind != "O"
                     else _decode(rows[name].tolist(), parse, dtype, table)
@@ -404,52 +403,50 @@ def _read_text(fh, cells, check) -> tuple[list, list] | None:
 
 
 def _read_rows(reader, cells, check) -> tuple[list, list]:
-    """The blocks and tables of _read_columns from csv.reader's rows after the header."""
-    blocks, rows, lines, tables = [], [], [], _tables(cells)
-    for row in reader:
-        if row:
-            rows.append(row)
-            lines.append(reader.line_num)
-            if len(rows) == _READ_BLOCK:
-                blocks.append(_parse_block(rows, lines, cells, check, tables))
-                rows, lines = [], []
-    if rows:
-        blocks.append(_parse_block(rows, lines, cells, check, tables))
-    return blocks, tables
-
-
-def _parse_block(rows, lines, cells, check, tables) -> list[np.ndarray]:
-    """A block of rows, parsed a column at a time, then checked."""
-    try:
-        columns = [
-            _decode(list(map(itemgetter(j), rows)), parse, dtype, table)
-            for (j, _, parse, dtype), table in zip(cells, tables)
-        ]
-    except (IndexError, KeyError, ValueError, OverflowError):  # IndexError: a short row
-        return _parse_cells(rows, lines, cells, check, tables)
-    invalid = check(columns)
-    if invalid:
-        row, error, reason = invalid
-        raise error(lines[row], reason)
-    return columns
-
-
-def _parse_cells(rows, lines, cells, check, tables) -> list[np.ndarray]:
     """
-    A block whose column parse failed, cell by cell: short rows get their
-    missing cells, and the first bad cell is raised once the rows before it
-    pass the block parse, so errors come in file order.
+    The blocks and tables of _read_columns from csv.reader's rows after the
+    header, parse called on each cell in turn; a short row reads its missing
+    cells as "". A block is checked as it closes, and the rows of its block
+    ahead of a bad cell are checked before the cell is raised, so the first
+    error in the file is the one raised.
     """
     width = 1 + max(j for j, _, _, _ in cells)
-    for k, row in enumerate(rows):
-        row.extend([""] * (width - len(row)))
-        for j, column, parse, dtype in cells:
+    blocks, tables = [], _tables(cells)
+    values, lines = [[] for _ in cells], []  # the open block's column values and row lines
+
+    def close():
+        # a bad cell's row has values in some columns: count keeps only whole rows
+        columns = [
+            np.fromiter(column, dtype if table is None else np.intp, len(lines))
+            for column, (_, _, _, dtype), table in zip(values, cells, tables)
+        ]
+        invalid = check(columns)
+        if invalid:
+            row, error, reason = invalid
+            raise error(lines[row], reason)
+        blocks.append(columns)
+        for column in values:
+            column.clear()
+        lines.clear()
+
+    for row in reader:
+        if not row:
+            continue
+        row += [""] * (width - len(row))
+        for (j, column, parse, dtype), out, table in zip(cells, values, tables):
             try:
-                dtype(parse(row[j]))
+                value = parse(row[j])
+                out.append(dtype(value) if table is None else table.setdefault(value, len(table)))
             except (KeyError, ValueError, OverflowError):  # KeyError: an unlisted word
-                _parse_block(rows[:k], lines, cells, check, tables)
-                raise MalformedRowError(lines[k], f"{column} is not valid: {row[j]!r}") from None
-    return _parse_block(rows, lines, cells, check, tables)
+                close()
+                reason = f"{column} is not valid: {row[j]!r}"
+                raise MalformedRowError(reader.line_num, reason) from None
+        lines.append(reader.line_num)
+        if len(lines) == _READ_BLOCK:
+            close()
+    if lines:
+        close()
+    return blocks, tables
 
 
 def _first_bad_trial(columns) -> tuple[int, type, str] | None:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 import re
 import tempfile
 import typing
@@ -14,14 +15,14 @@ import pytest
 
 import timeshift.logistic
 from timeshift.cli import RunConfig, main
-from timeshift.data import EngagementLevel
+from timeshift.data import TRIAL_CSV_COLUMNS, EngagementLevel
 from timeshift.evaluation import (
     Thresholds,
     classify_actual_magnitude,
     classify_direction,
     classify_predicted_magnitude,
 )
-from timeshift.features import ScalerStats, identity_scaler
+from timeshift.features import FEATURE_CSV_COLUMNS, ScalerStats, identity_scaler
 from timeshift.logistic import (
     LogisticModel,
     fit,
@@ -31,6 +32,8 @@ from timeshift.logistic import (
     save_model,
 )
 from timeshift.simulator import SimParams
+
+from tests.test_data import _feature_rows as feature_cells, _mutants, _trial_rows as trial_cells
 
 TRIAL_HEADER = (
     "participant_id,trial_index,engagement_level,produced_time_s,"
@@ -611,6 +614,9 @@ STDERR_PATHS = {
     "output_root": ("extract --input {cohort} --output /", 2, ["ConfigError"]),
     "per_sample_dot": ("evaluate --input {cohort} --output {out} --per-sample .", 2,
                        ["ConfigError"]),
+    # the summary would overwrite the per-sample CSV: the two paths are compared resolved
+    "per_sample_is_output": ("evaluate --input {cohort} --output {out} "
+                             "--per-sample {out_dir}/../out.csv", 2, ["ConfigError"]),
 }
 
 
@@ -636,6 +642,42 @@ def test_every_stderr_line_is_one_json_object(tmp_path, capsys, monkeypatch, cas
         names.append(entry[kind])
     assert names == expected
     assert code != 2 or not Path(paths["out"]).exists()
+
+
+def test_mutated_inputs_exit_0_2_or_3(tmp_path, capsys):
+    """
+    Seeded mutants of a trial CSV, each through extract or evaluate, and of
+    a feature CSV, each through train or predict (a seeded pick, to keep the
+    run short): every run exits 0, 2 or 3 (no traceback), every stderr line
+    is one JSON object, and an exit 2 writes one error line and leaves no
+    output behind.
+    """
+    rng = random.Random(19)
+    model = tmp_path / "model.json"
+    save_model(pinned_model(), model)
+    runs = [
+        (name, data, command)
+        for header, rows, commands in [
+            (TRIAL_CSV_COLUMNS, trial_cells(rng),
+             [["extract", "--input"], ["evaluate", "--input"]]),
+            (FEATURE_CSV_COLUMNS, feature_cells(rng),
+             [["train", "--input"], ["predict", "--model", str(model), "--features"]]),
+        ]
+        for name, data in _mutants(list(header), rows, rng)
+        for command in [rng.choice(commands)]
+    ]
+    source = tmp_path / "in.csv"
+    for name, data, command in runs:
+        source.write_bytes(data)
+        code = main([*command, str(source), "--output", str(tmp_path / "out.csv")])
+        lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        outputs = list(tmp_path.glob("out*"))
+        assert code in (0, 2, 3), (name, command[0], code)
+        if code == 2:
+            assert [line.keys() for line in lines] == [{"error", "message"}], (name, command[0])
+            assert outputs == [], (name, command[0])
+        for path in outputs:
+            path.unlink()
 
 
 SIM_TEXT_AND_GATE_5 = '{"sim": {"weber_fraction": "abc", "gate_width_by_engagement": [0.1, 0.9, 5]}}'

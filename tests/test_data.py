@@ -488,6 +488,26 @@ def _assert_same(fast, slow):
         np.testing.assert_array_equal(a, b)
 
 
+def _csv_text(header, rows):
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+# Clean trial files read in blocks of 2 rows: (header, the 24 rows of _trial_rows) -> text
+_IN_BLOCKS_OF_2 = {
+    # every text cell quoted, as R's write.csv writes them
+    "all_text_quoted": lambda header, rows: _csv_text(
+        [f'"{c}"' for c in header],
+        [[f'"{c}"' if j in (0, 2, 4, 5) else c for j, c in enumerate(row)] for row in rows],
+    ),
+    # the second row's id holds a line break, so that row ends on the third line
+    "line_break_across_block_edge": lambda header, rows: _csv_text(
+        header, [['"p\n0"', *row[1:]] if i == 1 else row for i, row in enumerate(rows)]
+    ),
+    "rows_a_multiple_of_the_block": _csv_text,
+    "blank_lines_after_the_last_block": lambda header, rows: _csv_text(header, rows) + "\n\r\n\n",
+}
+
+
 class TestReadPaths:
     """numpy's C reader and the Python path give the same arrays, or the same error."""
 
@@ -499,7 +519,7 @@ class TestReadPaths:
             load, header, rows = load_trials, TRIAL_CSV_COLUMNS, _trial_rows(rng)
         else:
             load, header, rows = load_feature_csv, FEATURE_CSV_COLUMNS, _feature_rows(rng)
-        if block:  # a quote in a block before the last one sends the file to the Python path
+        if block:  # many blocks: quoted line breaks and bad rows fall past the first
             monkeypatch.setattr(timeshift.data, "_READ_BLOCK", block)
         loaded = 0
         for name, data in _mutants(list(header), rows, rng):
@@ -521,15 +541,23 @@ class TestReadPaths:
                                       "long_row", "extra_first_column", "repeated_column",
                                       "participant_id='p#1'", "participant_id='xxxx'",
                                       "participant_id='\"a,b\"'", "participant_id='\"a\\nb\"'",
-                                      "engagement_level=' Low '", "produced_time_s='+1'"])
+                                      "engagement_level=' Low '", "produced_time_s='+1'",
+                                      *_IN_BLOCKS_OF_2])
     def test_clean_files_take_numpys_path(self, tmp_path, monkeypatch, case):
         def python_path(*args):
             raise AssertionError("read by the Python path")
 
         rng = random.Random(0)
-        mutants = dict(_mutants(list(TRIAL_CSV_COLUMNS), _trial_rows(rng), rng))
+        header, rows = list(TRIAL_CSV_COLUMNS), _trial_rows(rng)
+        mutants = dict(_mutants(header, rows, rng))
         path = tmp_path / "trials.csv"
-        path.write_bytes(mutants[case.replace("xxxx", "x" * 40)])
-        whole = load_trials(path)
+        if case in _IN_BLOCKS_OF_2:
+            monkeypatch.setattr(timeshift.data, "_READ_BLOCK", 2)
+            path.write_text(_IN_BLOCKS_OF_2[case](header, rows))
+        else:
+            path.write_bytes(mutants[case.replace("xxxx", "x" * 40)])
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "loadtxt", _no_loadtxt)
+            whole = load_trials(path)
         monkeypatch.setattr(timeshift.data, "_read_rows", python_path)
         assert_same_table(load_trials(path), whole)
