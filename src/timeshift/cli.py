@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +78,8 @@ class RunConfig:
 
     seed: int = field(default=0, metadata={"min": 0})
     target_interval_s: float = field(default=DEFAULT_TARGET_S, metadata={"above": 0})
-    C: float = field(default=PINNED_C, metadata={"above": 0})
+    # a subnormal C would overflow the penalty 1/C
+    C: float = field(default=PINNED_C, metadata={"above": 0, "min": sys.float_info.min})
     thresholds: Thresholds = Thresholds()
     sim: SimParams | None = None
     n_participants: int = field(default=1000, metadata={"in_sim": True})
@@ -391,6 +393,7 @@ def _file_path(text: str) -> Path:
     return path
 
 
+@cache  # built once per process: about 50 add_argument calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="timeshift",

@@ -15,7 +15,9 @@ updates stall above), falling back to steepest descent whenever the Hessian
 solve is unusable. Same inputs give a bit-identical model. There is one
 solver, for a block of problems over one design: fit is the block of one
 problem, with no held-out row, and fit_folds solves every leave-one-out fold
-of the design in blocks. nll_loss and gradient evaluate that same objective.
+of the design in blocks, each fold from a start that its held-out label cannot
+reach, with the blocks split over the CPUs. nll_loss and gradient evaluate
+that same objective.
 
 The module also carries the pinned reference model: intercept 0.016 and weights
 (0.662, -0.191, -0.241, -0.187, 0.177) over the five standardized features.
@@ -76,7 +78,8 @@ class LogisticModel:
     intercept: float
     coefficients: tuple[float, ...]
     scaler: ScalerStats
-    inverse_reg_c: float = field(metadata={"key": "C", "above": 0})  # the model file's key
+    # the model file's key; a subnormal C would overflow the penalty 1/C
+    inverse_reg_c: float = field(metadata={"key": "C", "above": 0, "min": np.finfo(float).tiny})
     converged: bool = True
     n_iter: int = 0
     trained_on: str = ""
@@ -196,7 +199,7 @@ def fit(
     if y_arr.min() == y_arr.max():
         raise SingleClassError("both classes are required to fit")
 
-    theta, n_iter, norm = _whole(Z, y_arr, C).solve()
+    theta, n_iter, norm = _whole(Z, y_arr, C).solve(np.zeros((1, N_FEATURES + 1)))
     return LogisticModel(
         intercept=float(theta[0, 0]),
         coefficients=tuple(theta[0, 1:]),
@@ -214,9 +217,19 @@ def fit(
 # ---------------------------------------------------------------------------
 
 # Element budget of one block of folds: fit_folds solves budget // n folds at
-# a time in four (block, n) work buffers, 96 KB each here. Larger blocks cost
-# fewer numpy calls per fold, but 16384 measured slower on the loocv workload.
-_BLOCK_ELEMENTS = 12288
+# a time in four (block, n) work buffers, 192 KB each here. Larger blocks cost
+# fewer numpy calls per fold, but the Hessian product (block, n) @ (n, 36),
+# _BLOCK_ELEMENTS * 36 = 884,736 multiply-adds at most, must stay below the
+# about 10^6 at which OpenBLAS wakes its helper thread. With numpy 2.4.6 on 2
+# cores, (23, 1188) @ (1188, 36) ran on one thread and (24, 1188) @ (1188, 36)
+# on two, in twice the time of (20, 1188) @ (1188, 36); blocks of 36,864
+# elements made fit_folds on 1,190 folds in two workers take 0.42 s, against
+# 0.07 s with OPENBLAS_NUM_THREADS=1.
+_BLOCK_ELEMENTS = 24576
+# About this many consecutive folds share one group start (see _group_starts).
+_GROUP_FOLDS = 64
+# fit_folds splits its blocks over worker processes from this many blocks on.
+_MIN_SPLIT_BLOCKS = 8
 
 
 def _design(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,11 +238,16 @@ def _design(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A, (A[:, :, None] * A[:, None, :]).reshape(len(Z), -1)
 
 
+def _plain(A, pairs, y, held_out, C, work) -> "_Block":
+    """Problems in Z's own coordinates, no fixed column; problem k drops the rows held_out[k]."""
+    one = (len(held_out), N_FEATURES)
+    return _Block(A, pairs, y, held_out, np.zeros(one), np.ones(one), np.ones(one, dtype=bool),
+                  C, work)
+
+
 def _whole(Z: np.ndarray, y: np.ndarray, C: float) -> "_Block":
     """All of Z as one problem: no held-out row, Z's own coordinates, no fixed column."""
-    one = (1, N_FEATURES)
-    return _Block(*_design(Z), y, np.empty((1, 0), dtype=np.intp), np.zeros(one), np.ones(one),
-                  np.ones(one, dtype=bool), C, np.empty((4, 1, len(y))))
+    return _plain(*_design(Z), y, np.empty((1, 0), dtype=np.intp), C, np.empty((4, 1, len(y))))
 
 
 def fit_folds(
@@ -250,8 +268,12 @@ def fit_folds(
     each Newton step of a block of folds is a few matrix products and one
     batched solve. A coordinate where free[k] is False (a column constant
     within fold k) keeps weight 0. Newton steps are invariant under the
-    change of coordinates, so every fold starts from zero as fit does and
-    tests fit's tolerance on its gradient mapped back to its own coordinates.
+    change of coordinates, so each fold tests fit's tolerance on its gradient
+    mapped back to its own coordinates. A fold starts from a point that its
+    held-out label cannot reach (_group_starts), and the blocks of folds are
+    split over the CPUs this process may use (_in_workers); neither changes
+    which point a fold converges to, and the result is the same bytes for
+    any number of workers.
 
     Returns:
         Each fold's probability for its held-out row, its Newton steps and
@@ -259,21 +281,170 @@ def fit_folds(
     """
     n = len(y)
     A, pairs = _design(Z)
-    probability = np.empty(n)
-    n_iter = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
     size = max(1, _BLOCK_ELEMENTS // n)
     # allocated once: temporaries freed on every objective call would let
     # glibc trim and regrow the heap, a page fault per page each time
     work = np.empty((4, size, n))
-    for start in range(0, n, size):
-        block = slice(start, min(start + size, n))
+    start = _group_starts(A, pairs, y, scale, free, C, work)
+    probability = np.empty(n)
+    n_iter = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+
+    def solve(block: slice) -> None:
         held_out = np.arange(block.start, block.stop)[:, None]
         folds = _Block(A, pairs, y, held_out, shift[block], scale[block], free[block], C, work)
-        theta, n_iter[block], norm = folds.solve()
+        theta, n_iter[block], norm = folds.solve(start[block])
         converged[block] = norm < _TOL
         probability[block] = _sigmoid(np.einsum("ij,ij->i", theta, A[block]))
+
+    blocks = [slice(first, min(first + size, n)) for first in range(0, n, size)]
+    _in_workers(solve, blocks, (probability, n_iter, converged))
     return probability, n_iter, converged
+
+
+def _group_starts(A, pairs, y, scale, free, C, work) -> np.ndarray:
+    """
+    Each fold's Newton start, which its held-out label cannot reach.
+
+    The folds are cut into groups of about _GROUP_FOLDS consecutive folds, a
+    whole number of blocks of work's size. Each group's problem drops every
+    row of the group and uses Z's coordinates and the penalty 1/C; the groups
+    are solved as blocks of problems, from zero. Fold k then takes one Newton
+    step of its own problem from its group's solution: it adds back the
+    group's other rows, summed through a mask that zeroes row k (row k is
+    never subtracted), and its own penalty. So no bit of the start depends on
+    y[k]. A fold with a fixed coordinate, or whose step is not finite or
+    meets a singular Hessian, starts at its group's solution with its fixed
+    coordinates at 0.
+    """
+    n, size = len(y), len(work[0])
+    group = size * max(1, round(_GROUP_FOLDS / size))
+    # each group's rows; the last group's tail repeats its last row
+    members = np.minimum(np.arange(-(-n // group) * group), n - 1).reshape(-1, group)
+    theta = np.empty((len(members), N_FEATURES + 1))
+    grad = np.empty_like(theta)
+    hess = np.empty((len(members), N_FEATURES + 1, N_FEATURES + 1))
+    for first in range(0, len(members), size):
+        part = slice(first, first + size)
+        groups = _plain(A, pairs, y, members[part], C, work)
+        theta[part] = groups.solve(np.zeros_like(theta[part]))[0]
+        _, grad[part], hess[part], _ = groups.objective(theta[part], np.arange(len(theta[part])))
+
+    start = theta[np.arange(n) // group]
+    diagonal = np.arange(1, N_FEATURES + 1)
+    for g, first in enumerate(range(0, n, group)):
+        rows = np.arange(first, min(first + group, n))
+        folds = rows[free[rows].all(axis=1)]
+        logits = A[rows] @ theta[g]
+        e = np.exp(-np.abs(logits))
+        residual = np.where(logits >= 0, 1.0, e) / (1.0 + e) - y[rows]
+        # others[i, j]: fold folds[i] adds back row rows[j]
+        others = folds[:, None] != rows
+        fold_grad = grad[g] + np.where(others, residual, 0.0) @ A[rows]
+        fold_hess = hess[g] + (np.where(others, e / (1.0 + e) ** 2, 0.0) @ pairs[rows]).reshape(
+            -1, N_FEATURES + 1, N_FEATURES + 1)
+        # the fold's own penalty scale^2 / C in place of the group's 1/C
+        extra = (scale[folds] ** 2 - 1.0) / C
+        fold_grad[:, 1:] += extra * theta[g, 1:]
+        fold_hess[:, diagonal, diagonal] += extra
+        try:
+            step = np.linalg.solve(fold_hess, -fold_grad[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # a singular fold Hessian: its group keeps its solution
+            continue
+        finite = np.isfinite(step).all(axis=1)
+        start[folds[finite]] += step[finite]
+    start[:, 1:] = np.where(free, start[:, 1:], 0.0)
+    return start
+
+
+def _in_workers(solve, blocks: list[slice], outputs: tuple[np.ndarray, ...]) -> None:
+    """
+    Call solve(block) for every block, which fills the block's slice of each
+    output array, with the blocks split in order over the CPUs this process
+    may use (from _MIN_SPLIT_BLOCKS blocks on, where os.sched_getaffinity
+    tells them).
+
+    This process solves the first run of blocks. Each other run is solved by
+    a forked child, which writes its slices of the outputs to a pipe and
+    exits; it checks between blocks that this process is alive, so a killed
+    run leaves no worker behind. A child that fails or dies, or a fork that
+    fails, leaves its blocks to this process, which solves the runs in order
+    and so gives the bytes, or raises the error, that one process would.
+    """
+    import os
+    import signal
+    import warnings
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(blocks)) if len(blocks) >= _MIN_SPLIT_BLOCKS else 1
+    edges = [len(blocks) * i // workers for i in range(workers + 1)]
+    runs = [blocks[first:stop] for first, stop in zip(edges, edges[1:])]
+    spans = [slice(run[0].start, run[-1].stop) for run in runs]
+    children = []  # [pid, read end of its pipe, its run]; pid is None once reaped
+    try:
+        for run, span in zip(runs[1:], spans[1:]):
+            read, write = os.pipe()
+            parent = os.getpid()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on fork() in a process with a thread, and
+                # numpy's OpenBLAS starts one at import. OpenBLAS stops its
+                # pool in a pthread_atfork handler before the fork and the
+                # child starts its own, and no other thread runs Python here.
+                warnings.filterwarnings(
+                    "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                    DeprecationWarning,
+                )
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: this process solves the rest
+                    os.close(read)
+                    os.close(write)
+                    break
+            if not pid:  # the child: never returns
+                code = 1
+                try:
+                    os.close(read)
+                    for _, pipe, _ in children:
+                        pipe.close()
+                    for block in run:
+                        if os.getppid() != parent:  # nobody is left to read the result
+                            break
+                        solve(block)
+                    else:
+                        with os.fdopen(write, "wb") as pipe:
+                            for output in outputs:
+                                pipe.write(output[span].tobytes())
+                        code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append([pid, os.fdopen(read, "rb"), run])
+        for block in runs[0]:
+            solve(block)
+        for child, span in zip(children, spans[1:]):
+            pid, pipe, run = child
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            child[0] = None
+            parts = [output[span] for output in outputs]
+            if status or len(data) != sum(part.nbytes for part in parts):
+                for block in run:
+                    solve(block)
+                continue
+            offset = 0
+            for part in parts:
+                part[...] = np.frombuffer(data, part.dtype, len(part), offset)
+                offset += part.nbytes
+        for run in runs[1 + len(children):]:  # left here by a failed fork
+            for block in run:
+                solve(block)
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            if pid is not None:  # still running after an exception here
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 class _Block:
@@ -336,15 +507,15 @@ class _Block:
         norm = np.maximum(np.abs(grad[:, 0]), np.abs(grad_w).max(axis=1))
         return loss, grad, hess, norm
 
-    def solve(self):
+    def solve(self, start: np.ndarray):
         """
-        Damped Newton from zero for every problem of the block at once: a
+        Damped Newton from start for every problem of the block at once: a
         Newton step (steepest descent where it is unusable) with Armijo
         backtracking, until the gradient norm is below _TOL or _MAX_ITER steps.
         Returns the parameters, the steps taken and the final gradient norms.
         """
         folds = np.arange(len(self.held_out))
-        theta = np.zeros((len(folds), N_FEATURES + 1))
+        theta = np.array(start, dtype=float)
         loss, grad, hess, norm = self.objective(theta, folds)
         n_iter = np.zeros(len(folds), dtype=int)
         active = norm >= _TOL

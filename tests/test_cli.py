@@ -477,6 +477,8 @@ MALFORMED_INPUTS = {
     "model_not_utf8": ("model", b'\xff\xfe{"seed":1}', "ConfigError", ["UTF-8"]),
     "model_C_0": ("model", json.dumps({**_MODEL, "C": 0}).encode(), "ConfigError",
                   ["model field C must be > 0"]),
+    "model_C_subnormal": ("model", json.dumps({**_MODEL, "C": 1e-320}).encode(), "ConfigError",
+                          ["model field C must be >= 2.2250738585072014e-308, got 1e-320"]),
     "model_std_0": ("model",
                     json.dumps({**_MODEL, "scaler": {**_MODEL["scaler"], "stds": [1, 1, 0, 1, 1]}})
                     .encode(), "ConfigError", ["model field stds[2] must be > 0"]),
@@ -538,6 +540,10 @@ def _stderr_inputs(tmp_path) -> dict:
     cohort = tmp_path / "cohort.csv"
     config = write_config(tmp_path, sim={"n_participants": 60, "sensitivity_prevalence": 0.4})
     assert main(["simulate", "--config", str(config), "--output", str(cohort)]) == 0
+    # about 560 folds after undersampling: 14 blocks, which evaluate splits
+    # over worker processes
+    cohort_700 = tmp_path / "cohort_700.csv"
+    assert main(["simulate", "--participants", "700", "--output", str(cohort_700)]) == 0
     header, first, *rest = cohort.read_text().splitlines()
     cells = first.split(",")
 
@@ -552,6 +558,7 @@ def _stderr_inputs(tmp_path) -> dict:
         "stopped": json.dumps({**_MODEL, "converged": False, "n_iter": 1}).encode(),
         "misspelt": json.dumps({**_MODEL, "n_iters": 40}).encode(),
         "bad_config": b'{"seed": "abc"}',
+        "subnormal_C": b'{"C": 1e-320}',
         "overflow": _trial_rows("p1,2,low,1e308,false,false,\np1,3,low,30,false,false,"),
         "cohort_1e308": cohort_with("1e308").encode(),
         "cohort_3e304": cohort_with("3e304").encode(),
@@ -562,7 +569,7 @@ def _stderr_inputs(tmp_path) -> dict:
         "trials_header": (TRIAL_HEADER + "\n\n").encode(),
         "features_header": (FEATURE_HEADER + "\n").encode(),
     }
-    paths = {"cohort": cohort, "missing": tmp_path / "missing.csv",
+    paths = {"cohort": cohort, "cohort_700": cohort_700, "missing": tmp_path / "missing.csv",
              "out": tmp_path / "out.csv", "out_dir": tmp_path / "shap"}
     for name, data in texts.items():
         paths[name] = tmp_path / f"{name}.in"
@@ -586,6 +593,13 @@ STDERR_PATHS = {
                              "--output-dir {out_dir}", 0, ["NonConvergenceWarning"]),
     "bad_config": ("train --config {bad_config} --input {features} --output {out}", 2,
                    ["ConfigError"]),
+    # a subnormal C would overflow the penalty 1/C: refused before any fold runs
+    "subnormal_C_config": ("evaluate --config {subnormal_C} --input {cohort} --output {out}", 2,
+                           ["ConfigError"]),
+    "subnormal_C_flag": ("evaluate --C 1e-320 --input {cohort} --output {out}", 2,
+                         ["ConfigError"]),
+    # the folds split over worker processes, and fork() warns nothing
+    "evaluate_in_workers": ("evaluate --input {cohort_700} --output {out}", 0, []),
     "missing_file": ("extract --input {missing} --output {out}", 2, ["OSError"]),
     "model_unknown_key": ("predict --model {misspelt} --features {features} --output {out}", 2,
                           ["ConfigError"]),
@@ -696,6 +710,8 @@ MALFORMED_CONFIGS = {
     "C_0": ("train", None, ["--C", "0"], "C must"),
     "C_negative": ("train", None, ["--C", "-1"], "C must"),
     "C_inf": ("train", None, ["--C", "inf"], "C must"),
+    "C_subnormal": ("train", '{"C": 1e-320}', [],
+                    "^C must be >= 2.2250738585072014e-308, got 1e-320"),
     "target_text": ("train", '{"target_interval_s": "abc"}', [], "target_interval_s"),
     "undersample_text": ("train", '{"undersample": "no"}', [], "undersample"),
     "sim_number": ("train", '{"sim": 5}', [], "sim must be a JSON object"),
