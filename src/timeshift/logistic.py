@@ -16,8 +16,7 @@ solve is unusable. Same inputs give a bit-identical model. There is one
 solver, for a block of problems over one design: fit is the block of one
 problem, with no held-out row, and fit_folds solves every leave-one-out fold
 of the design in blocks, each fold from a start that its held-out label cannot
-reach, with the blocks split over the CPUs. nll_loss and gradient evaluate
-that same objective.
+reach. nll_loss and gradient evaluate that same objective.
 
 The module also carries the pinned reference model: intercept 0.016 and weights
 (0.662, -0.191, -0.241, -0.187, 0.177) over the five standardized features.
@@ -222,14 +221,13 @@ def fit(
 # _BLOCK_ELEMENTS * 36 = 884,736 multiply-adds at most, must stay below the
 # about 10^6 at which OpenBLAS wakes its helper thread. With numpy 2.4.6 on 2
 # cores, (23, 1188) @ (1188, 36) ran on one thread and (24, 1188) @ (1188, 36)
-# on two, in twice the time of (20, 1188) @ (1188, 36); blocks of 36,864
-# elements made fit_folds on 1,190 folds in two workers take 0.42 s, against
-# 0.07 s with OPENBLAS_NUM_THREADS=1.
+# on two, in twice the time of (20, 1188) @ (1188, 36).
 _BLOCK_ELEMENTS = 24576
 # About this many consecutive folds share one group start (see _group_starts).
+# In-process fit_folds on two 1,250-fold loocv cohorts (medians of 15
+# alternating runs) took within 5% of each other for 32 to 256, and 7 to 10%
+# longer for 16; from 32 up a fold took 2.0 to 2.1 Newton steps on average.
 _GROUP_FOLDS = 64
-# fit_folds splits its blocks over worker processes from this many blocks on.
-_MIN_SPLIT_BLOCKS = 8
 
 
 def _design(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,10 +268,8 @@ def fit_folds(
     within fold k) keeps weight 0. Newton steps are invariant under the
     change of coordinates, so each fold tests fit's tolerance on its gradient
     mapped back to its own coordinates. A fold starts from a point that its
-    held-out label cannot reach (_group_starts), and the blocks of folds are
-    split over the CPUs this process may use (_in_workers); neither changes
-    which point a fold converges to, and the result is the same bytes for
-    any number of workers.
+    held-out label cannot reach (_group_starts), which does not change the
+    point the fold converges to.
 
     Returns:
         Each fold's probability for its held-out row, its Newton steps and
@@ -289,16 +285,13 @@ def fit_folds(
     probability = np.empty(n)
     n_iter = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
-
-    def solve(block: slice) -> None:
+    for first in range(0, n, size):
+        block = slice(first, min(first + size, n))
         held_out = np.arange(block.start, block.stop)[:, None]
         folds = _Block(A, pairs, y, held_out, shift[block], scale[block], free[block], C, work)
         theta, n_iter[block], norm = folds.solve(start[block])
         converged[block] = norm < _TOL
         probability[block] = _sigmoid(np.einsum("ij,ij->i", theta, A[block]))
-
-    blocks = [slice(first, min(first + size, n)) for first in range(0, n, size)]
-    _in_workers(solve, blocks, (probability, n_iter, converged))
     return probability, n_iter, converged
 
 
@@ -355,96 +348,6 @@ def _group_starts(A, pairs, y, scale, free, C, work) -> np.ndarray:
         start[folds[finite]] += step[finite]
     start[:, 1:] = np.where(free, start[:, 1:], 0.0)
     return start
-
-
-def _in_workers(solve, blocks: list[slice], outputs: tuple[np.ndarray, ...]) -> None:
-    """
-    Call solve(block) for every block, which fills the block's slice of each
-    output array, with the blocks split in order over the CPUs this process
-    may use (from _MIN_SPLIT_BLOCKS blocks on, where os.sched_getaffinity
-    tells them).
-
-    This process solves the first run of blocks. Each other run is solved by
-    a forked child, which writes its slices of the outputs to a pipe and
-    exits; it checks between blocks that this process is alive, so a killed
-    run leaves no worker behind. A child that fails or dies, or a fork that
-    fails, leaves its blocks to this process, which solves the runs in order
-    and so gives the bytes, or raises the error, that one process would.
-    """
-    import os
-    import signal
-    import warnings
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(blocks)) if len(blocks) >= _MIN_SPLIT_BLOCKS else 1
-    edges = [len(blocks) * i // workers for i in range(workers + 1)]
-    runs = [blocks[first:stop] for first, stop in zip(edges, edges[1:])]
-    spans = [slice(run[0].start, run[-1].stop) for run in runs]
-    children = []  # [pid, read end of its pipe, its run]; pid is None once reaped
-    try:
-        for run, span in zip(runs[1:], spans[1:]):
-            read, write = os.pipe()
-            parent = os.getpid()
-            with warnings.catch_warnings():
-                # Python 3.12+ warns on fork() in a process with a thread, and
-                # numpy's OpenBLAS starts one at import. OpenBLAS stops its
-                # pool in a pthread_atfork handler before the fork and the
-                # child starts its own, and no other thread runs Python here.
-                warnings.filterwarnings(
-                    "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
-                    DeprecationWarning,
-                )
-                try:
-                    pid = os.fork()
-                except OSError:  # no process to spare: this process solves the rest
-                    os.close(read)
-                    os.close(write)
-                    break
-            if not pid:  # the child: never returns
-                code = 1
-                try:
-                    os.close(read)
-                    for _, pipe, _ in children:
-                        pipe.close()
-                    for block in run:
-                        if os.getppid() != parent:  # nobody is left to read the result
-                            break
-                        solve(block)
-                    else:
-                        with os.fdopen(write, "wb") as pipe:
-                            for output in outputs:
-                                pipe.write(output[span].tobytes())
-                        code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
-            children.append([pid, os.fdopen(read, "rb"), run])
-        for block in runs[0]:
-            solve(block)
-        for child, span in zip(children, spans[1:]):
-            pid, pipe, run = child
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            child[0] = None
-            parts = [output[span] for output in outputs]
-            if status or len(data) != sum(part.nbytes for part in parts):
-                for block in run:
-                    solve(block)
-                continue
-            offset = 0
-            for part in parts:
-                part[...] = np.frombuffer(data, part.dtype, len(part), offset)
-                offset += part.nbytes
-        for run in runs[1 + len(children):]:  # left here by a failed fork
-            for block in run:
-                solve(block)
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            if pid is not None:  # still running after an exception here
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 class _Block:

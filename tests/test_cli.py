@@ -540,10 +540,6 @@ def _stderr_inputs(tmp_path) -> dict:
     cohort = tmp_path / "cohort.csv"
     config = write_config(tmp_path, sim={"n_participants": 60, "sensitivity_prevalence": 0.4})
     assert main(["simulate", "--config", str(config), "--output", str(cohort)]) == 0
-    # about 560 folds after undersampling: 14 blocks, which evaluate splits
-    # over worker processes
-    cohort_700 = tmp_path / "cohort_700.csv"
-    assert main(["simulate", "--participants", "700", "--output", str(cohort_700)]) == 0
     header, first, *rest = cohort.read_text().splitlines()
     cells = first.split(",")
 
@@ -569,7 +565,7 @@ def _stderr_inputs(tmp_path) -> dict:
         "trials_header": (TRIAL_HEADER + "\n\n").encode(),
         "features_header": (FEATURE_HEADER + "\n").encode(),
     }
-    paths = {"cohort": cohort, "cohort_700": cohort_700, "missing": tmp_path / "missing.csv",
+    paths = {"cohort": cohort, "missing": tmp_path / "missing.csv",
              "out": tmp_path / "out.csv", "out_dir": tmp_path / "shap"}
     for name, data in texts.items():
         paths[name] = tmp_path / f"{name}.in"
@@ -598,8 +594,6 @@ STDERR_PATHS = {
                            ["ConfigError"]),
     "subnormal_C_flag": ("evaluate --C 1e-320 --input {cohort} --output {out}", 2,
                          ["ConfigError"]),
-    # the folds split over worker processes, and fork() warns nothing
-    "evaluate_in_workers": ("evaluate --input {cohort_700} --output {out}", 0, []),
     "missing_file": ("extract --input {missing} --output {out}", 2, ["OSError"]),
     "model_unknown_key": ("predict --model {misspelt} --features {features} --output {out}", 2,
                           ["ConfigError"]),

@@ -1,6 +1,4 @@
 import dataclasses
-import os
-import signal
 
 import numpy as np
 import pytest
@@ -396,18 +394,6 @@ class TestLoocv:
         assert 0.3 <= result.metrics.accuracy <= 0.7
 
 
-# the CPUs this process may use, read before any test narrows them (fit_folds
-# stays in one process where os.sched_getaffinity is missing)
-CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-
-
-def use_cpus(monkeypatch, count):
-    """Let fit_folds see count CPUs, never more than this process may use."""
-    if len(CPUS) < count:
-        pytest.skip(f"needs {count} CPUs")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(CPUS[:count]), raising=False)
-
-
 def fold_layout(n):
     """fit_folds' block size, group size and block count for n folds."""
     size = timeshift.logistic._BLOCK_ELEMENTS // n
@@ -415,11 +401,8 @@ def fold_layout(n):
     return size, group, -(-n // size)
 
 
-def split_cohort():
-    """
-    610 folds: 16 blocks with a short last one, which two workers split after
-    block 8, and 8 groups with a short last one.
-    """
+def grouped_cohort():
+    """610 folds: 16 blocks with a short last one, and 8 groups with a short last one."""
     X, y = features_and_labels(simulated(SimParams(rng_seed=4, sensitivity_prevalence=0.3), 610))
     size, group, blocks = fold_layout(len(y))
     assert blocks >= 8 and len(y) % size and len(y) // group >= 3 and len(y) % group
@@ -432,23 +415,16 @@ def folds_of(X, y):
     return fit_folds(Z, y.astype(float), shift, scale, free, 12.06)
 
 
-class TestFoldWorkers:
-    def test_worker_counts_give_the_same_bytes(self, monkeypatch):
-        X, y = split_cohort()
-        results = []
-        for count in (1, 2):
-            use_cpus(monkeypatch, count)
-            results.append([array.tobytes() for array in folds_of(X, y)])
-        assert results[0] == results[1]
-
-    def test_held_out_label_cannot_leak_across_groups_and_workers(self):
-        X, y = split_cohort()
-        size, group, blocks = fold_layout(len(y))
-        split = size * (blocks // 2)  # the first fold of the second worker
+class TestGroupStarts:
+    def test_held_out_label_cannot_leak_across_groups_and_blocks(self):
+        X, y = grouped_cohort()
+        size, group, _ = fold_layout(len(y))
+        edge = group * 3 + size  # the first fold of a group's second block
+        assert edge < group * 4
         baseline = folds_of(X, y)[0]
-        # a group's first, middle and last fold, each side of the worker
-        # split, and the last fold of the short last group
-        targets = (group * 3, group * 3 + group // 2, group * 4 - 1, split - 1, split, len(y) - 1)
+        # a group's first and last fold, each side of a block edge within the
+        # group, and the last fold of the short last group
+        targets = (group * 3, edge - 1, edge, group * 4 - 1, len(y) - 1)
         for target in targets:
             flip = y.copy()
             flip[target] = not y[target]
@@ -472,48 +448,6 @@ class TestFoldWorkers:
         np.testing.assert_allclose(
             result.probabilities, per_fold_reference(cohort, C=12.06), rtol=0, atol=1e-9
         )
-
-    @pytest.mark.parametrize("failure", ["raise", "kill", "fork"])
-    def test_failed_worker_leaves_its_blocks_to_this_process(self, monkeypatch, tmp_path,
-                                                             failure):
-        X, y = split_cohort()
-        use_cpus(monkeypatch, 1)
-        serial = [array.tobytes() for array in folds_of(X, y)]
-        use_cpus(monkeypatch, 2)
-        here, solve = os.getpid(), timeshift.logistic._Block.solve
-
-        def failing(block, start):
-            if os.getpid() != here:
-                (tmp_path / str(os.getpid())).touch()
-                if failure == "kill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise RuntimeError("worker failed")
-            return solve(block, start)
-
-        def no_fork():
-            raise BlockingIOError("fork: no process to spare")
-
-        monkeypatch.setattr(timeshift.logistic._Block, "solve", failing)
-        if failure == "fork":
-            monkeypatch.setattr(os, "fork", no_fork)
-        assert [array.tobytes() for array in folds_of(X, y)] == serial
-        # a worker started and failed, or none started
-        assert len(list(tmp_path.iterdir())) == (failure != "fork")
-
-    def test_worker_error_is_raised_here(self, monkeypatch):
-        X, y = split_cohort()
-        solve = timeshift.logistic._Block.solve
-
-        def failing(block, start):  # fails on the last block of folds, in any process
-            if block.held_out.shape[1] == 1 and block.held_out[-1, 0] == len(y) - 1:
-                raise FloatingPointError("last block failed")
-            return solve(block, start)
-
-        monkeypatch.setattr(timeshift.logistic._Block, "solve", failing)
-        for count in (1, 2):
-            use_cpus(monkeypatch, count)
-            with pytest.raises(FloatingPointError, match="last block failed"):
-                folds_of(X, y)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: _fold_scalers downdates sum(Z^2), "
                        "so a fold's variance cancels to rounding when its row dominates a column")
