@@ -39,7 +39,7 @@ from .data import (
     write_csv,
     write_trials_csv,
 )
-from .errors import ConfigError, TimeshiftError, TooFewSamplesError
+from .errors import ConfigError, NonFiniteFeatureError, TimeshiftError, TooFewSamplesError
 from .evaluation import (
     MAGNITUDE_WORDS,
     Thresholds,
@@ -178,11 +178,30 @@ def _reported(model: LogisticModel) -> LogisticModel:
     return model
 
 
+def _standardized(args: argparse.Namespace) -> tuple[LogisticModel, np.ndarray, np.ndarray,
+                                                     np.ndarray]:
+    """
+    The --model model, the --features matrix X and labels, and X z-scored by
+    the model's scaler; NonFiniteFeatureError names the first row whose
+    z-scores, attributions or logit are not finite, before anything is written.
+    """
+    model = _reported(load_model(args.model))
+    X, decrease = load_feature_csv(args.features)
+    w = np.asarray(model.coefficients)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, naming the row
+        Z = transform(X, model.scaler)
+        finite = np.isfinite(Z * w).all(axis=1) & np.isfinite(model.intercept + Z @ w)
+    if not finite.all():
+        raise NonFiniteFeatureError(f"row {np.argmin(finite)} of {args.features.name}: a z-score, "
+                                    "an attribution or the logit overflows under the model")
+    return model, X, decrease, Z
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict | None]:
     trials = generate_trials(
         config.sim,
         n_participants=config.n_participants,
@@ -194,53 +213,35 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     sessions = trials.produced_s.reshape(config.n_participants, config.n_trials)
     changes = np.diff(sessions, axis=1)
     decrease = int(np.count_nonzero(changes < 0))
-    _write_json(
-        args.output.with_suffix(".manifest.json"),
-        _manifest(
-            config,
-            params=dataclasses.asdict(config.sim),
-            n_participants=config.n_participants,
-            n_trials=config.n_trials,
-            class_balance={"increase": changes.size - decrease, "decrease": decrease},
-        ),
-    )
-    return 0
+    return 0, {
+        "params": dataclasses.asdict(config.sim),
+        "n_participants": config.n_participants,
+        "n_trials": config.n_trials,
+        "class_balance": {"increase": changes.size - decrease, "decrease": decrease},
+    }
 
 
-def cmd_extract(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_extract(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict | None]:
     trials, pairs = _load_pairs(args.input)
     X = build_features(trials, pairs, config.target_interval_s)
     write_feature_csv(X, pair_deltas(trials, pairs) < 0, args.output)
-    _write_json(
-        args.output.with_suffix(".manifest.json"),
-        _manifest(config, n_samples=len(X), source=args.input.name),
-    )
-    return 0
+    return 0, {"n_samples": len(X), "source": args.input.name}
 
 
-def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_train(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict | None]:
     X, y = load_feature_csv(args.input)
     if config.undersample:
         rows = balanced_indices(y, config.seed)
         X, y = X[rows], y[rows]
     scaler = fit_scaler(X)
-    model = _reported(fit(
-        transform(X, scaler),
-        y,
-        C=config.C,
-        scaler=scaler,
-        trained_on=f"{args.input.name}@{config.config_hash()}",
-        seed=config.seed,
-    ))
+    trained_on = f"{args.input.name}@{config.config_hash()}"
+    model = _reported(fit(transform(X, scaler), y, C=config.C, scaler=scaler,
+                          trained_on=trained_on, seed=config.seed))
     save_model(model, args.output)
-    _write_json(
-        args.output.with_suffix(".manifest.json"),
-        _manifest(config, n_samples=len(y), converged=model.converged),
-    )
-    return 0 if model.converged else 3
+    return 0 if model.converged else 3, {"n_samples": len(y), "converged": model.converged}
 
 
-def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict | None]:
     per_sample_path = args.per_sample or args.output.with_suffix(".per_sample.csv")
     if per_sample_path.resolve() == args.output.resolve():
         raise ConfigError(f"--per-sample and --output name one file: {args.output}")
@@ -250,9 +251,8 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     deltas = pair_deltas(trials, pairs)
     X = build_features(trials, pairs, config.target_interval_s)
     result = loocv(X, deltas < 0, C=config.C)
-    magnitude_counts, five_cells = magnitude_confusion(
-        result.probabilities, deltas, config.thresholds
-    )
+    magnitude_counts, five_cells = magnitude_confusion(result.probabilities, deltas,
+                                                       config.thresholds)
 
     # a sample's id is "<participant id>:<trial index of its next trial>"
     nxt = pairs[:, 1]
@@ -281,9 +281,8 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
         "accuracy": result.metrics.accuracy,
         "confusion": [list(row) for row in result.metrics.confusion],
         "magnitude_confusion": [list(row) for row in magnitude_counts],
-        "seed": config.seed,
+        **_manifest(config),
         "C": config.C,
-        "config_hash": config.config_hash(),
         "thresholds": dataclasses.asdict(config.thresholds),
         "undersampled": config.undersample,
         "five_cells": {
@@ -291,12 +290,8 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
             for name, (count, share) in five_cells.items()
         },
         "baselines": [
-            {
-                "model_name": name,
-                "precision": row.precision,
-                "recall": row.recall,
-                "accuracy": row.accuracy,
-            }
+            {"model_name": name, "precision": row.precision, "recall": row.recall,
+             "accuracy": row.accuracy}
             for name, row in baseline_rows(trials, pairs)
         ],
         "nonconverged_folds": result.nonconverged,
@@ -308,14 +303,12 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     if result.nonconverged:
         message = f"{result.nonconverged} of {len(pairs)} LOOCV folds stopped without converging"
         report({"warning": "NonConvergenceWarning", "message": message})
-        return 3
-    return 0
+    return 3 if result.nonconverged else 0, None
 
 
-def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
-    model = _reported(load_model(args.model))
-    X, decrease = load_feature_csv(args.features)
-    probabilities = predict_proba(model, transform(X, model.scaler))
+def cmd_predict(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict | None]:
+    model, X, decrease, Z = _standardized(args)
+    probabilities = predict_proba(model, Z)
     write_csv(
         args.output,
         ("row", "probability", "direction_pred", "direction_actual", "magnitude_pred"),
@@ -327,41 +320,29 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
             (MAGNITUDE_WORDS, predicted_bands(probabilities, config.thresholds)),
         ),
     )
-    _write_json(
-        args.output.with_suffix(".manifest.json"),
-        _manifest(config, n_samples=len(X)),
-    )
-    return 0
+    return 0, {"n_samples": len(X)}
 
 
-def cmd_explain(config: RunConfig, args: argparse.Namespace) -> int:
-    row = args.row
-    model = _reported(load_model(args.model))
-    X, _ = load_feature_csv(args.features)
-    if not 0 <= row < len(X):
-        raise ConfigError(f"--row {row} out of range for {len(X)} samples")
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    Z = transform(X, model.scaler)
+def cmd_explain(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict | None]:
+    model, X, _, Z = _standardized(args)
+    if not 0 <= args.row < len(X):
+        raise ConfigError(f"--row {args.row} out of range for {len(X)} samples")
     _, phi, _ = shap_matrix(model, Z)
-
+    features = aggregate_shap(phi)  # before any write: it checks every mean and spread
+    args.output_dir.mkdir(parents=True, exist_ok=True)
     write_scatter_csv(phi, X, Z, args.output_dir / "shap_scatter.csv")
-    _write_json(
-        args.output_dir / "shap_aggregate.json",
-        _manifest(
-            config,
-            background="training_mean (all-zero standardized background)",
-            features=aggregate_shap(phi),
-        ),
-    )
+    background = "training_mean (all-zero standardized background)"
+    _write_json(args.output_dir / "shap_aggregate.json",
+                _manifest(config, background=background, features=features))
     _write_json(
         args.output_dir / "shap_waterfall.json",
         # a one-row call keeps the waterfall logit bit-identical to w @ z
         {
-            **waterfall_payload(*shap_matrix(model, Z[row:row + 1]), X[row]),
-            **_manifest(config, row=row),
+            **waterfall_payload(*shap_matrix(model, Z[args.row:args.row + 1]), X[args.row]),
+            **_manifest(config, row=args.row),
         },
     )
-    return 0
+    return 0, None
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +374,46 @@ def _file_path(text: str) -> Path:
     return path
 
 
+# A flag is (option string, add_argument keywords); a config key's flag reads
+# None unless given, so the config file's value holds. _COMMON comes first.
+_COMMON = (
+    ("--config", {"help": "JSON config file; flags override its values"}),
+    ("--seed", {"type": int}),
+    ("--target", {"dest": "target_interval_s", "type": float, "help": "target interval, s"}),
+    ("--C", {"type": float, "help": "inverse regularization"}),
+)
+_INPUT = ("--input", {"type": Path, "required": True})
+_OUTPUT = ("--output", {"type": _file_path, "required": True})
+_MODEL = ("--model", {"type": Path, "required": True})
+_FEATURES = ("--features", {"type": Path, "required": True})
+_NO_UNDERSAMPLE = ("--no-undersample",
+                   {"dest": "undersample", "action": "store_false", "default": None})
+
+# Each command: its function, its help line and its own flags. The function
+# takes the resolved configuration and the parsed flags and returns its exit
+# code and its manifest's counts, or None if it writes no manifest.
+_COMMANDS = {
+    "simulate": (cmd_simulate, "generate synthetic trials CSV", (
+        _OUTPUT,
+        ("--participants", {"dest": "n_participants", "type": int}),
+        ("--trials", {"dest": "n_trials", "type": int}),
+    )),
+    "extract": (cmd_extract, "derive the feature matrix from trials", (_INPUT, _OUTPUT)),
+    "train": (cmd_train, "fit the logistic model on a feature CSV",
+              (_INPUT, _OUTPUT, _NO_UNDERSAMPLE)),
+    "evaluate": (cmd_evaluate, "LOOCV report with baselines and magnitude",
+                 (_INPUT, _OUTPUT, ("--per-sample", {"type": _file_path}), _NO_UNDERSAMPLE)),
+    "predict": (cmd_predict, "per-sample outcomes for a feature CSV",
+                (_MODEL, _FEATURES, _OUTPUT)),
+    "explain": (cmd_explain, "SHAP exports for a feature CSV", (
+        _MODEL,
+        _FEATURES,
+        ("--output-dir", {"type": Path, "default": Path(".")}),
+        ("--row", {"type": int, "default": 0, "help": "sample to export as waterfall"}),
+    )),
+}
+
+
 @cache  # built once per process: about 50 add_argument calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -401,69 +422,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=_version_text())
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--target", dest="target_interval_s", type=float, help="target interval, s")
-        p.add_argument("--C", type=float, default=None, help="inverse regularization")
-
-    p = sub.add_parser("simulate", help="generate synthetic trials CSV")
-    add_common(p)
-    p.add_argument("--output", type=_file_path, required=True)
-    p.add_argument("--participants", dest="n_participants", type=int)
-    p.add_argument("--trials", dest="n_trials", type=int)
-
-    p = sub.add_parser("extract", help="derive the feature matrix from trials")
-    add_common(p)
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--output", type=_file_path, required=True)
-
-    p = sub.add_parser("train", help="fit the logistic model on a feature CSV")
-    add_common(p)
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--output", type=_file_path, required=True)
-    p.add_argument("--no-undersample", dest="undersample", action="store_false", default=None)
-
-    p = sub.add_parser("evaluate", help="LOOCV report with baselines and magnitude")
-    add_common(p)
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--output", type=_file_path, required=True)
-    p.add_argument("--per-sample", dest="per_sample", type=_file_path)
-    p.add_argument("--no-undersample", dest="undersample", action="store_false", default=None)
-
-    p = sub.add_parser("predict", help="per-sample outcomes for a feature CSV")
-    add_common(p)
-    p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--features", type=Path, required=True)
-    p.add_argument("--output", type=_file_path, required=True)
-
-    p = sub.add_parser("explain", help="SHAP exports for a feature CSV")
-    add_common(p)
-    p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--features", type=Path, required=True)
-    p.add_argument("--output-dir", dest="output_dir", type=Path, default=Path("."))
-    p.add_argument("--row", type=int, default=0, help="sample to export as waterfall")
-
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for option, keywords in _COMMON + flags:
+            p.add_argument(option, **keywords)
     return parser
-
-
-# Each command takes the resolved configuration and the parsed flags.
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "extract": cmd_extract,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "predict": cmd_predict,
-    "explain": cmd_explain,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _load_config(args)
-        return _COMMANDS[args.command](config, args)
+        code, counts = _COMMANDS[args.command][0](config, args)
+        if counts is not None:  # the sidecar manifest, named after the output file's stem
+            _write_json(args.output.with_suffix(".manifest.json"), _manifest(config, **counts))
+        return code
     except TimeshiftError as exc:
         report({"error": type(exc).__name__, "message": str(exc)})
         return 2

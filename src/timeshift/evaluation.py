@@ -186,8 +186,9 @@ def loocv(X: np.ndarray, y, C: float = PINNED_C) -> LoocvResult:
 
     Each sample is predicted by a scaler and model fitted on the other n-1
     samples only, so the held-out sample never leaks into standardization or
-    training. All folds are solved together by fit_folds, each from zero to
-    fit's gradient tolerance in its own coordinates. A column constant within
+    training. All folds are solved together by fit_folds, each from its
+    group's start (which its held-out label cannot reach) to fit's gradient
+    tolerance in its own coordinates. A column constant within
     a fold keeps weight 0 in that fold's model instead of failing the run. A
     fold that does not converge is still used and counted in nonconverged.
 

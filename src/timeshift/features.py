@@ -60,7 +60,10 @@ class ScalerStats:
     """Per-feature mean and population standard deviation used for z-scoring."""
 
     means: tuple[float, ...]
-    std_devs: tuple[float, ...] = field(metadata={"key": "stds", "above": 0})  # the file's key
+    # the file's key; a subnormal std would overflow the z-scores
+    std_devs: tuple[float, ...] = field(
+        metadata={"key": "stds", "above": 0, "min": np.finfo(float).tiny}
+    )
 
     def __post_init__(self):
         check_fields(self, prefix="model field ")

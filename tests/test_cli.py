@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import timeshift.logistic
-from timeshift.cli import RunConfig, main
+from timeshift.cli import RunConfig, build_parser, main
 from timeshift.data import TRIAL_CSV_COLUMNS, EngagementLevel
 from timeshift.evaluation import (
     Thresholds,
@@ -24,6 +25,7 @@ from timeshift.evaluation import (
 )
 from timeshift.features import FEATURE_CSV_COLUMNS, ScalerStats, identity_scaler
 from timeshift.logistic import (
+    PINNED_COEFFICIENTS,
     LogisticModel,
     fit,
     load_model,
@@ -420,6 +422,13 @@ def _saved_pinned_model() -> dict:
 
 _MODEL = _saved_pinned_model()
 
+
+def _model_with(**fields) -> bytes:
+    """The pinned model file with fields of the model or of its scaler replaced."""
+    scaler = {key: fields.pop(key) for key in ("means", "stds") if key in fields}
+    return json.dumps({**_MODEL, **fields, "scaler": {**_MODEL["scaler"], **scaler}}).encode()
+
+
 # (input kind, file bytes, error name, fragments of the message)
 MALFORMED_INPUTS = {
     "rel_error_text": ("features", _feature_rows("abc,0,0,1,1,increase"),
@@ -482,6 +491,8 @@ MALFORMED_INPUTS = {
     "model_std_0": ("model",
                     json.dumps({**_MODEL, "scaler": {**_MODEL["scaler"], "stds": [1, 1, 0, 1, 1]}})
                     .encode(), "ConfigError", ["model field stds[2] must be > 0"]),
+    "model_std_subnormal": ("model", _model_with(stds=[1e-320, 1, 1, 1, 1]), "ConfigError", [
+        "model field stds[0] must be >= 2.2250738585072014e-308, got 1e-320"]),
 }
 
 
@@ -564,6 +575,11 @@ def _stderr_inputs(tmp_path) -> dict:
         # on, and the CLI must not)
         "trials_header": (TRIAL_HEADER + "\n\n").encode(),
         "features_header": (FEATURE_HEADER + "\n").encode(),
+        # models under which a z-score, a logit or an attribution spread overflows
+        "coef_1e308": _model_with(coefficients=[1e308, -1e308, 1e308, -1e308, 1e308]),
+        "coef_1e200": _model_with(coefficients=[1e200, *PINNED_COEFFICIENTS[1:]]),
+        "std_subnormal": _model_with(stds=[1e-320, 1, 1, 1, 1]),
+        "mean_1e308": _model_with(means=[0, 1e308, 0, 0, 0]),
     }
     paths = {"cohort": cohort, "missing": tmp_path / "missing.csv",
              "out": tmp_path / "out.csv", "out_dir": tmp_path / "shap"}
@@ -625,6 +641,18 @@ STDERR_PATHS = {
     # the summary would overwrite the per-sample CSV: the two paths are compared resolved
     "per_sample_is_output": ("evaluate --input {cohort} --output {out} "
                              "--per-sample {out_dir}/../out.csv", 2, ["ConfigError"]),
+    # finite in, finite out: a model under which a z-score, a logit or an
+    # attribution's spread overflows exits 2 before anything is written
+    "overflow_logit_predict": ("predict --model {coef_1e308} --features {features} "
+                               "--output {out}", 2, ["NonFiniteFeatureError"]),
+    "overflow_logit_explain": ("explain --model {coef_1e308} --features {features} "
+                               "--output-dir {out_dir}", 2, ["NonFiniteFeatureError"]),
+    "overflow_spread_explain": ("explain --model {coef_1e200} --features {features} "
+                                "--output-dir {out_dir}", 2, ["NonFiniteFeatureError"]),
+    "subnormal_std_predict": ("predict --model {std_subnormal} --features {features} "
+                              "--output {out}", 2, ["ConfigError"]),
+    "overflow_z_explain": ("explain --model {mean_1e308} --features {features} "
+                           "--output-dir {out_dir}", 2, ["NonFiniteFeatureError"]),
 }
 
 
@@ -649,7 +677,7 @@ def test_every_stderr_line_is_one_json_object(tmp_path, capsys, monkeypatch, cas
         assert kind == ("error" if code == 2 else "warning")
         names.append(entry[kind])
     assert names == expected
-    assert code != 2 or not Path(paths["out"]).exists()
+    assert code != 2 or not any(Path(paths[name]).exists() for name in ("out", "out_dir"))
 
 
 def test_mutated_inputs_exit_0_2_or_3(tmp_path, capsys):
@@ -1057,3 +1085,74 @@ class TestMisc:
     def test_missing_output_flag_exits_2(self, capsys):
         assert main(["simulate"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+# Each command's options after -h, as (option strings, dest, default, required,
+# nargs); nargs 0 is a flag that takes no value.
+COMMON_OPTIONS = [
+    (["--config"], "config", None, False, None),
+    (["--seed"], "seed", None, False, None),
+    (["--target"], "target_interval_s", None, False, None),
+    (["--C"], "C", None, False, None),
+]
+INPUT, OUTPUT = (["--input"], "input", None, True, None), (["--output"], "output", None, True, None)
+MODEL_AND_FEATURES = [(["--model"], "model", None, True, None),
+                      (["--features"], "features", None, True, None)]
+NO_UNDERSAMPLE = (["--no-undersample"], "undersample", None, False, 0)
+COMMAND_OPTIONS = {
+    "simulate": [OUTPUT, (["--participants"], "n_participants", None, False, None),
+                 (["--trials"], "n_trials", None, False, None)],
+    "extract": [INPUT, OUTPUT],
+    "train": [INPUT, OUTPUT, NO_UNDERSAMPLE],
+    "evaluate": [INPUT, OUTPUT, (["--per-sample"], "per_sample", None, False, None),
+                 NO_UNDERSAMPLE],
+    "predict": [*MODEL_AND_FEATURES, OUTPUT],
+    "explain": [*MODEL_AND_FEATURES, (["--output-dir"], "output_dir", Path("."), False, None),
+                (["--row"], "row", 0, False, None)],
+}
+
+
+class TestCommandTable:
+    def test_every_command_keeps_its_options(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert "{simulate,extract,train,evaluate,predict,explain}" in capsys.readouterr().out
+        (commands,) = [action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert list(commands) == list(COMMAND_OPTIONS)
+        for name, parser in commands.items():
+            options = [(a.option_strings, a.dest, a.default, a.required, a.nargs)
+                       for a in parser._actions[1:]]
+            assert options == COMMON_OPTIONS + COMMAND_OPTIONS[name], name
+
+    def test_manifest_keys_and_none_on_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, sim={"n_participants": 60, "sensitivity_prevalence": 0.4})
+        common = ["--config", str(config)]
+        trials, features = tmp_path / "trials.csv", tmp_path / "features.csv"
+        model, outcomes = tmp_path / "model.json", tmp_path / "outcomes.csv"
+        modelled = ["--model", str(model), "--features", str(features)]
+        for argv in (["simulate", "--output", str(trials)],
+                     ["extract", "--input", str(trials), "--output", str(features)],
+                     ["train", "--input", str(features), "--output", str(model)],
+                     ["evaluate", "--input", str(trials), "--output", str(tmp_path / "r.json")],
+                     ["predict", *modelled, "--output", str(outcomes)],
+                     ["explain", *modelled, "--output-dir", str(tmp_path / "shap")]):
+            assert main([*argv, *common]) == 0, argv[0]
+        keys = {path.name: sorted(json.loads(path.read_text()))
+                for path in tmp_path.glob("*.manifest.json")}
+        assert keys == {
+            "trials.manifest.json": ["class_balance", "config_hash", "n_participants",
+                                     "n_trials", "params", "seed"],
+            "features.manifest.json": ["config_hash", "n_samples", "seed", "source"],
+            "model.manifest.json": ["config_hash", "converged", "n_samples", "seed"],
+            "outcomes.manifest.json": ["config_hash", "n_samples", "seed"],
+        }
+        # a run that exits 2 after its command starts writes no manifest
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(_model_with(coefficients=[1e308, -1e308, 1e308, -1e308, 1e308]))
+        argv = ["predict", "--model", str(bad), "--features", str(features)]
+        capsys.readouterr()
+        assert main([*argv, "--output", str(tmp_path / "late.csv")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteFeatureError"
+        assert not list(tmp_path.glob("late*"))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from timeshift.errors import NonFiniteFeatureError
 from timeshift.explain import (
     aggregate_shap,
     shap_matrix,
@@ -157,6 +158,15 @@ class TestAggregateShap:
         phi = self._phi(n=5)
         with pytest.raises(ValueError):
             aggregate_shap(phi[np.zeros(5, dtype=bool)])
+
+    @pytest.mark.parametrize("column, spread", [(0, False), (3, True)])
+    def test_overflowing_mean_or_spread_names_its_feature(self, column, spread):
+        # two finite attributions of 1.5e308 (mean and spread overflow), or of
+        # +-1e200 (mean 0, spread overflows); pytest makes a numpy warning an error
+        phi = self._phi(n=2)
+        phi[:, column] = [-1e200, 1e200] if spread else [1.5e308, 1.5e308]
+        with pytest.raises(NonFiniteFeatureError, match=f"^{FEATURE_NAMES[column]}: the mean"):
+            aggregate_shap(phi)
 
     def test_long_production_group_dominated_by_rel_error(self):
         # synthetic cohort scored by the pinned model: among samples with
