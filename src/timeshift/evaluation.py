@@ -25,7 +25,6 @@ from .errors import (
     SingleClassError,
     TooFewSamplesError,
 )
-from .features import column_stats, constant_columns
 from .logistic import PINNED_C, fit_folds, labels_to_array
 from .simulator import arousal_baseline, attention_baseline
 
@@ -186,11 +185,13 @@ def loocv(X: np.ndarray, y, C: float = PINNED_C) -> LoocvResult:
 
     Each sample is predicted by a scaler and model fitted on the other n-1
     samples only, so the held-out sample never leaks into standardization or
-    training. All folds are solved together by fit_folds, each from its
-    group's start (which its held-out label cannot reach) to fit's gradient
-    tolerance in its own coordinates. A column constant within
-    a fold keeps weight 0 in that fold's model instead of failing the run. A
-    fold that does not converge is still used and counted in nonconverged.
+    training. fit_folds owns the folds: it builds each fold's scaler and
+    solves all folds together, each from its group's start (which its
+    held-out label cannot reach) to fit's gradient tolerance in its own
+    coordinates. A column constant within a fold keeps weight 0 in that
+    fold's model instead of failing the run, and the fold is counted in
+    constant_fold_columns. A fold that does not converge is still used and
+    counted in nonconverged.
 
     Raises:
         TooFewSamplesError: fewer than 10 samples.
@@ -210,8 +211,7 @@ def loocv(X: np.ndarray, y, C: float = PINNED_C) -> LoocvResult:
         if len(members) == 1:  # the fold without its one member is single-class
             raise FoldSingleClassError(int(members[0]))
 
-    Z, shift, scale, free = _fold_scalers(X)
-    probabilities, n_iter, converged = fit_folds(Z, y, shift, scale, free, C)
+    probabilities, n_iter, converged, fixed = fit_folds(X, y, C)
     # a certain fold (|logit| above ~37) rounds to exactly 0.0 or 1.0
     outside = probabilities[~((probabilities >= 0.0) & (probabilities <= 1.0))]
     if outside.size:
@@ -223,33 +223,8 @@ def loocv(X: np.ndarray, y, C: float = PINNED_C) -> LoocvResult:
         nonconverged=int(np.count_nonzero(~converged)),
         probabilities=probabilities,
         n_iter=n_iter,
-        constant_fold_columns=int((~free).any(axis=1).sum()),
+        constant_fold_columns=int(np.count_nonzero(fixed)),
     )
-
-
-def _fold_scalers(X: np.ndarray):
-    """
-    Every fold's scaler as an affine map of the full-data z-scores Z.
-
-    Fold i's features are (Z - shift[i]) / scale[i]: its mean and population
-    std, in Z's units, are downdates of Z's column sums without row i.
-    free[i, j] is False where column j is constant within fold i: one value
-    left after dropping row i, or a std that fit_scaler would reject.
-    """
-    n = len(X)
-    free = np.ones(X.shape, dtype=bool)
-    for j, column in enumerate(X.T):
-        values, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
-        if len(values) <= 2:  # row i is the one row with the other value
-            free[:, j] = (len(values) == 2) & (counts[inverse] > 1)
-    mean, std = column_stats(X)
-    varying = ~constant_columns(mean, std)
-    std = np.where(varying, std, 1.0)
-    Z = (X - mean) / std * varying
-    shift = (Z.sum(axis=0) - Z) / (n - 1)
-    scale = np.sqrt(np.maximum((np.sum(Z * Z, axis=0) - Z * Z) / (n - 1) - shift**2, 0.0))
-    free &= ~constant_columns(mean + shift * std, scale * std)
-    return Z, shift, scale, free
 
 
 # ---------------------------------------------------------------------------

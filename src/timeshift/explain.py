@@ -123,14 +123,17 @@ def waterfall_payload(
 
     Raises:
         ValueError: phi is not one row of five contributions, or
-            base + sum(phi) misses the output logit by more than 1e-9.
+            base + sum(phi) misses the output logit by more than 1e-9 plus
+            the floating-point error bound of that sum,
+            8 eps (|base| + sum(|phi|) + |logit|).
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (1, N_FEATURES):
         raise ValueError(f"expected one row of {N_FEATURES} contributions")
     contributions = phi[0].tolist()
     logit = float(logits[0])
-    if abs(base + sum(contributions) - logit) > 1e-9:
+    magnitude = abs(base) + sum(map(abs, contributions)) + abs(logit)
+    if abs(base + sum(contributions) - logit) > 1e-9 + 8 * np.finfo(float).eps * magnitude:
         raise ValueError("attribution violates efficiency")
     raw = np.asarray(raw_values, dtype=float)
     return {

@@ -15,8 +15,9 @@ updates stall above), falling back to steepest descent whenever the Hessian
 solve is unusable. Same inputs give a bit-identical model. There is one
 solver, for a block of problems over one design: fit is the block of one
 problem, with no held-out row, and fit_folds solves every leave-one-out fold
-of the design in blocks, each fold from a start that its held-out label cannot
-reach. nll_loss and gradient evaluate that same objective.
+of a raw feature matrix in blocks, each with its own scaler and from a start
+that its held-out label cannot reach. nll_loss and gradient evaluate that same
+objective.
 
 The module also carries the pinned reference model: intercept 0.016 and weights
 (0.662, -0.191, -0.241, -0.187, 0.177) over the five standardized features.
@@ -33,7 +34,7 @@ import numpy as np
 
 from .data import atomic_write, check_fields, read_object
 from .errors import ConfigError, SingleClassError, TooFewSamplesError
-from .features import N_FEATURES, ScalerStats, identity_scaler
+from .features import N_FEATURES, ScalerStats, column_stats, constant_columns, identity_scaler
 
 # Pinned reference coefficients, in canonical feature order.
 PINNED_INTERCEPT = 0.016
@@ -236,46 +237,35 @@ def _design(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A, (A[:, :, None] * A[:, None, :]).reshape(len(Z), -1)
 
 
-def _plain(A, pairs, y, held_out, C, work) -> "_Block":
-    """Problems in Z's own coordinates, no fixed column; problem k drops the rows held_out[k]."""
-    one = (len(held_out), N_FEATURES)
-    return _Block(A, pairs, y, held_out, np.zeros(one), np.ones(one), np.ones(one, dtype=bool),
-                  C, work)
-
-
 def _whole(Z: np.ndarray, y: np.ndarray, C: float) -> "_Block":
     """All of Z as one problem: no held-out row, Z's own coordinates, no fixed column."""
-    return _plain(*_design(Z), y, np.empty((1, 0), dtype=np.intp), C, np.empty((4, 1, len(y))))
+    return _Block(*_design(Z), y, np.empty((1, 0), dtype=np.intp), C, np.empty((4, 1, len(y))))
 
 
-def fit_folds(
-    Z: np.ndarray,
-    y: np.ndarray,
-    shift: np.ndarray,
-    scale: np.ndarray,
-    free: np.ndarray,
-    C: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fit_folds(X: np.ndarray, y: np.ndarray, C: float):
     """
-    Fit every leave-one-out fold of Z by fit's damped Newton, in batches.
+    Fit every leave-one-out fold of the (n, 5) raw feature matrix X by fit's
+    damped Newton, in batches; NonFiniteFeatureError if a column's std overflows.
 
-    Fold k trains on every row but k, z-scored by its own scaler: in Z's
-    coordinates its features are (Z - shift[k]) / scale[k]. With v = w / scale
-    and c = b - v.shift that is the same logistic loss over A = [1 | Z] with
-    the weight penalty scale^2 v^2 / (2C), so all folds share one design and
-    each Newton step of a block of folds is a few matrix products and one
-    batched solve. A coordinate where free[k] is False (a column constant
-    within fold k) keeps weight 0. Newton steps are invariant under the
-    change of coordinates, so each fold tests fit's tolerance on its gradient
-    mapped back to its own coordinates. A fold starts from a point that its
-    held-out label cannot reach (_group_starts), which does not change the
-    point the fold converges to.
+    Fold k trains on every row but k, z-scored by its own scaler: in the
+    full-data z-scores Z its features are (Z - shift[k]) / scale[k]
+    (_fold_scalers). With v = w / scale and c = b - v.shift that is the same
+    logistic loss over A = [1 | Z] with the weight penalty scale^2 v^2 / (2C),
+    so all folds share one design and each Newton step of a block of folds is
+    a few matrix products and one batched solve. A column constant within
+    fold k is a fixed coordinate, at weight 0. Newton steps are invariant
+    under the change of coordinates, so each fold tests fit's tolerance on its
+    gradient mapped back to its own coordinates. A fold starts from a point
+    that its held-out label cannot reach (_group_starts), which does not
+    change the point the fold converges to.
 
     Returns:
-        Each fold's probability for its held-out row, its Newton steps and
-        whether its gradient norm fell below the tolerance within _MAX_ITER steps.
+        Each fold's probability for its held-out row, its Newton steps,
+        whether its gradient norm fell below the tolerance within _MAX_ITER
+        steps and whether it has a fixed coordinate.
     """
     n = len(y)
+    Z, shift, scale, free = _fold_scalers(X)
     A, pairs = _design(Z)
     size = max(1, _BLOCK_ELEMENTS // n)
     # allocated once: temporaries freed on every objective call would let
@@ -288,11 +278,40 @@ def fit_folds(
     for first in range(0, n, size):
         block = slice(first, min(first + size, n))
         held_out = np.arange(block.start, block.stop)[:, None]
-        folds = _Block(A, pairs, y, held_out, shift[block], scale[block], free[block], C, work)
+        folds = _Block(A, pairs, y, held_out, C, work, shift[block], scale[block], free[block])
         theta, n_iter[block], norm = folds.solve(start[block])
         converged[block] = norm < _TOL
         probability[block] = _sigmoid(np.einsum("ij,ij->i", theta, A[block]))
-    return probability, n_iter, converged
+    return probability, n_iter, converged, ~free.all(axis=1)
+
+
+def _fold_scalers(X: np.ndarray):
+    """
+    Every fold's scaler as an affine map of the full-data z-scores Z: fold
+    i's features are (Z - shift[i]) / scale[i], its mean and population std in
+    Z's units, and free[i, j] is False where column j is constant within fold
+    i by constant_columns (in every fold of a cohort-constant column). Each
+    fold downdates Z's column sums without its row, but the fold of a column's
+    most extreme row: only that row can hold over half of the column's sum of
+    squares, so only there can the downdate of sum(Z^2) cancel. That fold
+    takes a corrected two-pass over the other n - 1 raw values (Chan, Golub &
+    LeVeque, Amer. Statist. 37:242, 1983).
+    """
+    n = len(X)
+    mean, std = column_stats(X)
+    varying = ~constant_columns(mean, std)
+    std = np.where(varying, std, 1.0)
+    Z = (X - mean) / std * varying
+    shift = (Z.sum(axis=0) - Z) / (n - 1)
+    scale = np.sqrt(np.maximum((np.sum(Z * Z, axis=0) - Z * Z) / (n - 1) - shift**2, 0.0))
+    columns = np.flatnonzero(varying)
+    for i, j in zip(np.abs(Z[:, columns]).argmax(axis=0), columns):
+        rest = np.delete(X[:, j], i)
+        deviation = rest - rest.mean()  # its second pass cancels the mean's rounding
+        fold_mean = rest.mean() + deviation.mean()
+        shift[i, j], scale[i, j] = (fold_mean - mean[j]) / std[j], deviation.std() / std[j]
+    free = ~constant_columns(mean + shift * std, scale * std)
+    return Z, shift, scale, free
 
 
 def _group_starts(A, pairs, y, scale, free, C, work) -> np.ndarray:
@@ -306,8 +325,8 @@ def _group_starts(A, pairs, y, scale, free, C, work) -> np.ndarray:
     step of its own problem from its group's solution: it adds back the
     group's other rows, summed through a mask that zeroes row k (row k is
     never subtracted), and its own penalty. So no bit of the start depends on
-    y[k]. A fold with a fixed coordinate, or whose step is not finite or
-    meets a singular Hessian, starts at its group's solution with its fixed
+    y[k]. A fold with a fixed coordinate, or whose step is not finite (a
+    singular Hessian's is NaN), starts at its group's solution with its fixed
     coordinates at 0.
     """
     n, size = len(y), len(work[0])
@@ -319,7 +338,7 @@ def _group_starts(A, pairs, y, scale, free, C, work) -> np.ndarray:
     hess = np.empty((len(members), N_FEATURES + 1, N_FEATURES + 1))
     for first in range(0, len(members), size):
         part = slice(first, first + size)
-        groups = _plain(A, pairs, y, members[part], C, work)
+        groups = _Block(A, pairs, y, members[part], C, work)
         theta[part] = groups.solve(np.zeros_like(theta[part]))[0]
         _, grad[part], hess[part], _ = groups.objective(theta[part], np.arange(len(theta[part])))
 
@@ -340,10 +359,7 @@ def _group_starts(A, pairs, y, scale, free, C, work) -> np.ndarray:
         extra = (scale[folds] ** 2 - 1.0) / C
         fold_grad[:, 1:] += extra * theta[g, 1:]
         fold_hess[:, diagonal, diagonal] += extra
-        try:
-            step = np.linalg.solve(fold_hess, -fold_grad[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # a singular fold Hessian: its group keeps its solution
-            continue
+        step = _newton_directions(fold_hess, fold_grad)
         finite = np.isfinite(step).all(axis=1)
         start[folds[finite]] += step[finite]
     start[:, 1:] = np.where(free, start[:, 1:], 0.0)
@@ -355,12 +371,13 @@ class _Block:
     The loss, gradient and Hessian of a block of problems over one design A:
     problem k drops the rows held_out[k] (one per fold, none for fit), reads
     its features as (Z - shift[k]) / scale[k] and keeps weight 0 where
-    free[k] is False.
+    free[k] is False (by default Z as it is: shift 0, scale 1, all free).
     """
 
-    def __init__(self, A, pairs, y, held_out, shift, scale, free, C, work):
+    def __init__(self, A, pairs, y, held_out, C, work, shift=0.0, scale=1.0, free=True):
         self.A, self.pairs, self.y, self.held_out, self.work = A, pairs, y, held_out, work
         self.sign = 1.0 - 2.0 * y
+        free = np.full((len(held_out), N_FEATURES), free)
         # a fixed coordinate's shift and scale are never used
         self.shift, self.scale = np.where(free, shift, 0.0), np.where(free, scale, 1.0)
         self.penalty = self.scale**2 / C
@@ -460,11 +477,11 @@ class _Block:
 
 
 def _newton_directions(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve each H d = -g; a singular H gets -g."""
+    """Solve each H d = -g; a singular H gets NaN, unusable like any non-finite step."""
     try:
         return np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        direction = -grad
+        direction = np.full_like(grad, np.nan)
         for j in range(len(grad)):
             try:
                 direction[j] = np.linalg.solve(hess[j], -grad[j])

@@ -190,7 +190,8 @@ def generate_trials(
     engagement_assignment is either "random_uniform_9" (each trial's level
     drawn uniformly, which for two trials is uniform over the nine level
     permutations) or an explicit per-trial sequence applied to everyone. The
-    cohort's shape is checked by cohort_levels, as the CLI's config is.
+    cohort's shape is checked by cohort_levels, as the CLI's config is, and
+    a produced time out of the float range raises NonPositiveTimeError.
 
     Self-reports are synthesized from the truth: reported_lower_than_30 is the
     actual side of the error flipped with report_flip_prob, and a participant
@@ -221,14 +222,16 @@ def generate_trials(
     reported_lower = np.empty(shape, dtype=bool)
     reference = np.full(n_participants, float(params.reference_ticks))
     prev_level = levels[:, 0]  # the first trial follows none: no rise
-    for t in range(n_trials):
-        level = levels[:, t]
-        produced[:, t] = simulate_trial(params, level, prev_level, reference, noise[:, t])
-        reported_lower[:, t] = (produced[:, t] <= params.target_s) ^ flips[:, t]
-        reference = update_reference_memory(
-            params, reference, produced[:, t], reported_lower[:, t]
-        )
-        prev_level = level
+    # an overflow leaves a produced time that is not finite, which TrialTable rejects
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(n_trials):
+            level = levels[:, t]
+            produced[:, t] = simulate_trial(params, level, prev_level, reference, noise[:, t])
+            reported_lower[:, t] = (produced[:, t] <= params.target_s) ^ flips[:, t]
+            reference = update_reference_memory(
+                params, reference, produced[:, t], reported_lower[:, t]
+            )
+            prev_level = level
 
     width = len(str(n_participants - 1))
     return TrialTable(

@@ -369,6 +369,25 @@ class TestPredictAndExplain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("row", [1, 2])
+    def test_large_finite_coefficient_keeps_efficiency_to_rounding(self, tmp_path, row):
+        # a logit near 1e16 sums base + phi with an error far above 1e-9, but
+        # within the float error bound of that sum
+        trials, features = tmp_path / "t.csv", tmp_path / "f.csv"
+        assert main(["simulate", "--participants", "30", "--output", str(trials)]) == 0
+        assert main(["extract", "--input", str(trials), "--output", str(features)]) == 0
+        model = tmp_path / "model.json"
+        save_model(dataclasses.replace(pinned_model(), coefficients=(3.3, 1e16, 1.0, 1.0, 1.0)),
+                   model)
+        out_dir = tmp_path / "shap"
+        assert main(["explain", "--model", str(model), "--features", str(features),
+                     "--output-dir", str(out_dir), "--row", str(row)]) == 0
+        waterfall = json.loads((out_dir / "shap_waterfall.json").read_text())
+        phi = [entry["phi"] for entry in waterfall["entries"]]
+        base, logit = waterfall["base"], waterfall["output_logit"]
+        assert abs(logit) > 1e15
+        bound = 1e-9 + 8 * np.finfo(float).eps * (abs(base) + sum(map(abs, phi)) + abs(logit))
+        assert abs(base + sum(phi) - logit) <= bound
 
     def test_nonconverged_model_warns_and_keeps_outputs(
         self, tmp_path, pinned_setup, capsys, monkeypatch
@@ -493,6 +512,11 @@ MALFORMED_INPUTS = {
                     .encode(), "ConfigError", ["model field stds[2] must be > 0"]),
     "model_std_subnormal": ("model", _model_with(stds=[1e-320, 1, 1, 1, 1]), "ConfigError", [
         "model field stds[0] must be >= 2.2250738585072014e-308, got 1e-320"]),
+    "model_four_coefficients": (
+        "model", _model_with(coefficients=[0.662, -0.191, -0.241, -0.187]), "ConfigError",
+        ["not a valid model file: expected 5 coefficients"]),
+    "model_four_means": ("model", _model_with(means=[15.0, 0.4, 0.06, 1.0]), "ConfigError",
+                         ["not a valid model file: scaler stats must cover exactly the five"]),
 }
 
 
@@ -580,6 +604,11 @@ def _stderr_inputs(tmp_path) -> dict:
         "coef_1e200": _model_with(coefficients=[1e200, *PINNED_COEFFICIENTS[1:]]),
         "std_subnormal": _model_with(stds=[1e-320, 1, 1, 1, 1]),
         "mean_1e308": _model_with(means=[0, 1e308, 0, 0, 0]),
+        # simulator parameters under which the trial recursion overflows
+        "weber_1e308": b'{"sim": {"weber_fraction": 1e308}}',
+        "arousal_1e308": b'{"sim": {"arousal_gain": 1e308}}',
+        "population_mean_1e308": b'{"sim": {"population_mean_s": 1e308}}',
+        "target_1e308": b'{"target_interval_s": 1e308}',
     }
     paths = {"cohort": cohort, "missing": tmp_path / "missing.csv",
              "out": tmp_path / "out.csv", "out_dir": tmp_path / "shap"}
@@ -653,6 +682,17 @@ STDERR_PATHS = {
                               "--output {out}", 2, ["ConfigError"]),
     "overflow_z_explain": ("explain --model {mean_1e308} --features {features} "
                            "--output-dir {out_dir}", 2, ["NonFiniteFeatureError"]),
+    # a produced time that overflows is rejected by the trial table's check;
+    # an infinitely fast clock (arousal) clamps every rising trial at 0.5 s
+    "overflow_weber_simulate": ("simulate --participants 20 --config {weber_1e308} "
+                                "--output {out}", 2, ["NonPositiveTimeError"]),
+    "overflow_arousal_simulate": ("simulate --participants 20 --config {arousal_1e308} "
+                                  "--output {out}", 0, []),
+    "overflow_population_mean_simulate": ("simulate --participants 20 --config "
+                                          "{population_mean_1e308} --output {out}", 2,
+                                          ["NonPositiveTimeError"]),
+    "overflow_target_simulate": ("simulate --participants 20 --config {target_1e308} "
+                                 "--output {out}", 2, ["NonPositiveTimeError"]),
 }
 
 
@@ -714,6 +754,100 @@ def test_mutated_inputs_exit_0_2_or_3(tmp_path, capsys):
             assert outputs == [], (name, command[0])
         for path in outputs:
             path.unlink()
+
+
+# One value of a model file or of a config, replaced by each of these.
+FUZZ_TOKENS = (None, "text", [], {}, 1e308, -1e308, 1e-320, 1e16, 10**400, math.nan, True, False)
+
+# every key of the config file, each at a value that runs
+FULL_CONFIG = {
+    "seed": 5, "C": 12.06, "target_interval_s": 30.0, "undersample": True,
+    "thresholds": {"prob_low": 0.4, "prob_high": 0.6, "delta_small": 5.0},
+    "sim": {"n_participants": 30, "n_trials": 2, "engagement_assignment": "random_uniform_9",
+            "base_clock_rate_hz": 10.0, "gate_width_by_engagement": [1.0, 0.85, 0.7],
+            "arousal_gain": 0.05, "reference_ticks": None, "memory_correction_weight": 0.3,
+            "regression_weight": 0.3, "weber_fraction": 0.15, "population_mean_s": 45.0,
+            "report_flip_prob": 0.1, "sensitivity_prevalence": 0.3},
+}
+
+
+def _leaves(value, path=()):
+    """The path of every value in a JSON object that is not an object or a list."""
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _leaves(item, (*path, key))
+    else:
+        yield path
+
+
+def _replaced(value, path, token):
+    """A copy of a JSON object with the value at path replaced by token."""
+    value = json.loads(json.dumps(value))
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = token
+    return value
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in a JSON output")
+
+
+def test_fuzzed_model_and_config_values(tmp_path, capsys):
+    """
+    Each value of the pinned model file, through predict and explain, and of
+    a full config, through simulate and a seeded pick of evaluate or train,
+    replaced by each FUZZ_TOKENS token: every run exits 0, 2 or 3, every
+    stderr line is one JSON object, no warning is recorded, and an exit 0
+    writes no blank or NaN probability.
+    """
+    rng = random.Random(24)
+    trials, features = tmp_path / "trials.csv", tmp_path / "features.csv"
+    config = write_config(tmp_path, **FULL_CONFIG)
+    assert main(["simulate", "--config", str(config), "--output", str(trials)]) == 0
+    assert main(["extract", "--input", str(trials), "--output", str(features)]) == 0
+    source, out = tmp_path / "in.json", tmp_path / "out"
+    argv = {
+        "predict": ["--model", str(source), "--features", str(features),
+                    "--output", str(out / "o.csv")],
+        "explain": ["--model", str(source), "--features", str(features),
+                    "--output-dir", str(out / "shap")],
+        "simulate": ["--config", str(source), "--output", str(out / "o.csv")],
+        "evaluate": ["--config", str(source), "--input", str(trials),
+                     "--output", str(out / "r.json"), "--per-sample", str(out / "p.csv")],
+        "train": ["--config", str(source), "--input", str(features),
+                  "--output", str(out / "m.json")],
+    }
+    runs = [
+        (base, path, token, command)
+        for base, pick in [(_MODEL, lambda: ["predict", "explain"]),
+                           (FULL_CONFIG, lambda: ["simulate", rng.choice(["evaluate", "train"])])]
+        for path in _leaves(base)
+        for token in FUZZ_TOKENS
+        for command in pick()
+    ]
+    capsys.readouterr()
+    for base, path, token, command in runs:
+        case = (path, token, command)
+        source.write_text(json.dumps(_replaced(base, path, token)))
+        out.mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, *argv[command]])
+        assert code in (0, 2, 3), case
+        assert [str(w.message) for w in caught] == [], case
+        for line in capsys.readouterr().err.splitlines():
+            assert isinstance(json.loads(line), dict), case
+        for written in sorted(out.rglob("*"), reverse=True):  # files before their directory
+            if code == 0 and written.suffix == ".json":
+                json.loads(written.read_text(), parse_constant=_no_constant)
+            if code == 0 and written.suffix == ".csv":  # the probability column, if it has one
+                with written.open(newline="") as fh:
+                    cells = [row.get("probability", "0") for row in csv.DictReader(fh)]
+                assert all(math.isfinite(float(cell or "nan")) for cell in cells), case
+            written.unlink() if written.is_file() else written.rmdir()
+        out.rmdir()
 
 
 SIM_TEXT_AND_GATE_5 = '{"sim": {"weber_fraction": "abc", "gate_width_by_engagement": [0.1, 0.9, 5]}}'
@@ -817,6 +951,8 @@ MALFORMED_CONFIGS = {
                                "weber_fraction"),
     "sim_checked_by_train": ("train", SIM_TEXT_AND_GATE_5, [], "weber_fraction"),
     "not_utf8": ("train", b'\xff\xfe{"seed":1}', [], "utf-8"),
+    "config_missing": ("simulate", None, ["--config", "no/such/config.json"],
+                       "^config file not found: no/such/config.json"),
 }
 
 

@@ -377,10 +377,11 @@ class TestAtomicWrite:
 # ---------------------------------------------------------------------------
 
 # Cell texts put in every column of a row: numbers numpy and Python parse
-# differently or not at all, words with padding and case, and quoted cells
+# differently or not at all, a large finite number, words with padding and
+# case, and quoted cells
 CELL_TOKENS = (
     "1_0", "\u0661", "+1", " 1", "1.0", "-0", "nan", "inf", "infinity", "1e400", "", " ",
-    "0", "2", " Low ", "HiGh", "TRUE", " decrease", "p#1", "x" * 40,
+    "0", "2", "1e300", " Low ", "HiGh", "TRUE", " decrease", "p#1", "x" * 40,
     '"a,b"', '"a""b"', '"a\nb"', '"a\r\nb"', 'a"b', '"a"b', '" 1"',
 )
 

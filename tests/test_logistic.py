@@ -6,12 +6,13 @@ import pytest
 
 import timeshift.logistic
 from timeshift.errors import SingleClassError, TooFewSamplesError
-from timeshift.features import ScalerStats, identity_scaler
+from timeshift.features import ScalerStats, column_stats, constant_columns, identity_scaler
 from timeshift.logistic import (
     PINNED_C,
     PINNED_COEFFICIENTS,
     PINNED_INTERCEPT,
     LogisticModel,
+    _fold_scalers,
     _newton_directions,
     fit,
     gradient,
@@ -266,11 +267,87 @@ class TestFit:
 
 class TestFitFolds:
     def test_singular_hessian_gets_steepest_descent(self):
-        # a batched solve with one singular matrix falls back fold by fold, as fit does
+        # a batched solve with one singular matrix falls back fold by fold; the
+        # singular one's direction is NaN, which _Block.solve replaces with
+        # steepest descent and _group_starts with the group's solution
         hess = np.stack([2.0 * np.eye(6), np.zeros((6, 6))])
         grad = np.arange(12.0).reshape(2, 6)
         direction = _newton_directions(hess, grad)
-        np.testing.assert_array_equal(direction, [-grad[0] / 2.0, -grad[1]])
+        np.testing.assert_array_equal(direction, [-grad[0] / 2.0, np.full(6, np.nan)])
+
+    def test_unusable_first_step_falls_back_to_steepest_descent(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        Z, y = random_instance(rng, 200)
+        expected = fit(Z, y, C=12.06)
+        newton = timeshift.logistic._newton_directions
+        calls = []
+
+        def first_step_unusable(hess, grad):
+            direction = newton(hess, grad)
+            if not calls:
+                direction[0] = np.nan
+            calls.append(len(grad))
+            return direction
+
+        monkeypatch.setattr(timeshift.logistic, "_newton_directions", first_step_unusable)
+        model = fit(Z, y, C=12.06)
+        assert model.converged and len(calls) == model.n_iter > 1
+        np.testing.assert_allclose([model.intercept, *model.coefficients],
+                                   [expected.intercept, *expected.coefficients], rtol=0, atol=1e-9)
+
+
+def sweep_cohort(rng, n, ratio):
+    """
+    An outlier column (one row ratio times the other rows' spread away), a
+    near-constant column, a binary column with one singleton, a
+    cohort-constant column and a 0/1/2 column. The cohort-constant column is
+    either exactly constant or has a std just under constant_columns'
+    threshold and row 0 at its mean, so that dropping row 0 raises its std
+    above the threshold.
+    """
+    X = np.empty((n, 5))
+    X[:, 0] = 15.0 + 44.0 * rng.standard_normal(n)
+    X[rng.integers(n), 0] = 15.0 + rng.choice([-1.0, 1.0]) * ratio * 44.0
+    X[:, 1] = 1e3 * (1.0 + rng.choice([5e-13, 2e-12, 1e-11, 1e-8]) * rng.standard_normal(n))
+    X[:, 2] = 0.0
+    X[rng.integers(n), 2] = 1.0
+    below = np.concatenate([[0.0], rng.standard_normal(n - 1)])
+    below[1:] -= below[1:].mean()
+    X[:, 3] = 2.0 if rng.random() < 0.5 else 1e-12 * (1.0 - 0.25 / n) * below / below.std()
+    X[:, 4] = rng.integers(0, 3, n)
+    return X
+
+
+class TestFoldScalers:
+    def test_every_fold_matches_a_two_pass_over_the_other_rows(self):
+        # every fold on the small cohorts; on the large ones each column's
+        # most extreme row and a seeded sample of the others
+        rng = np.random.default_rng(24)
+        for n in (50, 51, 200, 1000, 3000):
+            for ratio in (1e2, 1e5, 1e8, 1e10):
+                X = sweep_cohort(rng, n, ratio)
+                _, shift, scale, free = _fold_scalers(X)
+                mean, std = column_stats(X)
+                varying = ~constant_columns(mean, std)
+                std = np.where(varying, std, 1.0)  # Z's unit; a constant column is 0 in Z
+                folds = np.arange(n)
+                if n > 200:
+                    extreme = np.abs(X - mean).argmax(axis=0)
+                    folds = np.union1d(extreme, rng.choice(n, 100, replace=False))
+                # a corrected two-pass: the second pass cancels the first mean's rounding
+                deviations = [(r, r - r.mean(axis=0)) for r in (np.delete(X, i, 0) for i in folds)]
+                fold_mean = np.array([r.mean(axis=0) + d.mean(axis=0) for r, d in deviations])
+                fold_std = np.array([d.std(axis=0) for _, d in deviations])
+                case = (n, ratio)
+                np.testing.assert_array_equal(
+                    free[folds], ~constant_columns(fold_mean, fold_std) & varying, err_msg=case)
+                # in Z's units; the fold mean itself is only known to its own rounding
+                bound = (1e-10 * fold_std + 4 * np.finfo(float).eps * np.abs(fold_mean)) / std
+                checked = np.broadcast_to(varying, bound.shape)
+                mean_error = np.abs(shift[folds] - (fold_mean - mean) / std)
+                std_error = np.abs(scale[folds] - fold_std / std)
+                assert (mean_error <= bound)[checked].all(), case
+                assert (std_error <= 1e-10 * fold_std / std)[checked].all(), case
 
 
 class TestSerialization:
