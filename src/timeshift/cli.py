@@ -179,22 +179,23 @@ def _reported(model: LogisticModel) -> LogisticModel:
 
 
 def _standardized(args: argparse.Namespace) -> tuple[LogisticModel, np.ndarray, np.ndarray,
-                                                     np.ndarray]:
+                                                     np.ndarray, np.ndarray]:
     """
-    The --model model, the --features matrix X and labels, and X z-scored by
-    the model's scaler; NonFiniteFeatureError names the first row whose
-    z-scores, attributions or logit are not finite, before anything is written.
+    The --model model, the --features matrix X and labels, X z-scored by the
+    model's scaler and its attributions phi; NonFiniteFeatureError names the
+    first row whose z-scores, attributions or logit are not finite, before
+    anything is written.
     """
     model = _reported(load_model(args.model))
     X, decrease = load_feature_csv(args.features)
-    w = np.asarray(model.coefficients)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below, naming the row
         Z = transform(X, model.scaler)
-        finite = np.isfinite(Z * w).all(axis=1) & np.isfinite(model.intercept + Z @ w)
+        _, phi, logits = shap_matrix(model, Z)
+    finite = np.isfinite(phi).all(axis=1) & np.isfinite(logits)
     if not finite.all():
         raise NonFiniteFeatureError(f"row {np.argmin(finite)} of {args.features.name}: a z-score, "
                                     "an attribution or the logit overflows under the model")
-    return model, X, decrease, Z
+    return model, X, decrease, Z, phi
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +308,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict
 
 
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict | None]:
-    model, X, decrease, Z = _standardized(args)
+    model, X, decrease, Z, _ = _standardized(args)
     probabilities = predict_proba(model, Z)
     write_csv(
         args.output,
@@ -324,10 +325,9 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict 
 
 
 def cmd_explain(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict | None]:
-    model, X, _, Z = _standardized(args)
+    model, X, _, Z, phi = _standardized(args)
     if not 0 <= args.row < len(X):
         raise ConfigError(f"--row {args.row} out of range for {len(X)} samples")
-    _, phi, _ = shap_matrix(model, Z)
     features = aggregate_shap(phi)  # before any write: it checks every mean and spread
     args.output_dir.mkdir(parents=True, exist_ok=True)
     write_scatter_csv(phi, X, Z, args.output_dir / "shap_scatter.csv")

@@ -322,12 +322,12 @@ def _group_starts(A, pairs, y, scale, free, C, work) -> np.ndarray:
     whole number of blocks of work's size. Each group's problem drops every
     row of the group and uses Z's coordinates and the penalty 1/C; the groups
     are solved as blocks of problems, from zero. Fold k then takes one Newton
-    step of its own problem from its group's solution: it adds back the
-    group's other rows, summed through a mask that zeroes row k (row k is
-    never subtracted), and its own penalty. So no bit of the start depends on
-    y[k]. A fold with a fixed coordinate, or whose step is not finite (a
-    singular Hessian's is NaN), starts at its group's solution with its fixed
-    coordinates at 0.
+    step of its own problem from its group's solution: the loss terms of the
+    rows outside the group, unpenalized, plus _Block.objective over the
+    group's own rows with row k held out and fold k's own penalty. So no bit
+    of the start depends on y[k]. A fold with a fixed coordinate, or whose
+    step is not finite (a singular Hessian's is NaN), starts at its group's
+    solution with its fixed coordinates at 0.
     """
     n, size = len(y), len(work[0])
     group = size * max(1, round(_GROUP_FOLDS / size))
@@ -340,26 +340,21 @@ def _group_starts(A, pairs, y, scale, free, C, work) -> np.ndarray:
         part = slice(first, first + size)
         groups = _Block(A, pairs, y, members[part], C, work)
         theta[part] = groups.solve(np.zeros_like(theta[part]))[0]
-        _, grad[part], hess[part], _ = groups.objective(theta[part], np.arange(len(theta[part])))
+        # the loss terms of the rows outside each group, without the penalty
+        rest = _Block(A, pairs, y, members[part], np.inf, work)
+        _, grad[part], hess[part], _ = rest.objective(theta[part], np.arange(len(theta[part])))
 
     start = theta[np.arange(n) // group]
-    diagonal = np.arange(1, N_FEATURES + 1)
+    local = np.empty(4 * group * group)  # the work buffer of every group's own rows
     for g, first in enumerate(range(0, n, group)):
-        rows = np.arange(first, min(first + group, n))
-        folds = rows[free[rows].all(axis=1)]
-        logits = A[rows] @ theta[g]
-        e = np.exp(-np.abs(logits))
-        residual = np.where(logits >= 0, 1.0, e) / (1.0 + e) - y[rows]
-        # others[i, j]: fold folds[i] adds back row rows[j]
-        others = folds[:, None] != rows
-        fold_grad = grad[g] + np.where(others, residual, 0.0) @ A[rows]
-        fold_hess = hess[g] + (np.where(others, e / (1.0 + e) ** 2, 0.0) @ pairs[rows]).reshape(
-            -1, N_FEATURES + 1, N_FEATURES + 1)
-        # the fold's own penalty scale^2 / C in place of the group's 1/C
-        extra = (scale[folds] ** 2 - 1.0) / C
-        fold_grad[:, 1:] += extra * theta[g, 1:]
-        fold_hess[:, diagonal, diagonal] += extra
-        step = _newton_directions(fold_hess, fold_grad)
+        rows = slice(first, min(first + group, n))
+        m = rows.stop - first
+        folds = first + np.flatnonzero(free[rows].all(axis=1))
+        own = _Block(A[rows], pairs[rows], y[rows], (folds - first)[:, None], C,
+                     local[: 4 * m * m].reshape(4, m, m), scale=scale[folds])
+        theta_g = np.tile(theta[g], (len(folds), 1))
+        _, fold_grad, fold_hess, _ = own.objective(theta_g, np.arange(len(folds)))
+        step = _newton_directions(hess[g] + fold_hess, grad[g] + fold_grad)
         finite = np.isfinite(step).all(axis=1)
         start[folds[finite]] += step[finite]
     start[:, 1:] = np.where(free, start[:, 1:], 0.0)

@@ -413,7 +413,81 @@ def folds_of(X, y):
     return fit_folds(X, y.astype(float), 12.06)
 
 
+def fixed_coordinate_cohort():
+    """
+    300 folds where row 150, in the second group, is the one sensitive row, so
+    the column is constant in its fold alone, and row 0's first production is
+    a forgotten 4,000 s that dominates t1_rel_error.
+    """
+    ds = simulated(SimParams(rng_seed=8, sensitivity_prevalence=0.3), 300, 2)
+    trials, pairs = sensitive_only(ds, rows=[150])
+    produced = trials.produced_s.copy()
+    produced[pairs[0, 0]] = 4000.0
+    return dataclasses.replace(trials, produced_s=produced), pairs
+
+
+def starts_and_groups(monkeypatch, X, y, C=12.06):
+    """
+    fit_folds' start for each fold, and each group problem's solution keyed by
+    the group's first row, as its blocks' solve calls receive and return them.
+    """
+    starts, groups = {}, {}
+    solve = timeshift.logistic._Block.solve
+
+    def recording(block, start):
+        theta, n_iter, norm = solve(block, start)
+        if block.held_out.shape[1] == 1:  # a block of folds
+            starts.update(zip(block.held_out[:, 0].tolist(), start))
+        else:  # a block of group problems, each dropping its group's rows
+            groups.update(zip(block.held_out[:, 0].tolist(), theta))
+        return theta, n_iter, norm
+
+    monkeypatch.setattr(timeshift.logistic._Block, "solve", recording)
+    fit_folds(X, y.astype(float), C)
+    return starts, groups
+
+
+def one_full_step(X, y, fold, theta, C=12.06):
+    """theta plus one Newton step of the fold's whole problem, over its n - 1 rows."""
+    logistic = timeshift.logistic
+    Z, shift, scale, free = logistic._fold_scalers(X)
+    A, pairs = logistic._design(Z)
+    k = slice(fold, fold + 1)
+    problem = logistic._Block(A, pairs, y.astype(float), np.array([[fold]]), C,
+                              np.empty((4, 1, len(y))), shift[k], scale[k], free[k])
+    _, grad, hess, _ = problem.objective(theta[None, :], np.arange(1))
+    return theta + logistic._newton_directions(hess, grad)[0]
+
+
 class TestGroupStarts:
+    def test_start_is_one_newton_step_of_the_folds_own_problem(self, monkeypatch):
+        X, y = grouped_cohort()
+        size, group, _ = fold_layout(len(y))
+        starts, groups = starts_and_groups(monkeypatch, X, y)
+        firsts = range(0, len(y), group)
+        # each group's first and last fold, and both folds at every block edge
+        targets = {*firsts, *(min(g + group, len(y)) - 1 for g in firsts)}
+        targets |= {k for edge in range(size, len(y), size) for k in (edge - 1, edge)}
+        for fold in sorted(targets):
+            solution = groups[fold // group * group]
+            np.testing.assert_allclose(starts[fold], one_full_step(X, y, fold, solution),
+                                       rtol=1e-12, atol=0, err_msg=str(fold))
+
+    def test_fixed_coordinate_fold_starts_at_its_group_solution(self, monkeypatch):
+        X, y = features_and_labels(fixed_coordinate_cohort())
+        group = fold_layout(len(y))[1]
+        starts, groups = starts_and_groups(monkeypatch, X, y)
+        free = timeshift.logistic._fold_scalers(X)[3][150]
+        assert free.sum() == len(free) - 1
+        expected = groups[150 // group * group].copy()
+        expected[1:][~free] = 0.0
+        np.testing.assert_array_equal(starts[150], expected)
+
+    def test_start_step_keeps_folds_within_three_newton_steps(self):
+        # from its group's solution alone a fold takes 3 or 4 steps
+        n_iter = folds_of(*grouped_cohort())[1]
+        assert n_iter.max() <= 3 and n_iter.mean() < 3
+
     def test_held_out_label_cannot_leak_across_groups_and_blocks(self):
         X, y = grouped_cohort()
         size, group, _ = fold_layout(len(y))
@@ -431,16 +505,9 @@ class TestGroupStarts:
             assert not np.array_equal(flipped, baseline)
 
     def test_fixed_coordinate_and_outlier_folds_match_per_fold_refits(self):
-        # row 150, in the second group, is the one sensitive row, so the
-        # column is constant in its fold alone; row 0's first production is a
-        # forgotten 4,000 s that dominates t1_rel_error
-        ds = simulated(SimParams(rng_seed=8, sensitivity_prevalence=0.3), 300, 2)
-        trials, pairs = sensitive_only(ds, rows=[150])
-        produced = trials.produced_s.copy()
-        produced[pairs[0, 0]] = 4000.0
-        cohort = dataclasses.replace(trials, produced_s=produced), pairs
-        group = fold_layout(len(pairs))[1]
-        assert 0 < 150 // group < len(pairs) // group
+        cohort = fixed_coordinate_cohort()
+        group = fold_layout(len(cohort[1]))[1]
+        assert 0 < 150 // group < len(cohort[1]) // group
         result = loocv(*features_and_labels(cohort), C=12.06)
         assert (result.nonconverged, result.constant_fold_columns) == (0, 1)
         np.testing.assert_allclose(
