@@ -48,7 +48,7 @@ class FeatureDependencyError(MalformedRowError):
 
 
 class NonFiniteFeatureError(TimeshiftError):
-    """A feature value, or the spread of a feature column, overflows the float range."""
+    """A feature value, or the mean or spread of a feature column, overflows the float range."""
 
 
 class ConstantColumnError(TimeshiftError):

@@ -197,7 +197,7 @@ def loocv(X: np.ndarray, y, C: float = PINNED_C) -> LoocvResult:
         TooFewSamplesError: fewer than 10 samples.
         SingleClassError: only one class is present.
         FoldSingleClassError: some training fold loses one class entirely.
-        NonFiniteFeatureError: a column's std overflows the float range.
+        NonFiniteFeatureError: a column's mean or std overflows.
         ValueError: a fold's probability lies outside [0, 1].
     """
     X = np.asarray(X, dtype=float)

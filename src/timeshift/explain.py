@@ -31,8 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import write_csv
-from .errors import NonFiniteFeatureError
-from .features import FEATURE_NAMES, N_FEATURES
+from .features import FEATURE_NAMES, N_FEATURES, column_stats
 from .logistic import LogisticModel, _sigmoid
 
 
@@ -72,17 +71,12 @@ def aggregate_shap(phi: np.ndarray) -> list[dict]:
         ValueError: no attributions given.
         NonFiniteFeatureError: a feature's mean or spread is not finite.
     """
-    phi = np.asarray(phi, dtype=float)
     if not len(phi):
         raise ValueError("need at least one attribution")
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below, naming the feature
-        stats = [(float(phi[:, j].mean()), float(phi[:, j].std())) for j in range(N_FEATURES)]
-    for name, (mean, std) in zip(FEATURE_NAMES, stats):
-        if not np.isfinite([mean, std]).all():
-            raise NonFiniteFeatureError(f"{name}: the mean or spread of its attributions overflows")
+    means, stds = column_stats(phi)
     return [
         {"feature": name, "mean_phi": mean, "std_phi": std, "n": len(phi)}
-        for name, (mean, std) in zip(FEATURE_NAMES, stats)
+        for name, mean, std in zip(FEATURE_NAMES, means.tolist(), stds.tolist())
     ]
 
 

@@ -115,7 +115,7 @@ def fit_scaler(X: np.ndarray) -> ScalerStats:
     Raises:
         TooFewSamplesError: fewer than two samples.
         ConstantColumnError: a column has zero variance.
-        NonFiniteFeatureError: a column's std overflows the float range.
+        NonFiniteFeatureError: a column's mean or std overflows.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != N_FEATURES:
@@ -130,12 +130,20 @@ def fit_scaler(X: np.ndarray) -> ScalerStats:
 
 
 def column_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and population std; NonFiniteFeatureError if a std overflows."""
-    with np.errstate(over="ignore"):  # an overflow is raised below, naming its column
-        means, stds = X.mean(axis=0), X.std(axis=0)
-    overflow = [name for name, std in zip(FEATURE_NAMES, stds) if not np.isfinite(std)]
-    if overflow:
-        raise NonFiniteFeatureError(f"{overflow[0]} cannot be standardized: its std overflows")
+    """
+    Per-column mean and population std by a corrected two-pass (Chan, Golub &
+    LeVeque, Amer. Statist. 37:242, 1983), summed pairwise along the rows of X.T;
+    NonFiniteFeatureError names the first column whose mean or std is not finite.
+    """
+    columns = np.ascontiguousarray(np.transpose(X), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, naming its column
+        first = columns.mean(axis=1)
+        deviation = columns - first[:, None]  # its second pass cancels the mean's rounding
+        means, stds = first + deviation.mean(axis=1), deviation.std(axis=1)
+    overflow = np.flatnonzero(~np.isfinite([means, stds]).all(axis=0))
+    if len(overflow):
+        name = FEATURE_NAMES[overflow[0]]
+        raise NonFiniteFeatureError(f"{name}: the mean or spread of its values overflows")
     return means, stds
 
 

@@ -67,8 +67,8 @@ _MAX_BACKTRACKS = 60
 # Newton stops once the gradient infinity-norm, in the problem's own
 # coordinates, is below this.
 _TOL = 1e-8
-# A solve that reaches this many Newton steps stops and reports non-convergence.
-_MAX_ITER = 5000
+# A solve stops after this many Newton steps, not converged (converged ones took <= 31).
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ def _whole(Z: np.ndarray, y: np.ndarray, C: float) -> "_Block":
 def fit_folds(X: np.ndarray, y: np.ndarray, C: float):
     """
     Fit every leave-one-out fold of the (n, 5) raw feature matrix X by fit's
-    damped Newton, in batches; NonFiniteFeatureError if a column's std overflows.
+    damped Newton, in batches; NonFiniteFeatureError if a column's mean or std overflows.
 
     Fold k trains on every row but k, z-scored by its own scaler: in the
     full-data z-scores Z its features are (Z - shift[k]) / scale[k]
@@ -294,8 +294,7 @@ def _fold_scalers(X: np.ndarray):
     fold downdates Z's column sums without its row, but the fold of a column's
     most extreme row: only that row can hold over half of the column's sum of
     squares, so only there can the downdate of sum(Z^2) cancel. That fold
-    takes a corrected two-pass over the other n - 1 raw values (Chan, Golub &
-    LeVeque, Amer. Statist. 37:242, 1983).
+    takes column_stats of the other n - 1 raw rows.
     """
     n = len(X)
     mean, std = column_stats(X)
@@ -306,10 +305,8 @@ def _fold_scalers(X: np.ndarray):
     scale = np.sqrt(np.maximum((np.sum(Z * Z, axis=0) - Z * Z) / (n - 1) - shift**2, 0.0))
     columns = np.flatnonzero(varying)
     for i, j in zip(np.abs(Z[:, columns]).argmax(axis=0), columns):
-        rest = np.delete(X[:, j], i)
-        deviation = rest - rest.mean()  # its second pass cancels the mean's rounding
-        fold_mean = rest.mean() + deviation.mean()
-        shift[i, j], scale[i, j] = (fold_mean - mean[j]) / std[j], deviation.std() / std[j]
+        fold_mean, fold_std = column_stats(np.delete(X, i, axis=0))
+        shift[i, j], scale[i, j] = (fold_mean[j] - mean[j]) / std[j], fold_std[j] / std[j]
     free = ~constant_columns(mean + shift * std, scale * std)
     return Z, shift, scale, free
 

@@ -527,7 +527,7 @@ class TestGroupStarts:
             fold_parameters(monkeypatch, X, y, 0), refit_parameters(X, y, 0), rtol=0, atol=1e-9
         )
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: every fold reads the shared design "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: every fold reads the shared design "
                        "Z = (X - mean) / std, which keeps too few bits of the other rows' "
                        "1e-3 spread next to a 1e9 row for fold 0's weights to match its refit")
     def test_dominant_row_fold_matches_its_refit(self, monkeypatch):

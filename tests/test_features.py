@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from timeshift.errors import (
     EmptyFileError,
     FeatureDependencyError,
     MalformedRowError,
+    NonFiniteFeatureError,
     NonPositiveTimeError,
     TooFewSamplesError,
 )
@@ -219,6 +222,24 @@ class TestScaler:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
             fit_scaler(np.ones((1, 5)))
+
+    @pytest.mark.parametrize("values", [[-1e200, 1e200], [1.5e308, 1.5e308]])
+    def test_overflowing_mean_or_spread_names_its_column(self, values):
+        # +-1e200: mean 0, the spread overflows; 1.5e308: both overflow
+        X = np.array([values, [0, 1], [0, 1], [0, 2], [0, 2]], dtype=float).T
+        with pytest.raises(NonFiniteFeatureError, match="^t1_rel_error: the mean or spread"):
+            fit_scaler(X)
+
+    def test_near_constant_column_matches_an_exact_two_pass(self):
+        rng = np.random.default_rng(7)
+        X = rng.integers(0, 3, (5000, 5)).astype(float)
+        X[:, 0] = 1e3 * (1.0 + 1e-11 * rng.standard_normal(5000))
+        stats = fit_scaler(X)
+        exact = [Fraction(x) for x in X[:, 0].tolist()]
+        mean = sum(exact) / len(exact)
+        std = math.sqrt(sum((x - mean) ** 2 for x in exact) / len(exact))
+        assert stats.means[0] == pytest.approx(float(mean), rel=1e-12, abs=0)
+        assert stats.std_devs[0] == pytest.approx(std, rel=1e-12, abs=0)
 
     def test_standardized_columns_are_centered_unit(self):
         rng = np.random.default_rng(3)
