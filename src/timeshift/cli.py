@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -243,9 +244,6 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict | 
 
 
 def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict | None]:
-    per_sample_path = args.per_sample or args.output.with_suffix(".per_sample.csv")
-    if per_sample_path.resolve() == args.output.resolve():
-        raise ConfigError(f"--per-sample and --output name one file: {args.output}")
     trials, pairs = _load_pairs(args.input)
     if config.undersample:
         pairs = pairs[balanced_indices(pair_deltas(trials, pairs) < 0, config.seed)]
@@ -260,7 +258,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict
     ids = list(map("{}:{}".format, trials.participant_ids[trials.participant[nxt]],
                    trials.trial_index[nxt].tolist()))
     write_csv(
-        per_sample_path,
+        args.per_sample,
         ("id", "probability", "direction_pred", "direction_actual", "delta_t",
          "magnitude_pred", "magnitude_actual"),
         (
@@ -298,7 +296,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> tuple[int, dict
         "nonconverged_folds": result.nonconverged,
         "fold_n_iter": {"min": int(result.n_iter.min()), "max": int(result.n_iter.max())},
         "constant_fold_columns": result.constant_fold_columns,
-        "per_sample_csv": per_sample_path.name,
+        "per_sample_csv": args.per_sample.name,
     }
     _write_json(args.output, summary)
     if result.nonconverged:
@@ -429,9 +427,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The output file flags, then every other path flag (a flag's dest is its name
+# without "--", "-" read as "_"); no output may name another flag's file
+_OUTPUT_FLAGS = ("--per-sample", "--output")
+_PATH_FLAGS = _OUTPUT_FLAGS + ("--input", "--model", "--features", "--config")
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """ConfigError, naming both flags, if an output flag's file is another path flag's."""
+    given = [(flag, Path(value)) for flag in _PATH_FLAGS
+             if (value := getattr(args, flag[2:].replace("-", "_"), None))]
+    for (output_flag, output), (flag, path) in itertools.combinations(given, 2):
+        if output_flag in _OUTPUT_FLAGS and output.resolve() == path.resolve():
+            raise ConfigError(f"{output_flag} and {flag} name one file: {path}")
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.command == "evaluate" and not args.per_sample:  # beside --output by default
+            args.per_sample = args.output.with_suffix(".per_sample.csv")
+        _check_outputs(args)
         config = _load_config(args)
         code, counts = _COMMANDS[args.command][0](config, args)
         if counts is not None:  # the sidecar manifest, named after the output file's stem

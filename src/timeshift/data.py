@@ -320,7 +320,7 @@ def _read_columns(path: Path, cells: tuple, check: Callable) -> list:
             columns = [column for column, _, _ in cells]
             for column in columns:
                 if column not in position:
-                    raise MissingColumnError(column)
+                    raise MissingColumnError(f"missing required column: {column!r}")
             extras = [c for c in header if c not in columns]
             if extras:
                 message = f"{path}: ignoring unknown columns {extras}"
@@ -602,9 +602,8 @@ def pair_consecutive(trials: TrialTable) -> np.ndarray:
     duplicate = np.flatnonzero(same & (step == 0))
     if len(duplicate):
         first = duplicate[0]
-        raise DuplicateTrialIndexError(
-            trials.participant_ids[participant[first]], int(index[first])
-        )
+        raise DuplicateTrialIndexError(f"participant {trials.participant_ids[participant[first]]!r}"
+                                       f" has duplicate trial index {index[first]}")
     gaps = int(np.count_nonzero(same & (step > 1)))
     if gaps:
         message = f"{gaps} gaps between trial indices, no pair emitted across them"

@@ -1,4 +1,10 @@
-"""Exception types shared across the timeshift package."""
+"""
+Exception types shared across the timeshift package. A TimeshiftError (bad
+input, data or configuration) carries only its class and the message written
+where it is raised, which the CLI reports as one JSON line. A library call
+with arguments it cannot use (a wrong shape, unequal lengths) raises
+ValueError instead; the CLI makes no such call.
+"""
 
 from __future__ import annotations
 
@@ -12,16 +18,10 @@ class MalformedRowError(TimeshiftError):
 
     def __init__(self, line_num: int, reason: str):
         super().__init__(f"line {line_num}: {reason}")
-        self.line_num = line_num
-        self.reason = reason
 
 
 class MissingColumnError(TimeshiftError):
     """A required CSV column is absent from the header."""
-
-    def __init__(self, name: str):
-        super().__init__(f"missing required column: {name!r}")
-        self.name = name
 
 
 class EmptyFileError(TimeshiftError):
@@ -30,13 +30,6 @@ class EmptyFileError(TimeshiftError):
 
 class DuplicateTrialIndexError(TimeshiftError):
     """Two trials of the same participant share a trial index."""
-
-    def __init__(self, participant_id: str, trial_index: int):
-        super().__init__(
-            f"participant {participant_id!r} has duplicate trial index {trial_index}"
-        )
-        self.participant_id = participant_id
-        self.trial_index = trial_index
 
 
 class NonPositiveTimeError(TimeshiftError):
@@ -54,10 +47,6 @@ class NonFiniteFeatureError(TimeshiftError):
 class ConstantColumnError(TimeshiftError):
     """A feature column is constant and cannot be standardized."""
 
-    def __init__(self, index: int):
-        super().__init__(f"feature column {index} is constant; cannot standardize")
-        self.index = index
-
 
 class TooFewSamplesError(TimeshiftError):
     """Not enough samples for the requested operation."""
@@ -69,14 +58,6 @@ class SingleClassError(TimeshiftError):
 
 class FoldSingleClassError(TimeshiftError):
     """A cross-validation training fold contains a single class."""
-
-    def __init__(self, fold_index: int):
-        super().__init__(f"training fold {fold_index} contains a single class")
-        self.fold_index = fold_index
-
-
-class LengthMismatchError(TimeshiftError):
-    """Two parallel sequences have different lengths."""
 
 
 class ConfigError(TimeshiftError):

@@ -21,7 +21,6 @@ from .data import (
 )
 from .errors import (
     FoldSingleClassError,
-    LengthMismatchError,
     SingleClassError,
     TooFewSamplesError,
 )
@@ -133,13 +132,10 @@ def metrics(predictions, actual) -> MetricsReport:
     precision 0 instead of an error.
 
     Raises:
-        LengthMismatchError: sequences differ in length.
-        ValueError: empty input.
+        ValueError: the sequences differ in length or are empty.
     """
     if len(predictions) != len(actual):
-        raise LengthMismatchError(
-            f"{len(predictions)} predictions vs {len(actual)} actual labels"
-        )
+        raise ValueError(f"{len(predictions)} predictions vs {len(actual)} actual labels")
     if not len(predictions):
         raise ValueError("cannot compute metrics on empty input")
     predicted = labels_to_array(predictions) == 1.0
@@ -209,7 +205,7 @@ def loocv(X: np.ndarray, y, C: float = PINNED_C) -> LoocvResult:
         if not len(members):
             raise SingleClassError("LOOCV requires both classes")
         if len(members) == 1:  # the fold without its one member is single-class
-            raise FoldSingleClassError(int(members[0]))
+            raise FoldSingleClassError(f"training fold {members[0]} contains a single class")
 
     probabilities, n_iter, converged, fixed = fit_folds(X, y, C)
     # a certain fold (|logit| above ~37) rounds to exactly 0.0 or 1.0
@@ -247,12 +243,12 @@ def magnitude_confusion(
     says high increase, how often is that right".
 
     Raises:
-        LengthMismatchError: probabilities and deltas differ in length.
+        ValueError: probabilities and deltas differ in length.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
     if len(probabilities) != len(deltas):
-        raise LengthMismatchError(f"{len(probabilities)} probabilities vs {len(deltas)} deltas")
+        raise ValueError(f"{len(probabilities)} probabilities vs {len(deltas)} deltas")
     cells = 3 * actual_bands(deltas, thresholds) + predicted_bands(probabilities, thresholds)
     table = np.bincount(cells, minlength=9).reshape(3, 3)
     counts, column_totals = table.tolist(), table.sum(axis=0).tolist()

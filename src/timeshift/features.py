@@ -116,6 +116,7 @@ def fit_scaler(X: np.ndarray) -> ScalerStats:
         TooFewSamplesError: fewer than two samples.
         ConstantColumnError: a column has zero variance.
         NonFiniteFeatureError: a column's mean or std overflows.
+        ValueError: X is not an (n, 5) matrix.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != N_FEATURES:
@@ -125,7 +126,7 @@ def fit_scaler(X: np.ndarray) -> ScalerStats:
     means, stds = column_stats(X)
     constant = np.flatnonzero(constant_columns(means, stds))
     if len(constant):
-        raise ConstantColumnError(int(constant[0]))
+        raise ConstantColumnError(f"{FEATURE_NAMES[constant[0]]} is constant; cannot standardize")
     return ScalerStats(means=tuple(means), std_devs=tuple(stds))
 
 

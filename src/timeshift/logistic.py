@@ -187,6 +187,7 @@ def fit(
     Raises:
         SingleClassError: only one class present in y.
         TooFewSamplesError: fewer than 6 samples.
+        ValueError: Z is not an (n, 5) matrix, or Z and y differ in length.
     """
     Z = np.asarray(Z, dtype=float)
     y_arr = labels_to_array(y)

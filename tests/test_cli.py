@@ -17,13 +17,22 @@ import pytest
 import timeshift.logistic
 from timeshift.cli import RunConfig, build_parser, main
 from timeshift.data import TRIAL_CSV_COLUMNS, EngagementLevel
+from timeshift.errors import TimeshiftError
 from timeshift.evaluation import (
     Thresholds,
     classify_actual_magnitude,
     classify_direction,
     classify_predicted_magnitude,
+    magnitude_confusion,
+    metrics,
 )
-from timeshift.features import FEATURE_CSV_COLUMNS, ScalerStats, identity_scaler
+from timeshift.features import (
+    FEATURE_CSV_COLUMNS,
+    ScalerStats,
+    fit_scaler,
+    identity_scaler,
+    write_feature_csv,
+)
 from timeshift.logistic import (
     PINNED_COEFFICIENTS,
     LogisticModel,
@@ -719,6 +728,120 @@ def test_every_stderr_line_is_one_json_object(tmp_path, capsys, monkeypatch, cas
     assert names == expected
     assert code != 2 or not any(Path(paths[name]).exists() for name in ("out", "out_dir"))
 
+
+# The messages written where the error is raised, exact: (argv, with {input}
+# for the file of the given bytes, error name, message)
+RAISED_MESSAGES = {
+    "missing_column": (
+        "extract --input {input} --output {out}",
+        "\n".join([TRIAL_HEADER.rsplit(",", 1)[0], "p1,1,low,30,false,false",
+                   "p1,2,low,31,false,false", ""]).encode(),
+        "MissingColumnError", "missing required column: 'nontiming_task_error'"),
+    "duplicate_trial_index": (
+        "extract --input {input} --output {out}", _trial_rows("p1,1,low,31,false,false,"),
+        "DuplicateTrialIndexError", "participant 'p1' has duplicate trial index 1"),
+    # twelve participants, of whom only p5 speeds up: fold 5 has no decrease left
+    "single_class_fold": (
+        "evaluate --no-undersample --input {input} --output {out}",
+        "\n".join([TRIAL_HEADER] + [
+            f"p{i},{index},low,{produced},false,false,"
+            for i in range(12)
+            for index, produced in ((1, 30 + i), (2, 25 if i == 5 else 40 + i))
+        ] + [""]).encode(),
+        "FoldSingleClassError", "training fold 5 contains a single class"),
+    "constant_column": (
+        "train --no-undersample --input {input} --output {out}",
+        _feature_rows("2.0,1,0,0,0,decrease\n-5.0,1,0,2,2,increase\n7.0,0,0,0,1,decrease\n"
+                      "1.0,0,0,1,2,decrease\n-3.0,1,0,1,0,increase"),
+        "ConstantColumnError", "high_visual_sensitivity is constant; cannot standardize"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISED_MESSAGES))
+def test_raised_message_is_the_error_line(tmp_path, capsys, case):
+    argv, data, error, message = RAISED_MESSAGES[case]
+    source = tmp_path / "input.csv"
+    source.write_bytes(data)
+    out = tmp_path / "out.json"
+    assert main(argv.format(input=source, out=out).split()) == 2
+    assert capsys.readouterr().err == json.dumps({"error": error, "message": message}) + "\n"
+    assert sorted(tmp_path.iterdir()) == [source]
+
+
+# An output flag that names an input's file, however spelt: (argv, with
+# {name} for a path in the run's directory, the output flag, the input flag)
+OUTPUT_CLASHES = {
+    "extract": ("extract --input {trials} --output {trials}", "--output", "--input"),
+    "train": ("train --input {features} --output {features}", "--output", "--input"),
+    "train_dotdot": ("train --input {features} --output {sub}/../features.csv",
+                     "--output", "--input"),
+    "predict_model": ("predict --model {model} --features {features} --output {model}",
+                      "--output", "--model"),
+    "predict_features": ("predict --model {model} --features {features} --output {features}",
+                         "--output", "--features"),
+    "simulate_config": ("simulate --config {config} --output {config}", "--output", "--config"),
+    "evaluate_per_sample": ("evaluate --input {trials} --output {out} --per-sample {trials}",
+                            "--per-sample", "--input"),
+    "evaluate_output": ("evaluate --input {trials} --output {trials} --per-sample {out}",
+                        "--output", "--input"),
+    # --per-sample is checked at its default, out.per_sample.csv beside out.json
+    "evaluate_per_sample_default": ("evaluate --input {sub}/out.per_sample.csv "
+                                    "--output {sub}/out.json", "--per-sample", "--input"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_CLASHES))
+def test_output_never_replaces_an_input(tmp_path, capsys, case):
+    argv, output_flag, flag = OUTPUT_CLASHES[case]
+    config = write_config(tmp_path)
+    paths = {"config": config, "trials": tmp_path / "trials.csv",
+             "features": tmp_path / "features.csv", "model": tmp_path / "model.json",
+             "sub": tmp_path / "sub", "out": tmp_path / "out.csv"}
+    assert main(["simulate", "--config", str(config), "--output", str(paths["trials"])]) == 0
+    paths["features"].write_bytes(_feature_rows(TRAINABLE_ROWS))
+    save_model(pinned_model(), paths["model"])
+    paths["sub"].mkdir()
+    (paths["sub"] / "out.per_sample.csv").write_bytes(paths["trials"].read_bytes())
+
+    def files():
+        return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+    before = files()
+    capsys.readouterr()
+    argv = argv.format(**paths).split()
+    assert main(argv) == 2
+    named = Path(argv[argv.index(flag) + 1])
+    expected = {"error": "ConfigError", "message": f"{output_flag} and {flag} name one file: {named}"}
+    assert capsys.readouterr().err == json.dumps(expected) + "\n"
+    assert files() == before
+
+
+# A library call with arguments it cannot use raises ValueError, not a
+# TimeshiftError: the CLI, which reports only TimeshiftErrors, never makes one.
+# (call, given the run's directory; the start of its message)
+LIBRARY_MISUSE = {
+    "fit_shape": (lambda _: fit(np.zeros((6, 4)), [0, 1] * 3), "expected an (n, 5) matrix"),
+    "fit_lengths": (lambda _: fit(np.zeros((6, 5)), [0, 1] * 2), "Z and y differ in length"),
+    "fit_scaler_shape": (lambda _: fit_scaler(np.zeros((6, 4))), "expected an (n, 5) matrix"),
+    "write_feature_csv_lengths": (
+        lambda tmp: write_feature_csv(np.zeros((2, 5)), [True], tmp / "f.csv"),
+        "features and labels differ in length"),
+    "metrics_empty": (lambda _: metrics([], []), "cannot compute metrics on empty input"),
+    "metrics_lengths": (lambda _: metrics([True], []), "1 predictions vs 0 actual labels"),
+    "magnitude_confusion_lengths": (lambda _: magnitude_confusion([0.5], []),
+                                    "1 probabilities vs 0 deltas"),
+    "two_gate_widths": (lambda _: SimParams(gate_width_by_engagement=(0.9, 0.8)),
+                        "gate_width_by_engagement must hold 3 widths, got 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_MISUSE))
+def test_library_misuse_raises_value_error(tmp_path, case):
+    call, message = LIBRARY_MISUSE[case]
+    with pytest.raises(ValueError, match="^" + re.escape(message)) as excinfo:
+        call(tmp_path)
+    assert not isinstance(excinfo.value, TimeshiftError)
+    assert not any(tmp_path.iterdir())
 
 def test_mutated_inputs_exit_0_2_or_3(tmp_path, capsys):
     """

@@ -13,7 +13,6 @@ from timeshift.data import (
 )
 from timeshift.errors import (
     FoldSingleClassError,
-    LengthMismatchError,
     SingleClassError,
     TooFewSamplesError,
 )
@@ -253,7 +252,7 @@ class TestMetrics:
         assert report.precision == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValueError):
             metrics([True], [])
 
 
@@ -617,7 +616,7 @@ class TestMagnitudeConfusion:
         assert share == pytest.approx(count / col[0])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValueError):
             magnitude_confusion([0.5], [])
 
 

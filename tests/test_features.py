@@ -215,9 +215,8 @@ class TestScaler:
         X[:, 2] = [0, 1, 1, 0]
         X[:, 3] = [0, 1, 2, 1]
         X[:, 4] = [1, 2, 1, 0]
-        with pytest.raises(ConstantColumnError) as excinfo:
+        with pytest.raises(ConstantColumnError, match="^t1_rel_error is constant; cannot standardize$"):
             fit_scaler(X)
-        assert excinfo.value.index == 0
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
