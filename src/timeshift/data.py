@@ -12,9 +12,10 @@ an (n, 2) array of its (previous, next) row indices.
 CSV text moves in bulk. A CSV is read by numpy's C reader (np.loadtxt) from
 the open file, a block of rows at a time, with each distinct word of a block
 parsed once. If numpy rejects a line or a cell, or a row breaks an invariant,
-the file is read again from the top by the Python path: csv.reader and a
-parser call per cell, which keeps each row's line number. That path raises
-every error, naming the line and the column. A CSV is written from whole
+the file is read again from the top by the Python path: csv.reader's rows,
+which keep their line numbers, a block at a time, each block's distinct texts
+decoded once by the same decoder. That path raises every error, naming the
+line and the column. A CSV is written from whole
 columns, each block's distinct numbers formatted once and each text quoted
 once, byte for byte as csv.writer writes.
 """
@@ -32,6 +33,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, Field, dataclass, fields
 from functools import lru_cache
+from itertools import islice
 from operator import ge, gt, le
 from pathlib import Path
 from typing import (
@@ -300,9 +302,9 @@ def _read_columns(path: Path, cells: tuple, check: Callable) -> list:
 
     numpy's C reader parses the rows from the open file (_read_text), quoted
     or not. Where it cannot, or a cell or row is bad, the Python path reads
-    the file again from the top (_read_rows): csv.reader and parse on every
-    cell, with each row's line number, so the error and its line are the
-    ones that path raises.
+    the file again from the top (_read_rows): csv.reader's rows with their
+    line numbers, each block's distinct texts decoded once (_decode), so the
+    error and its line are the ones that path raises.
 
     Raises:
         EmptyFileError: the file has no header or no data rows.
@@ -356,25 +358,28 @@ def _tables(cells) -> list[dict | None]:
     return [{} if dtype is np.object_ else None for _, _, _, dtype in cells]
 
 
-def _decode(texts: list, parse, dtype, table: dict | None) -> np.ndarray:
+def _decode(texts: Sequence[str], parse, dtype, table: dict | None) -> np.ndarray | int:
     """
     A column of cell texts: parse runs once per distinct text, in order of
     first appearance; a coded column (table) holds each value's code in table.
+    The row of the first text that parse or dtype rejects (KeyError for an
+    unlisted word, ValueError or OverflowError) comes back in the column's place.
     """
-    distinct = dict.fromkeys(texts)
-    if table is None:
-        values = {text: parse(text) for text in distinct}
-    else:
-        values = {text: table.setdefault(parse(text), len(table)) for text in distinct}
-        dtype = np.intp
-    return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
+    values = dict.fromkeys(texts)
+    for text in values:
+        try:
+            value = parse(text)
+            values[text] = dtype(value) if table is None else table.setdefault(value, len(table))
+        except (KeyError, ValueError, OverflowError):
+            return texts.index(text)
+    return np.fromiter(map(values.__getitem__, texts), dtype if table is None else np.intp, len(texts))
 
 
 def _read_text(fh, cells, check) -> tuple[list, list] | None:
     """
     The blocks and tables of _read_columns from the rows of fh after the
     header, each block read from fh by np.loadtxt, or None where the Python
-    path must read the file: numpy rejects a line or a cell, or warns, parse
+    path must read the file: numpy rejects a line or a cell, or warns, _decode
     rejects a text, or check a row. numpy warns on a blank line and on an
     empty read, which are not faults.
     """
@@ -394,10 +399,10 @@ def _read_text(fh, cells, check) -> tuple[list, list] | None:
                     else _decode(rows[name].tolist(), parse, dtype, table)
                     for (name, kind), (_, _, parse, dtype), table in zip(fields, cells, tables)
                 ]
-                if check(columns):
+                if any(isinstance(column, int) for column in columns) or check(columns):
                     return None
                 blocks.append(columns)
-    except (KeyError, ValueError, OverflowError, Warning):  # UnicodeDecodeError is a ValueError
+    except (ValueError, OverflowError, Warning):  # UnicodeDecodeError is a ValueError
         return None
     return blocks, tables
 
@@ -405,47 +410,33 @@ def _read_text(fh, cells, check) -> tuple[list, list] | None:
 def _read_rows(reader, cells, check) -> tuple[list, list]:
     """
     The blocks and tables of _read_columns from csv.reader's rows after the
-    header, parse called on each cell in turn; a short row reads its missing
-    cells as "". A block is checked as it closes, and the rows of its block
-    ahead of a bad cell are checked before the cell is raised, so the first
-    error in the file is the one raised.
+    header, _READ_BLOCK rows at a time with each row's line number, every
+    column's texts decoded by _decode; a short row reads its missing cells as
+    "". The rows of a block ahead of its first bad cell (in row-major order)
+    are checked before that cell is raised, so the first error in the file is
+    the one raised.
     """
     width = 1 + max(j for j, _, _, _ in cells)
     blocks, tables = [], _tables(cells)
-    values, lines = [[] for _ in cells], []  # the open block's column values and row lines
-
-    def close():
-        # a bad cell's row has values in some columns: count keeps only whole rows
-        columns = [
-            np.fromiter(column, dtype if table is None else np.intp, len(lines))
-            for column, (_, _, _, dtype), table in zip(values, cells, tables)
-        ]
+    rows = ([reader.line_num, *row] + [""] * (width - len(row)) for row in reader if row)
+    while block := list(islice(rows, _READ_BLOCK)):
+        lines, *texts = zip(*block)
+        stop, bad = len(lines), None
+        while True:  # a rejected text: decode again the rows ahead of the first one
+            columns = [_decode(texts[j][:stop], parse, dtype, table)
+                       for (j, _, parse, dtype), table in zip(cells, tables)]
+            rejected = [(row, k) for k, row in enumerate(columns) if isinstance(row, int)]
+            if not rejected:
+                break
+            stop, bad = min(rejected)
         invalid = check(columns)
         if invalid:
             row, error, reason = invalid
             raise error(lines[row], reason)
+        if bad is not None:
+            j, column = cells[bad][:2]
+            raise MalformedRowError(lines[stop], f"{column} is not valid: {texts[j][stop]!r}")
         blocks.append(columns)
-        for column in values:
-            column.clear()
-        lines.clear()
-
-    for row in reader:
-        if not row:
-            continue
-        row += [""] * (width - len(row))
-        for (j, column, parse, dtype), out, table in zip(cells, values, tables):
-            try:
-                value = parse(row[j])
-                out.append(dtype(value) if table is None else table.setdefault(value, len(table)))
-            except (KeyError, ValueError, OverflowError):  # KeyError: an unlisted word
-                close()
-                reason = f"{column} is not valid: {row[j]!r}"
-                raise MalformedRowError(reader.line_num, reason) from None
-        lines.append(reader.line_num)
-        if len(lines) == _READ_BLOCK:
-            close()
-    if lines:
-        close()
     return blocks, tables
 
 

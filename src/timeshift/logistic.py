@@ -112,7 +112,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)  # e <= 1, so 1 where x >= 0
 
 
 def predict_proba(model: LogisticModel, z: np.ndarray) -> float | np.ndarray:
@@ -230,6 +230,11 @@ _BLOCK_ELEMENTS = 24576
 # alternating runs) took within 5% of each other for 32 to 256, and 7 to 10%
 # longer for 16; from 32 up a fold took 2.0 to 2.1 Newton steps on average.
 _GROUP_FOLDS = 64
+# Rows per partial product of _row_sums. With numpy 2.4.6 (OpenBLAS 0.3.31) on
+# 2 cores, (1, 12800) @ (12800, 36) was split over 2 threads and summed in
+# another order; (1, 12288) @ (12288, 36) kept its bits, and so did every block
+# product of fit_folds (k * n <= _BLOCK_ELEMENTS) at 26 sizes up to 100,000 rows.
+_SUM_ROWS = 12288
 
 
 def _design(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,18 +400,17 @@ class _Block:
         terms[rows, held_out] = 0.0
         loss = terms.sum(axis=1) + 0.5 * np.einsum("ij,ij->i", penalty * w, w)
         denom = np.add(e, 1.0, out=terms)
-        np.copyto(residual, e)
-        np.copyto(residual, 1.0, where=logits >= 0)  # _sigmoid's arithmetic
+        np.maximum(e, logits >= 0, out=residual)  # _sigmoid's arithmetic
         residual /= denom
         residual -= self.y
         residual[rows, held_out] = 0.0
-        grad = residual @ self.A
+        grad = _row_sums(residual, self.A)
         grad[:, 1:] += penalty * w
         weight = e  # p (1 - p) == e^-|m| / (1 + e^-|m|)^2 for either sign of m
         weight /= denom
         weight /= denom
         weight[rows, held_out] = 0.0
-        hess = (weight @ self.pairs).reshape(-1, N_FEATURES + 1, N_FEATURES + 1)
+        hess = _row_sums(weight, self.pairs).reshape(-1, N_FEATURES + 1, N_FEATURES + 1)
         diagonal = np.arange(1, N_FEATURES + 1)
         hess[:, diagonal, diagonal] += penalty
         if self.fixed is not None:  # a unit Hessian row and no gradient: no step
@@ -467,6 +471,18 @@ class _Block:
             active[live[pending]] = False  # the line search found no step
             active &= norm >= _TOL
         return theta, n_iter, norm
+
+
+def _row_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """
+    left @ right as partial products over _SUM_ROWS rows of right at a time,
+    added in order, so its bits do not depend on the BLAS thread count. Up to
+    _SUM_ROWS rows it is the one product left @ right.
+    """
+    total = left[:, :_SUM_ROWS] @ right[:_SUM_ROWS]
+    for first in range(_SUM_ROWS, len(right), _SUM_ROWS):
+        total += left[:, first:first + _SUM_ROWS] @ right[first:first + _SUM_ROWS]
+    return total
 
 
 def _newton_directions(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:

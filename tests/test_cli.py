@@ -4,8 +4,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import typing
 import warnings
@@ -226,6 +229,27 @@ class TestTrain:
             rows.append(f"{rel},{i % 2},{(i // 2) % 2},{v2},{change},{label}")
         path.write_text("\n".join(rows) + "\n")
         return path
+
+    def test_same_bytes_under_any_blas_thread_count(self, tmp_path):
+        # 45,000 rows: one OpenBLAS product over all of them is split over two threads
+        rng = np.random.default_rng(3)
+        n = 45_000
+        v2 = rng.integers(0, 3, n)
+        change = np.clip(v2 + rng.integers(-1, 2, n), 0, 2)  # never 2 apart from v2
+        X = np.column_stack([rng.normal(15.0, 40.0, n).clip(-100.0), rng.random(n) < 0.4,
+                             rng.random(n) < 0.06, v2, change])
+        features = tmp_path / "features.csv"
+        write_feature_csv(X, rng.random(n) < 1 / (1 + np.exp((15.0 - X[:, 0]) / 40.0)), features)
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+        models = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"model_{threads}.json"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-m", "timeshift", "train", "--input", str(features),
+                            "--output", str(out)], env=env, check=True, timeout=120)
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
 
     def test_model_roundtrips(self, tmp_path):
         features = self._features_csv(tmp_path)

@@ -158,15 +158,24 @@ class TestLoadTrials:
         assert np.isnan(whole.nontiming_error[1:4]).all() and whole.nontiming_error[4] == 1.5
 
     def test_first_error_in_file_order_within_a_block(self, tmp_path, monkeypatch):
-        # the second block holds a bad time (lines 5-6) before a bad cell (line 7)
         monkeypatch.setattr(timeshift.data, "_READ_BLOCK", 2)
         path = tmp_path / "trials.csv"
-        path.write_text(
-            HEADER + "\np1,1,low,30,false,false,\n\np1,2,low,31,false,false,\n"
-            '"p\n2",1,low,-4,false,false,\np2,2,low,x,false,false,\n'
-        )
-        with pytest.raises(MalformedRowError, match="line 6: produced_time_s must be"):
-            load_trials(path)
+        for rows, error in (
+            # the second block holds a bad time (lines 5-6) before a bad cell (line 7)
+            ('p1,1,low,30,false,false,\n\np1,2,low,31,false,false,\n'
+             '"p\n2",1,low,-4,false,false,\np2,2,low,x,false,false,\n',
+             "line 6: produced_time_s must be"),
+            # one block: a bad word (line 2) before a bad cell of an earlier column (line 3)
+            ("p1,1,low,30,maybe,false,\np1,two,low,31,false,false,\n",
+             "line 2: reported_lower_than_30 is not valid: 'maybe'"),
+        ):
+            path.write_text(HEADER + "\n" + rows)
+            with pytest.raises(MalformedRowError, match=error):
+                load_trials(path)
+            with monkeypatch.context() as patch:  # the Python path from the start
+                patch.setattr(np, "loadtxt", _no_loadtxt)
+                with pytest.raises(MalformedRowError, match=error):
+                    load_trials(path)
 
     def test_roundtrip_write_then_load(self, tmp_path):
         trials = [
