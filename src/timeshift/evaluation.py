@@ -162,8 +162,8 @@ class LoocvResult:
     """
     Each fold's predicted decrease (probability > 0.5), probability and Newton
     steps as arrays in sample order, and the metrics of the predictions.
-    nonconverged counts the folds whose solve stopped at the iteration cap and
-    constant_fold_columns the folds with a column constant within them.
+    nonconverged counts the folds stopped above the tolerance (at the step cap
+    or with no line-search step), constant_fold_columns those with a constant column.
     """
 
     outcomes: np.ndarray
@@ -182,12 +182,12 @@ def loocv(X: np.ndarray, y, C: float = PINNED_C) -> LoocvResult:
     Each sample is predicted by a scaler and model fitted on the other n-1
     samples only, so the held-out sample never leaks into standardization or
     training. fit_folds owns the folds: it builds each fold's scaler and
-    solves all folds together, each from its group's start (which its
-    held-out label cannot reach) to fit's gradient tolerance in its own
-    coordinates. A column constant within a fold keeps weight 0 in that
-    fold's model instead of failing the run, and the fold is counted in
-    constant_fold_columns. A fold that does not converge is still used and
-    counted in nonconverged.
+    solves all folds in one _Block.solve, each from its group's start (which
+    its held-out label cannot reach) to fit's gradient tolerance in its own
+    coordinates, and once more from zero where that start failed. A column
+    constant within a fold keeps weight 0 in that fold's model instead of
+    failing the run, and the fold is counted in constant_fold_columns. A fold
+    that does not converge is still used and counted in nonconverged.
 
     Raises:
         TooFewSamplesError: fewer than 10 samples.

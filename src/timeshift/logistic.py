@@ -13,11 +13,11 @@ Newton with Armijo backtracking (the Hessian is a 6x6, so exact second-order
 steps are cheap and reach the tight gradient tolerance that quasi-Newton
 updates stall above), falling back to steepest descent whenever the Hessian
 solve is unusable. Same inputs give a bit-identical model. There is one
-solver, for a block of problems over one design: fit is the block of one
-problem, with no held-out row, and fit_folds solves every leave-one-out fold
-of a raw feature matrix in blocks, each with its own scaler and from a start
-that its held-out label cannot reach. nll_loss and gradient evaluate that same
-objective.
+solver, for any number of problems over one design, a block of them at a time:
+fit is the one problem with no held-out row, and fit_folds solves every
+leave-one-out fold of a raw feature matrix, each with its own scaler and from a
+start that its held-out label cannot reach. nll_loss and gradient evaluate
+that same objective.
 
 The module also carries the pinned reference model: intercept 0.016 and weights
 (0.662, -0.191, -0.241, -0.187, 0.177) over the five standardized features.
@@ -214,18 +214,19 @@ def fit(
 
 
 # ---------------------------------------------------------------------------
-# The damped Newton solver, for a block of problems over one design
+# The damped Newton solver, for any number of problems over one design
 # ---------------------------------------------------------------------------
 
-# Element budget of one block of folds: fit_folds solves budget // n folds at
-# a time in four (block, n) work buffers, 192 KB each here. Larger blocks cost
-# fewer numpy calls per fold, but the Hessian product (block, n) @ (n, 36),
-# _BLOCK_ELEMENTS * 36 = 884,736 multiply-adds at most, must stay below the
-# about 10^6 at which OpenBLAS wakes its helper thread. With numpy 2.4.6 on 2
-# cores, (23, 1188) @ (1188, 36) ran on one thread and (24, 1188) @ (1188, 36)
-# on two, in twice the time of (20, 1188) @ (1188, 36).
+# Element budget of a block, the problems that _Block (the one place that walks
+# blocks) takes at once: fit_folds' one work buffer holds budget // n rows of n
+# in each of its four arrays, 192 KB each here. Larger blocks cost fewer numpy
+# calls per fold, but the Hessian product (block, n) @ (n, 36), _BLOCK_ELEMENTS
+# * 36 = 884,736 multiply-adds at most, must stay below the about 10^6 at which
+# OpenBLAS wakes its helper thread. With numpy 2.4.6 on 2 cores, (23, 1188) @
+# (1188, 36) ran on one thread and (24, 1188) @ (1188, 36) on two, in twice the
+# time of (20, 1188) @ (1188, 36).
 _BLOCK_ELEMENTS = 24576
-# About this many consecutive folds share one group start (see _group_starts).
+# This many consecutive folds share one group start (see _group_starts).
 # In-process fit_folds on two 1,250-fold loocv cohorts (medians of 15
 # alternating runs) took within 5% of each other for 32 to 256, and 7 to 10%
 # longer for 16; from 32 up a fold took 2.0 to 2.1 Newton steps on average.
@@ -251,7 +252,7 @@ def _whole(Z: np.ndarray, y: np.ndarray, C: float) -> "_Block":
 def fit_folds(X: np.ndarray, y: np.ndarray, C: float):
     """
     Fit every leave-one-out fold of the (n, 5) raw feature matrix X by fit's
-    damped Newton, in batches; NonFiniteFeatureError if a column's mean or std overflows.
+    damped Newton in one _Block.solve; NonFiniteFeatureError if a column's mean or std overflows.
 
     Fold k trains on every row but k, z-scored by its own scaler: in the
     full-data z-scores Z its features are (Z - shift[k]) / scale[k]
@@ -263,32 +264,29 @@ def fit_folds(X: np.ndarray, y: np.ndarray, C: float):
     under the change of coordinates, so each fold tests fit's tolerance on its
     gradient mapped back to its own coordinates. A fold starts from a point
     that its held-out label cannot reach (_group_starts), which does not
-    change the point the fold converges to.
+    change the point the fold converges to; a fold that stops above the
+    tolerance from there is solved once more from zero, fit's start.
 
     Returns:
-        Each fold's probability for its held-out row, its Newton steps,
-        whether its gradient norm fell below the tolerance within _MAX_ITER
-        steps and whether it has a fixed coordinate.
+        Each fold's probability for its held-out row, its Newton steps (over
+        both solves for a fold solved twice), whether its gradient norm fell
+        below the tolerance and whether it has a fixed coordinate.
     """
     n = len(y)
     Z, shift, scale, free = _fold_scalers(X)
     A, pairs = _design(Z)
-    size = max(1, _BLOCK_ELEMENTS // n)
-    # allocated once: temporaries freed on every objective call would let
-    # glibc trim and regrow the heap, a page fault per page each time
-    work = np.empty((4, size, n))
+    # the one work buffer of every block over A, allocated once: temporaries freed
+    # on every objective call would let glibc trim and regrow the heap, page by page
+    work = np.empty((4, max(1, _BLOCK_ELEMENTS // n), n))
     start = _group_starts(A, pairs, y, scale, free, C, work)
-    probability = np.empty(n)
-    n_iter = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    for first in range(0, n, size):
-        block = slice(first, min(first + size, n))
-        held_out = np.arange(block.start, block.stop)[:, None]
-        folds = _Block(A, pairs, y, held_out, C, work, shift[block], scale[block], free[block])
-        theta, n_iter[block], norm = folds.solve(start[block])
-        converged[block] = norm < _TOL
-        probability[block] = _sigmoid(np.einsum("ij,ij->i", theta, A[block]))
-    return probability, n_iter, converged, ~free.all(axis=1)
+    folds = _Block(A, pairs, y, np.arange(n)[:, None], C, work, shift, scale, free)
+    theta, n_iter, norm = folds.solve(start)
+    # a fold that stopped above the tolerance is solved once more from zero, as fit is
+    retry = np.flatnonzero(norm >= _TOL)
+    again = _Block(A, pairs, y, retry[:, None], C, work, shift[retry], scale[retry], free[retry])
+    theta[retry], steps, norm[retry] = again.solve(np.zeros((len(retry), N_FEATURES + 1)))
+    n_iter[retry] += steps
+    return _sigmoid(np.einsum("ij,ij->i", theta, A)), n_iter, norm < _TOL, ~free.all(axis=1)
 
 
 def _fold_scalers(X: np.ndarray):
@@ -321,31 +319,25 @@ def _group_starts(A, pairs, y, scale, free, C, work) -> np.ndarray:
     """
     Each fold's Newton start, which its held-out label cannot reach.
 
-    The folds are cut into groups of about _GROUP_FOLDS consecutive folds, a
-    whole number of blocks of work's size. Each group's problem drops every
-    row of the group and uses Z's coordinates and the penalty 1/C; the groups
-    are solved as blocks of problems, from zero. Fold k then takes one Newton
-    step of its own problem from its group's solution: the loss terms of the
-    rows outside the group, unpenalized, plus _Block.objective over the
-    group's own rows with row k held out and fold k's own penalty. So no bit
-    of the start depends on y[k]. A fold with a fixed coordinate, or whose
-    step is not finite (a singular Hessian's is NaN), starts at its group's
-    solution with its fixed coordinates at 0.
+    The folds are cut into groups of _GROUP_FOLDS consecutive folds, or one
+    group below 4 * _GROUP_FOLDS folds. A group's problem drops every row of
+    the group (so it keeps three quarters of the rows or more, or none), uses
+    Z's coordinates and the penalty 1/C, and is solved from zero. Fold k then
+    takes one Newton step of its own problem from its group's solution: the
+    loss terms of the rows outside the group, unpenalized, plus
+    _Block.objective over the group's own rows with row k held out and fold
+    k's own penalty. So no bit of the start depends on y[k]. A fold with a
+    fixed coordinate, or whose step is not finite (a singular Hessian's is
+    NaN), starts at its group's solution with its fixed coordinates at 0.
     """
-    n, size = len(y), len(work[0])
-    group = size * max(1, round(_GROUP_FOLDS / size))
+    n = len(y)
+    group = n if n < 4 * _GROUP_FOLDS else _GROUP_FOLDS
     # each group's rows; the last group's tail repeats its last row
     members = np.minimum(np.arange(-(-n // group) * group), n - 1).reshape(-1, group)
-    theta = np.empty((len(members), N_FEATURES + 1))
-    grad = np.empty_like(theta)
-    hess = np.empty((len(members), N_FEATURES + 1, N_FEATURES + 1))
-    for first in range(0, len(members), size):
-        part = slice(first, first + size)
-        groups = _Block(A, pairs, y, members[part], C, work)
-        theta[part] = groups.solve(np.zeros_like(theta[part]))[0]
-        # the loss terms of the rows outside each group, without the penalty
-        rest = _Block(A, pairs, y, members[part], np.inf, work)
-        _, grad[part], hess[part], _ = rest.objective(theta[part], np.arange(len(theta[part])))
+    theta = _Block(A, pairs, y, members, C, work).solve(np.zeros((len(members), N_FEATURES + 1)))[0]
+    # the loss terms of the rows outside each group, without the penalty
+    rest = _Block(A, pairs, y, members, np.inf, work)
+    _, grad, hess, _ = rest.objective(theta, np.arange(len(theta)))
 
     start = theta[np.arange(n) // group]
     local = np.empty(4 * group * group)  # the work buffer of every group's own rows
@@ -366,27 +358,48 @@ def _group_starts(A, pairs, y, scale, free, C, work) -> np.ndarray:
 
 class _Block:
     """
-    The loss, gradient and Hessian of a block of problems over one design A:
-    problem k drops the rows held_out[k] (one per fold, none for fit), reads
-    its features as (Z - shift[k]) / scale[k] and keeps weight 0 where
-    free[k] is False (by default Z as it is: shift 0, scale 1, all free).
+    The loss, gradient and Hessian of any number of problems over one design
+    A, walked in blocks of as many as a (block, rows) work array holds: problem
+    k drops the rows held_out[k] (one per fold, none for fit), reads its
+    features as (Z - shift[k]) / scale[k] and keeps weight 0 where free[k] is
+    False (by default Z as it is: shift 0, scale 1, all free).
     """
 
     def __init__(self, A, pairs, y, held_out, C, work, shift=0.0, scale=1.0, free=True):
         self.A, self.pairs, self.y, self.held_out, self.work = A, pairs, y, held_out, work
-        self.sign = 1.0 - 2.0 * y
-        free = np.full((len(held_out), N_FEATURES), free)
-        # a fixed coordinate's shift and scale are never used
-        self.shift, self.scale = np.where(free, shift, 0.0), np.where(free, scale, 1.0)
-        self.penalty = self.scale**2 / C
-        # the intercept is always free
-        self.free = np.hstack([np.ones((len(held_out), 1), dtype=bool), free])
-        self.fixed = None if free.all() else ~self.free
+        self.sign, self.C, dims = 1.0 - 2.0 * y, C, (len(held_out), N_FEATURES)
+        # views, not copies: each block takes its own rows of them
+        self.shift, self.scale, self.free = (np.broadcast_to(v, dims) for v in (shift, scale, free))
 
     def objective(self, theta: np.ndarray, folds: np.ndarray):
-        """Loss, gradient, Hessian and own-coordinate gradient norm at theta."""
+        """Loss, gradient, Hessian and own-coordinate gradient norm at theta, per block."""
+        parts = [self._objective(theta[b], folds[b]) for b in self._blocks(len(folds))]
+        return tuple(np.concatenate(values) for values in zip(*parts))
+
+    def solve(self, start: np.ndarray):
+        """
+        Damped Newton from start, block by block: Newton steps (steepest descent
+        where unusable) with Armijo backtracking until the gradient norm is below
+        _TOL or _MAX_ITER steps. Returns the parameters, steps and final norms.
+        """
+        theta = np.array(start, dtype=float)
+        n_iter, norm = np.zeros(len(theta), dtype=int), np.empty(len(theta))
+        for b in self._blocks(len(theta)):
+            self._newton(theta[b], n_iter[b], norm[b], np.arange(len(theta))[b])
+        return theta, n_iter, norm
+
+    def _blocks(self, count: int) -> list[slice]:
+        """Consecutive slices of count problems, a work buffer's rows each (one if none)."""
+        size = len(self.work[0])
+        return [slice(first, first + size) for first in range(0, max(count, 1), size)]
+
+    def _objective(self, theta: np.ndarray, folds: np.ndarray):
+        """objective over one block: at most a work buffer's rows of problems."""
         rows, held_out = np.arange(len(folds))[:, None], self.held_out[folds]
-        penalty, w = self.penalty[folds], theta[:, 1:]
+        free = self.free[folds]  # a fixed coordinate's shift and scale are never used
+        shift = np.where(free, self.shift[folds], 0.0)
+        scale = np.where(free, self.scale[folds], 1.0)
+        penalty, w = scale**2 / self.C, theta[:, 1:]
         # every (block, n) array is a work buffer; its held-out entries are
         # zeroed in place
         logits, e, terms, residual = (buffer[: len(folds)] for buffer in self.work)
@@ -413,28 +426,20 @@ class _Block:
         hess = _row_sums(weight, self.pairs).reshape(-1, N_FEATURES + 1, N_FEATURES + 1)
         diagonal = np.arange(1, N_FEATURES + 1)
         hess[:, diagonal, diagonal] += penalty
-        if self.fixed is not None:  # a unit Hessian row and no gradient: no step
-            free = self.free[folds]
+        if not free.all():  # a unit Hessian row and no gradient: no step
+            free = np.hstack([np.ones((len(folds), 1), dtype=bool), free])  # and the intercept
             grad *= free
             hess *= free[:, :, None] & free[:, None, :]
             every = np.arange(N_FEATURES + 1)
-            hess[:, every, every] += self.fixed[folds]
+            hess[:, every, every] += ~free
         # d/dw_own = (d/dv - shift * d/dc) / scale
-        grad_w = (grad[:, 1:] - self.shift[folds] * grad[:, :1]) / self.scale[folds]
+        grad_w = (grad[:, 1:] - shift * grad[:, :1]) / scale
         norm = np.maximum(np.abs(grad[:, 0]), np.abs(grad_w).max(axis=1))
         return loss, grad, hess, norm
 
-    def solve(self, start: np.ndarray):
-        """
-        Damped Newton from start for every problem of the block at once: a
-        Newton step (steepest descent where it is unusable) with Armijo
-        backtracking, until the gradient norm is below _TOL or _MAX_ITER steps.
-        Returns the parameters, the steps taken and the final gradient norms.
-        """
-        folds = np.arange(len(self.held_out))
-        theta = np.array(start, dtype=float)
-        loss, grad, hess, norm = self.objective(theta, folds)
-        n_iter = np.zeros(len(folds), dtype=int)
+    def _newton(self, theta, n_iter, norm, folds):
+        """solve over one block, in place: theta, n_iter and norm are its rows of solve's arrays."""
+        loss, grad, hess, norm[:] = self._objective(theta, folds)
         active = norm >= _TOL
         for _ in range(_MAX_ITER):
             live = np.flatnonzero(active)
@@ -452,7 +457,7 @@ class _Block:
             for _ in range(_MAX_BACKTRACKS):
                 k = live[pending]
                 trial = theta[k] + step[pending, None] * direction[pending]
-                t_loss, t_grad, t_hess, t_norm = self.objective(trial, k)
+                t_loss, t_grad, t_hess, t_norm = self._objective(trial, folds[k])
                 predicted = _ARMIJO_C1 * step[pending] * descent[pending]
                 # endgame: the predicted decrease is below the float resolution
                 # of the loss, so Armijo is blind; accept on gradient-norm progress
@@ -470,7 +475,6 @@ class _Block:
                 step[pending] *= 0.5
             active[live[pending]] = False  # the line search found no step
             active &= norm >= _TOL
-        return theta, n_iter, norm
 
 
 def _row_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:

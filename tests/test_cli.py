@@ -1315,6 +1315,20 @@ class TestEvaluate:
         assert report["constant_fold_columns"] == report["n"] > 0
         assert report["nonconverged_folds"] == 0
 
+    @pytest.mark.parametrize("participants, flags", [(195, []), (157, ["--no-undersample"])])
+    def test_every_fold_converges_on_a_single_group_cohort(self, tmp_path, participants, flags):
+        # 158 and 157 folds, one LOOCV group: a group problem cut to keep only
+        # a few rows of the cohort can leave nearly every fold unconverged here
+        trials = tmp_path / "trials.csv"
+        assert main(["simulate", "--participants", str(participants), "--trials", "2",
+                     "--seed", "3", "--output", str(trials)]) == 0
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--seed", "3", "--input", str(trials),
+                     "--output", str(report_path), *flags]) == 0
+        report = json.loads(report_path.read_text())
+        assert (report["n"], report["nonconverged_folds"]) == (158 - len(flags), 0)
+        assert report["accuracy"] > 0.8
+
     def test_nonconverged_folds_exit_3(self, tmp_path, trials, monkeypatch, capsys):
         config, trials = trials
         monkeypatch.setattr(timeshift.logistic, "_MAX_ITER", 1)
