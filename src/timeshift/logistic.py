@@ -255,7 +255,7 @@ def fit_folds(X: np.ndarray, y: np.ndarray, C: float):
     damped Newton in one _Block.solve; NonFiniteFeatureError if a column's mean or std overflows.
 
     Fold k trains on every row but k, z-scored by its own scaler: in the
-    full-data z-scores Z its features are (Z - shift[k]) / scale[k]
+    shared z-scores Z its features are (Z - shift[k]) / scale[k]
     (_fold_scalers). With v = w / scale and c = b - v.shift that is the same
     logistic loss over A = [1 | Z] with the weight penalty scale^2 v^2 / (2C),
     so all folds share one design and each Newton step of a block of folds is
@@ -291,26 +291,28 @@ def fit_folds(X: np.ndarray, y: np.ndarray, C: float):
 
 def _fold_scalers(X: np.ndarray):
     """
-    Every fold's scaler as an affine map of the full-data z-scores Z: fold
-    i's features are (Z - shift[i]) / scale[i], its mean and population std in
-    Z's units, and free[i, j] is False where column j is constant within fold
-    i by constant_columns (in every fold of a cohort-constant column). Each
-    fold downdates Z's column sums without its row, but the fold of a column's
-    most extreme row: only that row can hold over half of the column's sum of
-    squares, so only there can the downdate of sum(Z^2) cancel. That fold
-    takes column_stats of the other n - 1 raw rows.
+    The shared z-scores Z and every fold's scaler as an affine map of them:
+    fold i's features are (Z - shift[i]) / scale[i], its mean and population
+    std in Z's units, and free[i, j] is False where column j is constant
+    within fold i by constant_columns (in every fold of a cohort-constant
+    column, 0 in Z). Z centres and scales each column by column_stats of the
+    fold of its most extreme row (shift 0, scale 1 there), or by the full
+    data's where that fold is constant. Every other fold downdates Z's column
+    sums without its row: only the most extreme row can hold over half of a
+    column's sum of squares, so only its fold's downdate could cancel.
     """
-    n = len(X)
+    n, columns = len(X), np.arange(N_FEATURES)
     mean, std = column_stats(X)
     varying = ~constant_columns(mean, std)
-    std = np.where(varying, std, 1.0)
+    extreme, rows = np.abs(X - mean).argmax(axis=0), np.arange(n - 1)[:, None]
+    fold_mean, fold_std = column_stats(np.take_along_axis(X, rows + (rows >= extreme), axis=0))
+    own = ~constant_columns(fold_mean, fold_std)
+    mean, std = np.where(own, fold_mean, mean), np.where(own, fold_std, np.where(varying, std, 1.0))
     Z = (X - mean) / std * varying
     shift = (Z.sum(axis=0) - Z) / (n - 1)
     scale = np.sqrt(np.maximum((np.sum(Z * Z, axis=0) - Z * Z) / (n - 1) - shift**2, 0.0))
-    columns = np.flatnonzero(varying)
-    for i, j in zip(np.abs(Z[:, columns]).argmax(axis=0), columns):
-        fold_mean, fold_std = column_stats(np.delete(X, i, axis=0))
-        shift[i, j], scale[i, j] = (fold_mean[j] - mean[j]) / std[j], fold_std[j] / std[j]
+    shift[extreme, columns] = (fold_mean - mean) / std * varying
+    scale[extreme, columns] = fold_std / std * varying
     free = ~constant_columns(mean + shift * std, scale * std)
     return Z, shift, scale, free
 

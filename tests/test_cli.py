@@ -1329,6 +1329,22 @@ class TestEvaluate:
         assert (report["n"], report["nonconverged_folds"]) == (158 - len(flags), 0)
         assert report["accuracy"] > 0.8
 
+    @pytest.mark.parametrize("flags", [[], ["--no-undersample"]])
+    def test_every_fold_converges_beside_a_forgotten_production(self, tmp_path, flags):
+        # participant 0's first production is 3e10 s: its t1_rel_error dominates
+        # the column, and its fold must still read the other rows' spread
+        trials = tmp_path / "trials.csv"
+        assert main(["simulate", "--participants", "300", "--seed", "2",
+                     "--output", str(trials)]) == 0
+        header, first, *rest = trials.read_text().splitlines(keepends=True)
+        cells = first.split(",")
+        cells[TRIAL_HEADER.split(",").index("produced_time_s")] = "3e10"
+        trials.write_text("".join([header, ",".join(cells), *rest]))
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--seed", "2", "--input", str(trials),
+                     "--output", str(report_path), *flags]) == 0
+        assert json.loads(report_path.read_text())["nonconverged_folds"] == 0
+
     def test_nonconverged_folds_exit_3(self, tmp_path, trials, monkeypatch, capsys):
         config, trials = trials
         monkeypatch.setattr(timeshift.logistic, "_MAX_ITER", 1)

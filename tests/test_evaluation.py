@@ -5,6 +5,7 @@ import pytest
 
 import timeshift.evaluation
 import timeshift.logistic
+from bench import inputs as bench_inputs
 from timeshift.data import (
     Direction,
     EngagementLevel,
@@ -29,8 +30,8 @@ from timeshift.evaluation import (
     magnitude_confusion,
     metrics,
 )
-from timeshift.features import build_features, fit_scaler, transform
-from timeshift.logistic import fit, fit_folds, predict_proba
+from timeshift.features import build_features, column_stats, constant_columns, fit_scaler, transform
+from timeshift.logistic import fit, fit_folds, gradient, predict_proba
 from timeshift.simulator import SimParams
 from tests.test_data import directions, make_trial, pairs_of, simulated
 
@@ -67,20 +68,25 @@ def features_and_labels(ds):
     return build_features(trials, pairs), pair_deltas(trials, pairs) < 0
 
 
-def per_fold_reference(ds, C):
-    """Each fold refitted alone: fit_scaler + fit, a constant column left at 0."""
-    X, decrease = features_and_labels(ds)
-    y = decrease.astype(float)
-    probabilities = []
-    for i in range(len(y)):
-        train = np.arange(len(y)) != i
-        varying = np.ptp(X[train], axis=0) > 0
+def refits(X, y, folds=None, C=12.06):
+    """
+    Each fold of X (every fold by default) refitted alone by fit_scaler + fit,
+    a column that constant_columns calls constant in the fold left at 0: the
+    folds' intercepts and weights, their held-out probabilities, their models
+    and their z-scores of every row.
+    """
+    parameters, probabilities, models, scores = [], [], [], []
+    for fold in range(len(y)) if folds is None else folds:
+        train = np.arange(len(y)) != fold
+        varying = ~constant_columns(*column_stats(X[train]))
         # fit_scaler rejects a constant column: scale a stand-in, zeroed below
         scaler = fit_scaler(np.where(varying, X[train], np.arange(len(y) - 1)[:, None]))
         z = np.where(varying, transform(X, scaler), 0.0)
-        model = fit(z[train], y[train], C=C)
-        probabilities.append(predict_proba(model, z[i]))
-    return np.array(probabilities)
+        models.append(fit(z[train], y[train], C=C))
+        parameters.append([models[-1].intercept, *models[-1].coefficients])
+        probabilities.append(predict_proba(models[-1], z[fold]))
+        scores.append(z)
+    return np.array(parameters), np.array(probabilities), models, scores
 
 
 def sensitive_only(ds, rows):
@@ -327,7 +333,7 @@ class TestLoocv:
             result = loocv(*features_and_labels(cohort), C=12.06)
             assert (result.nonconverged, result.constant_fold_columns) == (0, 0)
             np.testing.assert_allclose(
-                result.probabilities, per_fold_reference(cohort, C=12.06), rtol=0, atol=1e-9
+                result.probabilities, refits(*features_and_labels(cohort))[1], rtol=0, atol=1e-9
             )
             assert np.array_equal(result.outcomes, result.probabilities > 0.5)
             assert result.n_iter.min() >= 1
@@ -341,7 +347,7 @@ class TestLoocv:
         result = loocv(*features_and_labels(ds))
         assert result.constant_fold_columns == 1
         np.testing.assert_allclose(
-            result.probabilities, per_fold_reference(ds, C=12.06), rtol=0, atol=1e-9
+            result.probabilities, refits(*features_and_labels(ds))[1], rtol=0, atol=1e-9
         )
 
     def test_cohort_constant_column_counts_every_fold(self):
@@ -350,7 +356,7 @@ class TestLoocv:
         result = loocv(*features_and_labels(ds))
         assert result.constant_fold_columns == len(ds[1])
         np.testing.assert_allclose(
-            result.probabilities, per_fold_reference(ds, C=12.06), rtol=0, atol=1e-9
+            result.probabilities, refits(*features_and_labels(ds))[1], rtol=0, atol=1e-9
         )
 
     def test_minimum_size_enforced(self):
@@ -511,33 +517,36 @@ class TestGroupStarts:
         result = loocv(*features_and_labels(cohort), C=12.06)
         assert (result.nonconverged, result.constant_fold_columns) == (0, 1)
         np.testing.assert_allclose(
-            result.probabilities, per_fold_reference(cohort, C=12.06), rtol=0, atol=1e-9
+            result.probabilities, refits(*features_and_labels(cohort))[1], rtol=0, atol=1e-9
         )
 
-    @pytest.mark.parametrize("outlier", [1e6, 1e9])
-    def test_outlier_fold_parameters_match_its_refit(self, monkeypatch, outlier):
+    @pytest.mark.parametrize("offset, spread, outlier", [
+        (0.0, 1.0, 1e6), (0.0, 1.0, 1e9), (1e3, 1e-3, 1e9), (1e3, 1e-9, 1e9),
+        (None, None, 1e12),  # the benchmark's seed-1 loocv cohort
+    ])
+    def test_outlier_fold_parameters_match_its_refit(self, offset, spread, outlier):
         # row 0 holds nearly all of column 0's sum of squares: its fold's
         # scaler is the two-pass over the other rows, not a downdate that
-        # cancels to rounding
+        # cancels to rounding, and the shared design is z-scored by that fold's
+        # statistics, so it keeps every bit of the other rows' spread. The
+        # held-out probability saturates, so the weights are checked
         rng = np.random.default_rng(0)
-        X = outlier_cohort(rng, rng.normal(0, 1, 500))
+        if offset is None:
+            X, y = loocv_features(1)
+        else:
+            X = outlier_cohort(rng, offset + rng.normal(0, spread, 500))
+            y = rng.integers(0, 2, 500) == 1
         X[0, 0] = outlier
-        y = rng.integers(0, 2, 500) == 1
-        np.testing.assert_allclose(
-            solved_folds(monkeypatch, X, y)[1][0], refit_parameters(X, y, 0), rtol=0, atol=1e-9
-        )
+        (_, _, converged, _), solved, _ = solved_folds(X, y)
+        assert converged.all()
+        np.testing.assert_allclose(solved[0], refits(X, y, [0])[0][0], rtol=0, atol=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: every fold reads the shared design "
-                       "Z = (X - mean) / std, which keeps too few bits of the other rows' "
-                       "1e-3 spread next to a 1e9 row for fold 0's weights to match its refit")
-    def test_dominant_row_fold_matches_its_refit(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        X = outlier_cohort(rng, 1e3 + rng.normal(0, 1e-3, 500))
-        X[0, 0] = 1e9
-        y = rng.integers(0, 2, 500) == 1
-        np.testing.assert_allclose(
-            solved_folds(monkeypatch, X, y)[1][0], refit_parameters(X, y, 0), rtol=0, atol=1e-9
-        )
+
+def loocv_features(seed):
+    """The features and labels of bench/inputs.py's loocv cohort, balanced with seed 0."""
+    cohort = bench_inputs.pairs(bench_inputs.make_cohort(seed, 1500, 2))
+    keep = balanced_indices(cohort.decrease, 0)
+    return cohort.X[keep], cohort.decrease[keep]
 
 
 def outlier_cohort(rng, column):
@@ -549,7 +558,7 @@ def outlier_cohort(rng, column):
     ]).astype(float)
 
 
-def solved_folds(monkeypatch, X, y, C=12.06):
+def solved_folds(X, y, C=12.06):
     """
     fit_folds' result, each fold's intercept and weights in its own coordinates
     as its last solve left them, and the folds that were solved a second time.
@@ -566,18 +575,10 @@ def solved_folds(monkeypatch, X, y, C=12.06):
             solved[rows, 1:] = v * block.scale
         return theta, n_iter, norm
 
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(timeshift.logistic._Block, "solve", recording)
         result = fit_folds(X, y.astype(float), C)
     return result, solved, np.concatenate(solves)[len(y):]  # the first solve has every fold
-
-
-def refit_parameters(X, y, fold, C=12.06):
-    """The intercept and weights of fit_scaler + fit on every row but fold."""
-    train = np.arange(len(y)) != fold
-    scaler = fit_scaler(X[train])
-    model = fit(transform(X[train], scaler), y[train], C=C)
-    return np.array([model.intercept, *model.coefficients])
 
 
 def random_cohort(rng, n, positives=None):
@@ -605,20 +606,80 @@ class TestEveryFoldConverges:
             rng = np.random.default_rng(n)
             yield (*random_cohort(rng, n, first + rng.choice(64, 2, replace=False)), rng)
 
-    def test_every_fold_converges_to_its_refit(self, monkeypatch):
+    def test_every_fold_converges_to_its_refit(self):
         retries = 0
         for X, y, rng in self.cohorts():
-            (probability, _, converged, _), _, retried = solved_folds(monkeypatch, X, y)
+            (probability, _, converged, _), _, retried = solved_folds(X, y)
             assert converged.all(), (len(y), np.flatnonzero(~converged))
             retries += len(retried)
-            for fold in {*rng.choice(len(y), 3, replace=False).tolist(), *retried.tolist()}:
-                train = np.arange(len(y)) != fold
-                scaler = fit_scaler(X[train])
-                model = fit(transform(X[train], scaler), y[train], C=12.06)
-                refit = predict_proba(model, transform(X[fold], scaler))
-                assert abs(probability[fold] - refit) <= 1e-9, (len(y), fold)
+            folds = np.union1d(rng.choice(len(y), 3, replace=False), retried)
+            assert (np.abs(probability[folds] - refits(X, y, folds)[1]) <= 1e-9).all(), len(y)
         # each of the two one-class groups' 64 folds, and no other fold, is solved twice
         assert retries == 2 * 64
+
+    def test_adversarial_cohorts_match_their_refits(self):
+        sweep(range(25))
+
+
+def sweep(seeds):
+    """
+    Check the adversarial cohorts of the given seeds against per-fold refits.
+    Every fold converges, and each column's most extreme row, every fold
+    solved twice and three seeded folds are refitted. Their held-out
+    probabilities agree within 1e-9. Near separation the Hessian is small, so
+    the gradient tolerance does not bound the probability; there both solves
+    converge instead, and each one's gradient norm at the other's parameters
+    is below 1e-7, ten times the tolerance.
+    """
+    for seed in seeds:
+        X, y, separable = adversarial_cohort(seed)
+        n = len(y)
+        (probability, _, converged, _), solved, retried = solved_folds(X, y)
+        assert converged.all(), (seed, np.flatnonzero(~converged))
+        extreme = np.abs(X - column_stats(X)[0]).argmax(axis=0)
+        sample = np.random.default_rng(seed).choice(n, 3, replace=False)
+        folds = np.union1d(np.union1d(extreme, retried), sample)
+        _, refit, models, scores = refits(X, y, folds)
+        if not separable:
+            assert (np.abs(probability[folds] - refit) <= 1e-9).all(), seed
+            continue
+        Z, shift, scale, free = timeshift.logistic._fold_scalers(X)
+        for fold, model, z, theta in zip(folds, models, scores, solved[folds]):
+            assert model.converged, (seed, fold)
+            train = np.arange(n) != fold
+            own = np.divide(Z - shift[fold], scale[fold], out=np.zeros_like(Z), where=free[fold])
+            at_fold = dataclasses.replace(model, intercept=theta[0], coefficients=tuple(theta[1:]))
+            for parameters, features in ((at_fold, z), (model, own)):
+                norm = np.abs(gradient(parameters, features[train], y[train])).max()
+                assert norm <= 1e-7, (seed, fold, norm)
+
+
+def adversarial_cohort(seed):
+    """
+    The sweep's cohort for a seed, of kind seed % 6: its features, its labels
+    and whether the labels are near-separable.
+    """
+    rng = np.random.default_rng(seed)
+    kind, n = seed % 6, int(rng.integers(20, 500))
+    X, y = random_cohort(rng, n)
+    y[:2], y[2:4] = True, False  # two of each class: every fold has both
+    if kind == 0:  # a dominant row beside a column of any offset and spread
+        offset, spread = rng.choice([0.0, 1e3, 1e6, 1e9]), rng.choice([1e-6, 1e-3, 1.0, 44.0])
+        X[:, 0] = offset + spread * rng.standard_normal(n)
+        X[rng.integers(n), 0] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.integers(3, 13)
+    elif kind == 1:  # a binary column with one 1
+        X[:, 2] = 0.0
+        X[rng.integers(n), 2] = 1.0
+    elif kind == 2:  # two positives in one 64-fold group, whose problem has one class
+        n = int(rng.integers(256, 321))
+        X, y = random_cohort(rng, n, 64 * rng.integers(n // 64) + rng.choice(64, 2, replace=False))
+    elif kind == 3:  # a near-constant column, on either side of constant_columns' threshold
+        X[:, 1] = 1e3 * (1.0 + rng.choice([5e-13, 2e-12, 1e-11, 1e-8]) * rng.standard_normal(n))
+    elif kind == 4:  # 150 to 240 folds, where a group start could keep only a few rows
+        X, y = random_cohort(rng, int(rng.integers(150, 241)))
+    else:  # labels split by column 0's median, or copied from a binary column
+        y = X[:, 0] > np.median(X[:, 0]) if rng.random() < 0.5 else X[:, 1] == 1
+    return X, y, kind == 5
 
 
 class TestBlocks:

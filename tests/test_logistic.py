@@ -329,10 +329,9 @@ class TestFoldScalers:
                 _, shift, scale, free = _fold_scalers(X)
                 mean, std = column_stats(X)
                 varying = ~constant_columns(mean, std)
-                std = np.where(varying, std, 1.0)  # Z's unit; a constant column is 0 in Z
+                extreme = np.abs(X - mean).argmax(axis=0)
                 folds = np.arange(n)
                 if n > 200:
-                    extreme = np.abs(X - mean).argmax(axis=0)
                     folds = np.union1d(extreme, rng.choice(n, 100, replace=False))
                 # a corrected two-pass: the second pass cancels the first mean's rounding
                 deviations = [(r, r - r.mean(axis=0)) for r in (np.delete(X, i, 0) for i in folds)]
@@ -341,6 +340,12 @@ class TestFoldScalers:
                 case = (n, ratio)
                 np.testing.assert_array_equal(
                     free[folds], ~constant_columns(fold_mean, fold_std) & varying, err_msg=case)
+                # Z's units: the statistics of each column's most extreme row's
+                # fold where that fold varies, else the full data's (1 if constant)
+                at = np.searchsorted(folds, extreme), np.arange(len(mean))
+                own = ~constant_columns(fold_mean[at], fold_std[at]) & varying
+                mean = np.where(own, fold_mean[at], mean)
+                std = np.where(own, fold_std[at], np.where(varying, std, 1.0))
                 # in Z's units; the fold mean itself is only known to its own rounding
                 bound = (1e-10 * fold_std + 4 * np.finfo(float).eps * np.abs(fold_mean)) / std
                 checked = np.broadcast_to(varying, bound.shape)
